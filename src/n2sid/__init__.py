@@ -28,7 +28,6 @@ from .structured_ops import (
     apply_operator,
     block_hankel,
     build_M,
-    circulant,
     hankel,
     toeplitz_lower,
 )

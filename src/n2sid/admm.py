@@ -14,9 +14,9 @@ zero elsewhere, the splitting introduces Z = A(x) and alternates
 
 with residual-balanced penalty adaptation.  The x step solves
 (H + rho M) x = H a + rho adj(Z - Y/rho) per output block, where M is
-the shared coefficient matrix; a cached eigendecomposition of M plus a
-low-rank correction for the H block makes the solve cheap for every
-(lambda, rho) pair encountered during a regularization sweep.
+the shared coefficient matrix.  Its yhat block is diagonal, so for each
+(lambda, rho) pair the solve eliminates that block and works with a
+Schur complement of side m*s + p*(s-1), independent of the record length.
 """
 
 from __future__ import annotations
@@ -116,90 +116,47 @@ def build_quadratic(y: np.ndarray, lam: float) -> QuadraticTerm:
 
 @dataclass(frozen=True)
 class SweepFactorization:
-    """Eigendecomposition of the shared coefficient matrix, reused across lambdas."""
+    """Pieces of the shared coefficient matrix M (see build_M), reused across lambdas."""
 
     spec: OperatorSpec
-    M: np.ndarray
-    evals: np.ndarray
-    evecs: np.ndarray
-    q_vw: np.ndarray
+    diag: np.ndarray
+    cross: np.ndarray
+    small: np.ndarray
 
     @classmethod
     def from_spec(cls, spec: OperatorSpec) -> "SweepFactorization":
-        M = build_M(spec)
-        evals, evecs = np.linalg.eigh(M)
-        return cls(spec=spec, M=M, evals=evals, evecs=evecs, q_vw=evecs[spec.N :].copy())
+        diag, cross, small = build_M(spec)
+        return cls(spec=spec, diag=diag, cross=cross, small=small)
 
     def matches(self, spec: OperatorSpec) -> bool:
-        return (self.spec.N, self.spec.s, self.spec.p, self.spec.m) == (
-            spec.N,
-            spec.s,
-            spec.p,
-            spec.m,
-        )
+        return all(getattr(self.spec, k) == getattr(spec, k) for k in ("N", "s", "p", "m"))
 
 
 class _XSolver:
     """Solves (H + rho M) X = RHS, RHS being (d, k), for one (weight, rho) pair.
 
-    With B = weight*I + rho*M diagonal in the eigenbasis of M, the zero
-    rows of H on the v/w coordinates are a rank-(d - N) downdate handled
-    by a Woodbury correction; the correction matrix is assembled without
-    cancellation as q_vw diag(rho*evals / D) q_vw'.  Falls back to a
-    dense pseudo-solve of H + rho M when the correction is singular
-    (degenerate data), and raises if even that is inconsistent.
+    Eliminates the yhat block, diagonal and positive since diag >= 1, and
+    pseudo-inverts the r x r Schur complement S by eigendecomposition; if a mode
+    is cut (1e-12 relative), solves raise when their residual shows inconsistency.
     """
 
     def __init__(self, fact: SweepFactorization, weight: float, rho: float):
-        self.fact = fact
-        self.weight = weight
-        self.rho = rho
-        self.N = fact.spec.N
-        self._dense = None
-        D = weight + rho * fact.evals
-        if weight == 0.0:
-            cutoff = 1e-12 * max(float(D.max()), np.finfo(float).tiny)
-            mask = D > cutoff
-            self.Dinv = np.zeros_like(D)
-            self.Dinv[mask] = 1.0 / D[mask]
-            self.S = None
-            return
-        self.Dinv = 1.0 / D
-        scale = rho * fact.evals * self.Dinv
-        S = (fact.q_vw * scale) @ fact.q_vw.T
-        s_evals = np.linalg.eigvalsh(S)
-        if s_evals.min() <= 1e-12 * max(s_evals.max(), np.finfo(float).tiny):
-            self._build_dense()
-            self.S = None
-        else:
-            self.S = S
-
-    def _build_dense(self):
-        T = self.rho * self.fact.M.copy()
-        idx = np.arange(self.N)
-        T[idx, idx] += self.weight
-        evals, evecs = np.linalg.eigh(T)
-        cutoff = 1e-12 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
-        mask = np.abs(evals) > cutoff
-        dinv = np.zeros_like(evals)
-        dinv[mask] = 1.0 / evals[mask]
-        self._dense = (T, evals, evecs, dinv)
+        self.cross, self.rho = fact.cross, rho
+        self.dinv = 1.0 / (weight + rho * fact.diag)
+        self.S = rho * fact.small - rho**2 * (fact.cross.T * self.dinv) @ fact.cross
+        evals, evecs = np.linalg.eigh(self.S)
+        keep = np.abs(evals) > 1e-12 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
+        self.cut = not keep.all()
+        self.S_pinv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
 
     def solve(self, RHS: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            T, _, evecs, dinv = self._dense
-            X = evecs @ (dinv[:, None] * (evecs.T @ RHS))
-            resid = np.linalg.norm(T @ X - RHS)
-            if resid > 1e-6 * (1.0 + np.linalg.norm(RHS)):
-                raise SolverError("x-update system singular beyond pseudo-solve tolerance")
-            return X
-        Q = self.fact.evecs
-        t = Q.T @ RHS
-        base = Q @ (self.Dinv[:, None] * t)
-        if self.S is not None:
-            corr = np.linalg.solve(self.S, base[self.N :])
-            base = base + self.weight * (Q @ (self.Dinv[:, None] * (self.fact.q_vw.T @ corr)))
-        return base
+        N = self.dinv.shape[0]
+        c = RHS[N:] - self.rho * (self.cross.T @ (self.dinv[:, None] * RHS[:N]))
+        t = self.S_pinv @ c
+        if self.cut and np.linalg.norm(self.S @ t - c) > 1e-6 * (1.0 + np.linalg.norm(RHS)):
+            raise SolverError("x-update system singular beyond pseudo-solve tolerance")
+        yhat = self.dinv[:, None] * (RHS[:N] - self.rho * (self.cross @ t))
+        return np.vstack([yhat, t])
 
 
 @dataclass(frozen=True)
@@ -356,9 +313,10 @@ def sweep(
 ) -> list[SolveResult | None]:
     """Solve the program over an ascending grid of lambdas.
 
-    The coefficient matrix and its eigendecomposition are computed once;
-    each solve is warm-started from the previous grid point unless
-    disabled.  A failed grid point yields None instead of aborting.
+    The pieces of the coefficient matrix are computed once and shared by
+    every (lambda, rho) x-update; each solve is warm-started from the
+    previous grid point unless disabled.  A failed grid point yields None
+    instead of aborting.
     """
     grid = np.asarray(lambda_grid, dtype=float).reshape(-1)
     if grid.size == 0:

@@ -8,7 +8,8 @@ Subcommands:
   simulate   generate a CSV record from a model file or built-in example
   validate   score a report's model against a held-out CSV record
 
-Exit codes: 0 success, 1 solver/numerical failure, 2 usage/file error.
+Exit codes: 0 success, 1 solver/numerical failure, 2 usage, file, data or
+configuration error.
 Data files are CSV with a header naming columns u1..um then y1..yp, one
 row per sample; values are written with full precision so a write/read
 round trip is exact.
@@ -422,12 +423,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (N2sidError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (UsageError, ValueError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first above
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

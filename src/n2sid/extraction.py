@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationOverflowError
 from .model import IoRecord, ObserverModel, StateSpaceModel
 from .structured_ops import DecisionVector, OperatorSpec
 
@@ -46,7 +47,14 @@ __all__ = [
 _LSTSQ_RCOND = 1e-10
 
 
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    """Raise before a non-finite array (from unstable dynamics) reaches LAPACK."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise SimulationOverflowError(f"non-finite values in {what}")
+
+
 def _lstsq(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    _require_finite(what, A, b)
     sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=_LSTSQ_RCOND)
     if rank < min(A.shape):
         warnings.warn(f"rank-deficient least squares in {what}; minimum-norm solution used")

@@ -23,7 +23,9 @@ import numpy as np
 from .admm import AdmmParams, SweepFactorization, sweep
 from .errors import N2sidError, SolverError
 from .extraction import (
+    _LSTSQ_RCOND,
     IdentifiedModel,
+    _require_finite,
     compute_m1,
     compute_m2,
     compute_m3,
@@ -42,8 +44,6 @@ __all__ = [
     "identify_output_only",
     "evaluate",
 ]
-
-_LSTSQ_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,7 @@ def _fit_x0_simulation(model, rec: IoRecord) -> np.ndarray:
         rows[k] = model.C @ P
         P = model.A @ P
     target = (rec.y - base).reshape(-1)
+    _require_finite("initial-state fit", rows, target)
     x0, _, _, _ = np.linalg.lstsq(rows.reshape(rec.N * model.p, model.n), target, rcond=_LSTSQ_RCOND)
     return x0
 
@@ -165,6 +166,7 @@ def _fit_x0_observer(obs, rec: IoRecord) -> np.ndarray:
         rows[k] = obs.C @ P
         P = obs.Aobs @ P
     target = (rec.y - base).reshape(-1)
+    _require_finite("initial-state fit", rows, target)
     x0, _, _, _ = np.linalg.lstsq(rows.reshape(rec.N * obs.p, obs.n), target, rcond=_LSTSQ_RCOND)
     return x0
 

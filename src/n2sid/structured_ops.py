@@ -9,7 +9,8 @@ Collecting those unknowns in x, the linear map
 (with frozen data matrices V_j, W_j built from negated input/output
 Hankel matrices) produces the matrix whose nuclear norm is penalized.
 This module provides A, its adjoint, and the FFT-based assembly of the
-coefficient matrix M representing adj(A(.)) o A(.) on one output block.
+coefficient matrix M representing adj(A(.)) o A(.) on one output block,
+kept as its diagonal, cross and small pieces.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -24,7 +25,6 @@ import numpy as np
 from .errors import ConsistencyError
 
 __all__ = [
-    "circulant",
     "hankel",
     "toeplitz_lower",
     "block_hankel",
@@ -35,16 +35,6 @@ __all__ = [
     "apply_adjoint",
     "build_M",
 ]
-
-
-def circulant(x: np.ndarray) -> np.ndarray:
-    """Circulant matrix with first column x; column c is x shifted down c times."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    q = x.shape[0]
-    if q < 1:
-        raise ValueError("circulant needs a nonempty vector")
-    idx = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
-    return x[idx]
 
 
 def hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -100,8 +90,8 @@ class FourierCache:
 
     The factorization works at order = rows + cols - 1 and selects DFT
     columns g_cols (the flipped leading block) and h_cols (the trailing
-    block).  forward/inverse are plain mixed-radix transforms at that
-    exact order.
+    block).  Products with those column blocks are plain mixed-radix
+    transforms at that exact order.
     """
 
     rows: int
@@ -116,15 +106,6 @@ class FourierCache:
     @property
     def order(self) -> int:
         return self.rows + self.cols - 1
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.fft(x, axis=0)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(x, axis=0)
-
-    def dft_matrix(self) -> np.ndarray:
-        return np.fft.fft(np.eye(self.order), axis=0)
 
     # Products with the selected column blocks, evaluated by FFT on
     # scattered inputs instead of materializing the DFT matrix.
@@ -351,30 +332,38 @@ def apply_adjoint(Z: np.ndarray, spec: OperatorSpec) -> DecisionVector:
     return DecisionVector(yhat=yhat, v=v, w=w)
 
 
-def build_M(spec: OperatorSpec) -> np.ndarray:
-    """Assemble the per-output coefficient matrix M of adj(A(.)) o A(.).
+def _real_part(a: np.ndarray, what: str) -> np.ndarray:
+    residue = float(np.abs(a.imag).max())
+    if residue > 1e-9 * (1.0 + float(np.abs(a.real).max())):
+        raise ConsistencyError(f"imaginary residue {residue:.3e} in {what}")
+    return a.real
+
+
+def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the per-output coefficient matrix M of adj(A(.)) o A(.) in pieces.
 
     All p output blocks of the full coefficient matrix are identical, so
-    a single block of side N + m*s + p*(s-1) is returned.  Every block
+    a single block of side d = N + r, r = m*s + p*(s-1), is described.
+    Its yhat-yhat block is diagonal (the occupancy counts of the Hankel
+    pattern, all >= 1), so M is returned as three pieces and never as a
+    d x d array:
+
+        M = [[diag(diag), cross], [cross.T, small]]
+
+    with diag of shape (N,), cross (N, r) and small (r, r).  Every piece
     is formed from Hadamard products of small DFT-domain factors: the
     predicted-output coupling uses order-N transforms, the Toeplitz
-    couplings order 2s-1.  Intermediates are complex; the result is the
-    real part after checking that the imaginary residue is negligible.
+    couplings order 2s-1.  Intermediates are complex; each piece is the
+    real part after checking that its imaginary residue is negligible.
     """
-    N, s, ncols, p, m = spec.N, spec.s, spec.ncols, spec.p, spec.m
+    N, s, ncols = spec.N, spec.s, spec.ncols
     kappa = 2 * s - 1
-    d = spec.block_dim
 
     fc = FourierCache(rows=s, cols=ncols)
     F_k = np.fft.fft(np.eye(kappa), axis=0)
     Phi = F_k[:, :s]
     Psi = F_k[:, 1:s]
     CC = np.conj(Phi @ Phi.T)
-
-    Pv = [Phi @ Vj for Vj in spec.V]
-    Pw = [Phi @ Wj for Wj in spec.W]
-
-    M = np.zeros((d, d), dtype=complex)
 
     # Output-output block: the two order-N Gram factors are circulant, so
     # their Hadamard product conjugated back by the DFT is a diagonal.
@@ -384,7 +373,7 @@ def build_M(spec: OperatorSpec) -> np.ndarray:
     ind_g[fc.g_cols] = 1.0
     col0 = np.fft.fft(ind_h) * np.conj(np.fft.fft(ind_g))
     diag_rev = np.fft.fft(col0)
-    M[np.arange(N), np.arange(N)] = np.roll(diag_rev[::-1], 1) / N
+    diag = np.roll(diag_rev[::-1], 1) / N
 
     HPhiH = fc.mul_H(Phi.conj().T)  # N x kappa
 
@@ -393,36 +382,18 @@ def build_M(spec: OperatorSpec) -> np.ndarray:
         B = np.conj(fc.mul_G(np.conj(P.T)))
         return fc.mul_Fh(HPhiH * B) @ trailing / (N * kappa)
 
-    def vs(j: int) -> slice:
-        return slice(N + j * s, N + (j + 1) * s)
-
-    def ws(j: int) -> slice:
-        base = N + m * s
-        return slice(base + j * (s - 1), base + (j + 1) * (s - 1))
-
-    for j in range(m):
-        blk = cross_block(Pv[j], Phi)
-        M[:N, vs(j)] = blk
-        M[vs(j), :N] = blk.T
-    for j in range(p):
-        blk = cross_block(Pw[j], Psi)
-        M[:N, ws(j)] = blk
-        M[ws(j), :N] = blk.T
-
+    # Toeplitz parameters in stacking order: one (data block, DFT columns)
+    # pair per input channel, then per output channel.
+    params = [(Phi @ Vj, Phi) for Vj in spec.V] + [(Phi @ Wj, Psi) for Wj in spec.W]
+    cross = np.hstack([cross_block(P, T) for P, T in params])
     scale = 1.0 / kappa**2
-    for j in range(m):
-        for k in range(m):
-            M[vs(j), vs(k)] = scale * (Phi.T @ ((Pv[j] @ Pv[k].T) * CC) @ Phi)
-        for k in range(p):
-            blk = scale * (Phi.T @ ((Pv[j] @ Pw[k].T) * CC) @ Psi)
-            M[vs(j), ws(k)] = blk
-            M[ws(k), vs(j)] = blk.T
-    for j in range(p):
-        for k in range(p):
-            M[ws(j), ws(k)] = scale * (Psi.T @ ((Pw[j] @ Pw[k].T) * CC) @ Psi)
+    small = np.block(
+        [[scale * (Tj.T @ ((Pj @ Pk.T) * CC) @ Tk) for Pk, Tk in params] for Pj, Tj in params]
+    )
 
-    real = M.real
-    residue = float(np.abs(M.imag).max())
-    if residue > 1e-9 * (1.0 + float(np.abs(real).max())):
-        raise ConsistencyError(f"imaginary residue {residue:.3e} in coefficient matrix")
-    return (real + real.T) / 2.0
+    small = _real_part(small, "Toeplitz block of the coefficient matrix")
+    return (
+        _real_part(diag, "output block of the coefficient matrix"),
+        _real_part(cross, "cross block of the coefficient matrix"),
+        (small + small.T) / 2.0,
+    )

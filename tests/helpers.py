@@ -10,7 +10,42 @@ from __future__ import annotations
 import numpy as np
 
 from n2sid.model import IoRecord, StateSpaceModel
-from n2sid.structured_ops import DecisionVector, OperatorSpec, apply_adjoint, apply_operator
+from n2sid.structured_ops import (
+    DecisionVector,
+    OperatorSpec,
+    apply_adjoint,
+    apply_operator,
+    build_M,
+)
+
+
+def circulant(x) -> np.ndarray:
+    """Circulant matrix with first column x; column c is x shifted down c times."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    q = x.shape[0]
+    if q < 1:
+        raise ValueError("circulant needs a nonempty vector")
+    idx = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
+    return x[idx]
+
+
+def dft(x: np.ndarray) -> np.ndarray:
+    """Plain mixed-radix DFT along axis 0, at the exact length of x."""
+    return np.fft.fft(x, axis=0)
+
+
+def idft(x: np.ndarray) -> np.ndarray:
+    return np.fft.ifft(x, axis=0)
+
+
+def dft_matrix(order: int) -> np.ndarray:
+    return np.fft.fft(np.eye(order), axis=0)
+
+
+def dense_M(spec: OperatorSpec) -> np.ndarray:
+    """Per-output coefficient matrix assembled as one d x d array from build_M's pieces."""
+    diag, cross, small = build_M(spec)
+    return np.block([[np.diag(diag), cross], [cross.T, small]])
 
 
 def naive_simulate(A, B, C, D, u, x0):

@@ -15,9 +15,10 @@ from n2sid.admm import AdmmParams, build_quadratic, solve
 from n2sid.extraction import select_order
 from n2sid.model import IoRecord, generate_innovation_data, simulate
 from n2sid.pipeline import PipelineConfig, evaluate, identify, identify_output_only
-from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
+from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator
 
 from helpers import (
+    dense_M,
     make_siso_order2,
     prbs,
     probe_M,
@@ -58,7 +59,7 @@ def test_criterion_02_fft_m_vs_dense_probe():
     worst = 0.0
     for _ in range(20):
         spec = random_spec(rng, s_lo=2, s_hi=8, n_hi=40)
-        M = build_M(spec)
+        M = dense_M(spec)
         gap = float(np.abs(M - probe_M(spec)).max())
         worst = max(worst, gap)
         assert gap <= 1e-8
@@ -76,7 +77,7 @@ def test_criterion_03_mimo_block_structure():
     y = rng.standard_normal((12, 2))
     spec = OperatorSpec.from_data(u, y, s=3)
     assert (spec.p, spec.m, spec.s, spec.N) == (2, 2, 3, 12)
-    Mi = build_M(spec)
+    Mi = dense_M(spec)
     Mfull = probe_full_M(spec)
     d = spec.block_dim
     for i in range(2):

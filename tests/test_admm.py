@@ -6,6 +6,7 @@ import pytest
 from n2sid.admm import (
     AdmmParams,
     SweepFactorization,
+    _XSolver,
     build_quadratic,
     nuclear_norm,
     objective_value,
@@ -13,10 +14,11 @@ from n2sid.admm import (
     svt,
     sweep,
 )
+from n2sid.errors import SolverError
 from n2sid.model import generate_innovation_data
 from n2sid.structured_ops import DecisionVector, OperatorSpec
 
-from helpers import make_siso_order2, prbs, random_decision, random_spec
+from helpers import dense_M, make_siso_order2, prbs, random_decision, random_spec
 
 
 def reference_params(iters=5000):
@@ -104,14 +106,50 @@ def test_quadratic_a_vector_blocks():
 
 
 # ---------------------------------------------------------------------------
-# factorization
+# x-update
 
 
-def test_factorization_reconstruction():
-    spec, _ = small_problem(5)
-    fact = SweepFactorization.from_spec(spec)
-    rebuilt = (fact.evecs * fact.evals) @ fact.evecs.T
-    assert np.abs(rebuilt - fact.M).max() <= 1e-8
+def dense_system(spec, weight, rho):
+    T = rho * dense_M(spec)
+    T[np.arange(spec.N), np.arange(spec.N)] += weight
+    return T
+
+
+def test_x_update_matches_dense_lstsq():
+    rng = np.random.default_rng(5)
+    regular, _ = small_problem(5)
+    zero_input = OperatorSpec.from_data(np.zeros((40, 1)), rng.standard_normal((40, 1)), 6)
+    # Each case: (spec, weight, rho, whether H + rho M is singular).  With an
+    # input, yhat = u, v = e_0 is a null vector of M; with a zero input, every
+    # input-Toeplitz coordinate vector is one.
+    for spec, weight, rho, singular in (
+        (regular, 0.3, 2.0, False),
+        (regular, 0.0, 0.5, True),
+        (zero_input, 0.3, 2.0, True),
+        (zero_input, 0.0, 1.0, True),
+    ):
+        T = dense_system(spec, weight, rho)
+        _, sv, Vt = np.linalg.svd(T)
+        rank = int(np.sum(sv > 1e-12 * sv[0]))
+        assert (rank < spec.block_dim) == singular
+        # a right-hand side in the range of T, so the singular systems are consistent
+        RHS = T @ rng.standard_normal((spec.block_dim, 2))
+        X = _XSolver(SweepFactorization.from_spec(spec), weight, rho).solve(RHS)
+        ref = np.linalg.lstsq(T, RHS, rcond=1e-12)[0]
+        # equal up to a null vector of T, which the minimum-norm ref lacks
+        gap = np.abs(Vt[:rank] @ (X - ref)).max()
+        assert gap <= 1e-8 * (1.0 + np.abs(ref).max())
+        if spec is zero_input:
+            assert np.abs(X[spec.N : spec.N + spec.s]).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_x_update_inconsistent_singular_system_raises():
+    y = np.random.default_rng(6).standard_normal((40, 1))
+    spec = OperatorSpec.from_data(np.zeros((40, 1)), y, 6)
+    RHS = np.zeros((spec.block_dim, 1))
+    RHS[spec.N] = 1.0  # forcing on an input-Toeplitz coordinate M does not reach
+    with pytest.raises(SolverError):
+        _XSolver(SweepFactorization.from_spec(spec), 0.3, 2.0).solve(RHS)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,37 @@ def test_identify_missing_file(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+def _nan_cell_csv(tmp_path):
+    path = tmp_path / "d.csv"
+    make_data_file(path, n=40)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].split(",")[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    return ["identify", "--data", str(path), "--inputs", "1", "--outputs", "1", "--s", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["simulate", "--example", "order2", "--n", "-5", "--out", str(tmp / "x.csv")],
+        lambda tmp: [
+            "identify", "--data", make_data_file(tmp / "d.csv", n=200),
+            "--inputs", "1", "--outputs", "1", "--s", "500",
+        ],
+        _nan_cell_csv,
+    ],
+    ids=["negative-n", "s-beyond-record", "nan-cell"],
+)
+def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    code = run_cli(*args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_identify_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     import n2sid.cli as cli_mod
     from n2sid.errors import SolverError

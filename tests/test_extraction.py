@@ -233,6 +233,26 @@ def test_estimate_bdx0_zero_input_min_norm():
     assert np.all(np.isfinite(x0))
 
 
+def test_unstable_dynamics_raise_before_lapack(capfd):
+    from n2sid.errors import SimulationOverflowError
+    from n2sid.model import StateSpaceModel
+    from n2sid.pipeline import evaluate
+
+    rng = np.random.default_rng(6)
+    rec = IoRecord(u=rng.standard_normal((1000, 1)), y=rng.standard_normal((1000, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+        with pytest.raises(SimulationOverflowError):
+            estimate_BDx0(np.array([[3.0]]), [[1.0]], [[0.5]], rec)
+        # zero outputs keep the predictor finite; only the initial-state rows overflow
+        unstable = StateSpaceModel(
+            A=[[3.0]], B=np.zeros((1, 0)), C=[[1.0]], D=np.zeros((1, 0)), K=[[0.0]]
+        )
+        with pytest.raises(SimulationOverflowError):
+            evaluate(unstable, IoRecord(u=np.zeros((1000, 0)), y=np.zeros((1000, 1))))
+    assert capfd.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # model computations
 

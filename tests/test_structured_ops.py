@@ -10,13 +10,17 @@ from n2sid.structured_ops import (
     apply_operator,
     block_hankel,
     build_M,
-    circulant,
     hankel,
     toeplitz_lower,
 )
 
 from helpers import (
+    circulant,
+    dense_M,
     dense_output_operator,
+    dft,
+    dft_matrix,
+    idft,
     make_siso_order2,
     naive_states,
     observability,
@@ -76,7 +80,7 @@ def test_hankel_fourier_formula():
     for m, n in ((3, 4), (1, 5), (2, 2), (6, 3), (5, 11)):
         x = rng.standard_normal(m + n - 1)
         fc = FourierCache(rows=m, cols=n)
-        F = fc.dft_matrix()
+        F = dft_matrix(fc.order)
         G = F[:, fc.g_cols]
         H = F[:, fc.h_cols]
         rebuilt = (H.conj().T @ np.diag(F @ x) @ G) / fc.order
@@ -128,7 +132,7 @@ def test_fourier_cache_round_trip():
     for rows, cols in ((2, 5), (3, 3), (4, 9)):
         fc = FourierCache(rows=rows, cols=cols)
         x = rng.standard_normal((fc.order, 3))
-        back = fc.inverse(fc.forward(x))
+        back = idft(dft(x))
         assert np.abs(back - x).max() <= 1e-12 * (1 + np.abs(x).max())
 
 
@@ -260,15 +264,26 @@ def test_operator_spec_validation():
 
 def test_m_output_block_is_occupancy_diagonal():
     spec = OperatorSpec.from_data(np.ones((3, 1)), np.arange(3.0), s=2)
-    M = build_M(spec)
+    M = dense_M(spec)
     np.testing.assert_allclose(M[:3, :3], np.diag([1.0, 2.0, 1.0]), atol=1e-12)
+
+
+def test_m_pieces_shapes_and_positive_diagonal():
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        spec = random_spec(rng)
+        r = spec.block_dim - spec.N
+        diag, cross, small = build_M(spec)
+        assert diag.shape == (spec.N,) and cross.shape == (spec.N, r) and small.shape == (r, r)
+        assert diag.min() >= 1.0 - 1e-12
+        np.testing.assert_array_equal(small, small.T)
 
 
 def test_m_matches_probe_oracle():
     rng = np.random.default_rng(13)
     for _ in range(20):
         spec = random_spec(rng)
-        M = build_M(spec)
+        M = dense_M(spec)
         np.testing.assert_allclose(M, probe_M(spec), atol=1e-8)
 
 
@@ -277,14 +292,14 @@ def test_m_matches_independent_dense_gram():
     for _ in range(5):
         spec = random_spec(rng, n_hi=20)
         Amat = dense_output_operator(spec)
-        np.testing.assert_allclose(build_M(spec), Amat.T @ Amat, atol=1e-8)
+        np.testing.assert_allclose(dense_M(spec), Amat.T @ Amat, atol=1e-8)
 
 
 def test_m_symmetric_psd():
     rng = np.random.default_rng(15)
     for _ in range(10):
         spec = random_spec(rng)
-        M = build_M(spec)
+        M = dense_M(spec)
         assert np.abs(M - M.T).max() <= 1e-10
         evals = np.linalg.eigvalsh(M)
         assert evals.min() >= -1e-8 * np.linalg.norm(M, 2)
@@ -297,7 +312,7 @@ def test_full_coefficient_matrix_block_diagonal():
     spec = OperatorSpec.from_data(u, y, s=3)
     d = spec.block_dim
     Mfull = probe_full_M(spec)
-    Mi = build_M(spec)
+    Mi = dense_M(spec)
     for i in range(spec.p):
         for k in range(spec.p):
             blk = Mfull[i * d : (i + 1) * d, k * d : (k + 1) * d]
