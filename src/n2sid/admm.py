@@ -321,6 +321,8 @@ def sweep(
     grid = np.asarray(lambda_grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise ValueError("lambda grid must be nonempty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("lambda grid entries must be finite")
     if np.any(grid <= 0):
         raise ValueError("lambda grid entries must be positive")
     if np.any(np.diff(grid) < 0):

@@ -16,6 +16,13 @@ the quintuple (A, B, C, D, K) by one of three procedures:
 
 A, B are recovered from the observer quantities as A = Aobs + K C and
 B = Bobs + K D.
+
+Every regressor of the data fits is a response of the observer to a
+fixed drive, computed by ``model.state_response``: the observability
+rows C Aobs^k are its free response from the identity, and the
+sensitivities to K y, to each entry of Bobs and to x0 are stacked
+responses of one loop.  ``fit_x0`` is the initial-state fit shared with
+the pipeline's scoring.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationOverflowError
-from .model import IoRecord, ObserverModel, StateSpaceModel
+from .model import IoRecord, ObserverModel, StateSpaceModel, predict_observer, state_response
 from .structured_ops import DecisionVector, OperatorSpec
 
 __all__ = [
@@ -39,6 +46,7 @@ __all__ = [
     "estimate_AC",
     "estimate_K",
     "estimate_BDx0",
+    "fit_x0",
     "compute_m1",
     "compute_m2",
     "compute_m3",
@@ -170,84 +178,53 @@ def estimate_K(Aobs: np.ndarray, C: np.ndarray, estimates: ToeplitzEstimates) ->
     return _lstsq(G, target, "gain fit")
 
 
-def _observability(Aobs: np.ndarray, C: np.ndarray, rows: int) -> np.ndarray:
-    blocks = []
-    CA = np.atleast_2d(C).copy()
-    for _ in range(rows):
-        blocks.append(CA.copy())
-        CA = CA @ Aobs
-    return np.vstack(blocks)
+def _observability(A: np.ndarray, C: np.ndarray, rows: int) -> np.ndarray:
+    """Stacked blocks C A^k for k < rows, shape (rows * p, n)."""
+    n = np.atleast_2d(A).shape[0]
+    return state_response(A, C, np.eye(n), rows).reshape(-1, n)
 
 
-def _observer_regression(
-    Aobs: np.ndarray,
-    C: np.ndarray,
-    K: np.ndarray,
-    rec: IoRecord,
-    Bobs: np.ndarray | None = None,
-    D: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least squares fit of (Bobs, D, x0) (or x0 alone) to the observer output.
+def fit_x0(A: np.ndarray, C: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Initial state whose free response C A^k x0 best fits ``residual`` (N x p).
 
-    The observer state is affine in (Bobs, x0) given (Aobs, K, C, D) and
-    the data, so the one-step prediction error is linear in the
-    unknowns.  Sensitivities are built by running the recursion on
-    canonical basis directions; when Bobs and D are supplied their
-    response moves into the offset and only x0 is fit.
+    Rank deficiency is not reported: the minimum-norm solution is used,
+    and a direction the outputs cannot see does not change the fit.
     """
-    Aobs = np.atleast_2d(Aobs)
-    C = np.atleast_2d(C)
-    n = Aobs.shape[0]
-    p = C.shape[0]
-    m = rec.m
-    N = rec.N
-    fit_bd = Bobs is None
-
-    # response to the measured outputs through K, from zero initial state
-    x = np.zeros(n)
-    free = np.empty((N, p))
-    # initial-state sensitivity: output rows C @ Aobs^k
-    P = np.eye(n)
-    x0_cols = np.empty((N, p, n))
-    if fit_bd:
-        G = np.zeros((n, n * m))
-        b_cols = np.empty((N, p, n * m))
-    for k in range(N):
-        free[k] = C @ x
-        x0_cols[k] = C @ P
-        if fit_bd:
-            b_cols[k] = C @ G
-            G = Aobs @ G + np.kron(rec.u[k], np.eye(n))
-        x = Aobs @ x + K @ rec.y[k]
-        if Bobs is not None:
-            x = x + Bobs @ rec.u[k]
-        P = Aobs @ P
-
-    offset = free
-    if D is not None:
-        offset = offset + rec.u @ D.T
-    target = (rec.y - offset).reshape(N * p)
-
-    if fit_bd:
-        d_cols = np.kron(rec.u, np.eye(p)).reshape(N, p, p * m)
-        regressor = np.concatenate([b_cols, d_cols, x0_cols], axis=2).reshape(N * p, -1)
-        theta = _lstsq(regressor, target, "input/feed-through/initial-state fit")
-        Bobs = theta[: n * m].reshape(m, n).T if m else np.zeros((n, 0))
-        D = theta[n * m : n * m + p * m].reshape(m, p).T if m else np.zeros((p, 0))
-        x0 = theta[n * m + p * m :]
-    else:
-        regressor = x0_cols.reshape(N * p, n)
-        x0 = _lstsq(regressor, target, "initial-state fit")
-    return Bobs, D, x0
+    residual = np.asarray(residual, dtype=float)
+    rows = _observability(A, C, residual.shape[0])
+    _require_finite("initial-state fit", residual)
+    return np.linalg.lstsq(rows, residual.reshape(-1), rcond=_LSTSQ_RCOND)[0]
 
 
 def estimate_BDx0(
     Aobs: np.ndarray, C: np.ndarray, K: np.ndarray, rec: IoRecord
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Bobs, D, x0) minimizing the observer's squared prediction error."""
+    """(Bobs, D, x0) minimizing the observer's squared prediction error.
+
+    With (Aobs, C, K) fixed the prediction is linear in the unknowns: the
+    response to K y(k), plus one response per entry of Bobs (drive
+    u_j(k) e_i), per entry of D and per entry of x0.
+    """
     if rec.N < 1:
         raise ValueError("record is empty")
-    return _observer_regression(Aobs, C, np.atleast_2d(K), rec)
+    Aobs, C, K = np.atleast_2d(Aobs), np.atleast_2d(C), np.atleast_2d(K)
+    n, p, m, N = Aobs.shape[0], C.shape[0], rec.m, rec.N
+    # column 0 is driven by K y(k), column 1 + j*n + i by u_j(k) e_i (entry Bobs[i, j])
+    drive = np.zeros((N, n, 1 + n * m))
+    drive[:, :, 0] = rec.y @ K.T
+    for i in range(n):
+        drive[:, i, 1 + i :: n] = rec.u
+    forced = state_response(Aobs, C, np.zeros((n, 1 + n * m)), N, drive)
+    d_cols = np.kron(rec.u, np.eye(p)).reshape(N, p, p * m)
+    x0_cols = _observability(Aobs, C, N).reshape(N, p, n)
+    regressor = np.concatenate([forced[:, :, 1:], d_cols, x0_cols], axis=2)
+    target = rec.y - forced[:, :, 0]
+    theta = _lstsq(
+        regressor.reshape(N * p, -1), target.reshape(-1), "input/feed-through/initial-state fit"
+    )
+    Bobs = theta[: n * m].reshape(m, n).T
+    D = theta[n * m : (n + p) * m].reshape(m, p).T
+    return Bobs, D, theta[(n + p) * m :]
 
 
 def _finish(obs: ObserverModel, order, lam, sigma, variant, x0) -> IdentifiedModel:
@@ -332,5 +309,6 @@ def compute_m3(
         Bobs = _lstsq(G, estimates.Tu[p:, :m], "input-Toeplitz fit")
     else:
         Bobs = np.zeros((Aobs.shape[0], 0))
-    _, _, x0 = _observer_regression(Aobs, C, np.atleast_2d(K), rec, Bobs=Bobs, D=D)
-    return _finish(ObserverModel(Aobs, Bobs, C, D, K), nhat, lam, svd.sigma, "m3", x0)
+    obs = ObserverModel(Aobs, Bobs, C, D, K)
+    x0 = fit_x0(Aobs, C, rec.y - predict_observer(obs, rec))
+    return _finish(obs, nhat, lam, svd.sigma, "m3", x0)

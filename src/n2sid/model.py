@@ -9,6 +9,13 @@ with state dimension n, m inputs and p outputs.  The equivalent
 predictor ("observer") form replaces (A, B) by (A - K C, B - K D) and is
 driven by the measured output instead of the unknown noise e.
 
+Every recursion in the package runs through one kernel,
+``state_response``: the outputs C x(k) of x(k+1) = A x(k) + drive(k),
+for one or several stacked responses at once.  Simulation, observer
+prediction, data generation and Markov parameters are that kernel with
+their own drive plus the feed-through D u(k); extraction builds its
+regressors from it too.
+
 Time indexing: sample k of the external arrays (row k, 0-based) is the
 k-th measurement; simulation starts from the initial state x0 which is
 the state at the first sample.
@@ -27,6 +34,7 @@ __all__ = [
     "ObserverModel",
     "IoRecord",
     "to_observer",
+    "state_response",
     "simulate",
     "predict_observer",
     "markov_parameters",
@@ -208,6 +216,31 @@ def _check_x0(x0, n: int) -> np.ndarray:
     return x0
 
 
+def state_response(A, C, x0, steps: int, drive=None) -> np.ndarray:
+    """Outputs C x(k), k < steps, of the recursion x(k+1) = A x(k) + drive[k].
+
+    x0 has shape (n,) or (n, q); the q columns are independent responses
+    run through one loop, and ``drive`` (omitted for a free response)
+    has shape (steps, n) or (steps, n, q) to match.  Only the outputs
+    are kept: the result has shape (steps, p) or (steps, p, q).
+
+    Raises:
+        SimulationOverflowError: if an output or the final state is
+            non-finite (unstable A over a long horizon).
+    """
+    A = np.atleast_2d(A)
+    C = np.atleast_2d(C)
+    x = np.array(x0, dtype=float)
+    out = np.empty((steps, C.shape[0]) + x.shape[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            out[k] = C @ x
+            x = A @ x if drive is None else A @ x + drive[k]
+    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(x))):
+        raise SimulationOverflowError(f"state recursion overflow within {steps} samples")
+    return out
+
+
 def simulate(model: StateSpaceModel, u: np.ndarray, x0=None) -> np.ndarray:
     """Simulate the deterministic part of the model.
 
@@ -220,19 +253,8 @@ def simulate(model: StateSpaceModel, u: np.ndarray, x0=None) -> np.ndarray:
             (unstable A over a long horizon).
     """
     u = _check_input(u, model.m)
-    x = _check_x0(x0, model.n)
-    N = u.shape[0]
-    yhat = np.empty((N, model.p))
-    A, B, C, D = model.A, model.B, model.C, model.D
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            yhat[k] = C @ x + D @ u[k]
-            x = A @ x + B @ u[k]
-            if not np.all(np.isfinite(x)):
-                raise SimulationOverflowError(f"state overflow at sample {k + 1}")
-    if not np.all(np.isfinite(yhat)):
-        raise SimulationOverflowError("output overflow")
-    return yhat
+    x0 = _check_x0(x0, model.n)
+    return state_response(model.A, model.C, x0, u.shape[0], u @ model.B.T) + u @ model.D.T
 
 
 def predict_observer(obs: ObserverModel, rec: IoRecord, x0=None) -> np.ndarray:
@@ -245,17 +267,9 @@ def predict_observer(obs: ObserverModel, rec: IoRecord, x0=None) -> np.ndarray:
         raise ValueError(
             f"record has (m={rec.m}, p={rec.p}), observer expects (m={obs.m}, p={obs.p})"
         )
-    x = _check_x0(x0, obs.n)
-    N = rec.N
-    yhat = np.empty((N, obs.p))
-    Aobs, Bobs, C, D, K = obs.Aobs, obs.Bobs, obs.C, obs.D, obs.K
-    u, y = rec.u, rec.y
-    for k in range(N):
-        yhat[k] = C @ x + D @ u[k]
-        x = Aobs @ x + Bobs @ u[k] + K @ y[k]
-        if not np.all(np.isfinite(x)):
-            raise SimulationOverflowError(f"observer state overflow at sample {k + 1}")
-    return yhat
+    x0 = _check_x0(x0, obs.n)
+    drive = rec.u @ obs.Bobs.T + rec.y @ obs.K.T
+    return state_response(obs.Aobs, obs.C, x0, rec.N, drive) + rec.u @ obs.D.T
 
 
 def markov_parameters(obs: ObserverModel, count: int, channel: str = "input") -> list[np.ndarray]:
@@ -275,12 +289,7 @@ def markov_parameters(obs: ObserverModel, count: int, channel: str = "input") ->
         gain = obs.K
     else:
         raise ValueError(f"unknown channel {channel!r}")
-    blocks = [first]
-    CA = obs.C
-    for _ in range(count - 1):
-        blocks.append(CA @ gain)
-        CA = CA @ obs.Aobs
-    return blocks
+    return [first, *state_response(obs.Aobs, obs.C, gain, count - 1)]
 
 
 def vaf(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -293,11 +302,13 @@ def vaf(y: np.ndarray, yhat: np.ndarray) -> float:
     yhat = np.atleast_2d(np.asarray(yhat, dtype=float))
     if y.shape != yhat.shape:
         raise ValueError(f"shape mismatch: {y.shape} vs {yhat.shape}")
-    denom = float(np.sum(y * y))
-    if denom == 0.0:
-        raise ValueError("reference output is identically zero")
-    num = float(np.sum((y - yhat) ** 2))
-    return (1.0 - num / denom) * 100.0
+    # a diverging prediction may square past float range; its VAF is then -inf
+    with np.errstate(over="ignore"):
+        denom = float(np.sum(y * y))
+        if denom == 0.0:
+            raise ValueError("reference output is identically zero")
+        num = float(np.sum((y - yhat) ** 2))
+        return (1.0 - num / denom) * 100.0
 
 
 def generate_innovation_data(
@@ -314,17 +325,12 @@ def generate_innovation_data(
     output is deterministic for a fixed seed.
     """
     u = _check_input(u, model.m)
-    x = _check_x0(x0, model.n)
+    x0 = _check_x0(x0, model.n)
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     N = u.shape[0]
     rng = np.random.default_rng(seed)
     e = noise_std * rng.standard_normal((N, model.p)) if noise_std > 0 else np.zeros((N, model.p))
-    y = np.empty((N, model.p))
-    A, B, C, D, K = model.A, model.B, model.C, model.D, model.K
-    for k in range(N):
-        y[k] = C @ x + D @ u[k] + e[k]
-        x = A @ x + B @ u[k] + K @ e[k]
-        if not np.all(np.isfinite(x)):
-            raise SimulationOverflowError(f"state overflow at sample {k + 1}")
+    drive = u @ model.B.T + e @ model.K.T
+    y = state_response(model.A, model.C, x0, N, drive) + u @ model.D.T + e
     return IoRecord(u=u, y=y)

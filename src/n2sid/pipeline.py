@@ -17,18 +17,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .admm import AdmmParams, SweepFactorization, sweep
 from .errors import N2sidError, SolverError
 from .extraction import (
-    _LSTSQ_RCOND,
     IdentifiedModel,
-    _require_finite,
     compute_m1,
     compute_m2,
     compute_m3,
+    fit_x0,
     lowrank_svd,
     select_order,
     toeplitz_estimates,
@@ -75,8 +75,8 @@ class PipelineConfig:
             raise ValueError("window s must be at least 2")
         if self.n_lambda < 1:
             raise ValueError("grid must have at least one point")
-        if not (0 < self.lambda_min <= self.lambda_max):
-            raise ValueError("need 0 < lambda_min <= lambda_max")
+        if not (0 < self.lambda_min <= self.lambda_max < np.inf):
+            raise ValueError("need 0 < lambda_min <= lambda_max < inf")
         if self.variant not in ("m1", "m2", "m3"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.split not in ("none", "half"):
@@ -143,34 +143,6 @@ def _split_record(rec: IoRecord, mode: str) -> tuple[IoRecord, IoRecord]:
     )
 
 
-def _fit_x0_simulation(model, rec: IoRecord) -> np.ndarray:
-    """Least squares initial state for the simulated output, matrices fixed."""
-    base = simulate(model, rec.u, np.zeros(model.n))
-    rows = np.empty((rec.N, model.p, model.n))
-    P = np.eye(model.n)
-    for k in range(rec.N):
-        rows[k] = model.C @ P
-        P = model.A @ P
-    target = (rec.y - base).reshape(-1)
-    _require_finite("initial-state fit", rows, target)
-    x0, _, _, _ = np.linalg.lstsq(rows.reshape(rec.N * model.p, model.n), target, rcond=_LSTSQ_RCOND)
-    return x0
-
-
-def _fit_x0_observer(obs, rec: IoRecord) -> np.ndarray:
-    """Least squares initial state for the observer predictor, matrices fixed."""
-    base = predict_observer(obs, rec, np.zeros(obs.n))
-    rows = np.empty((rec.N, obs.p, obs.n))
-    P = np.eye(obs.n)
-    for k in range(rec.N):
-        rows[k] = obs.C @ P
-        P = obs.Aobs @ P
-    target = (rec.y - base).reshape(-1)
-    _require_finite("initial-state fit", rows, target)
-    x0, _, _, _ = np.linalg.lstsq(rows.reshape(rec.N * obs.p, obs.n), target, rcond=_LSTSQ_RCOND)
-    return x0
-
-
 def _has_excitation(rec: IoRecord) -> bool:
     return rec.m > 0 and bool(np.any(rec.u != 0.0))
 
@@ -178,11 +150,14 @@ def _has_excitation(rec: IoRecord) -> bool:
 def _predict(model, rec: IoRecord, x0_policy: str) -> np.ndarray:
     """Deterministic prediction used for both J scoring and validation VAF."""
     if _has_excitation(rec):
-        x0 = np.zeros(model.n) if x0_policy == "zero" else _fit_x0_simulation(model, rec)
-        return simulate(model, rec.u, x0)
-    obs = to_observer(model)
-    x0 = np.zeros(model.n) if x0_policy == "zero" else _fit_x0_observer(obs, rec)
-    return predict_observer(obs, rec, x0)
+        A, run = model.A, partial(simulate, model, rec.u)
+    else:
+        obs = to_observer(model)
+        A, run = obs.Aobs, partial(predict_observer, obs, rec)
+    yhat = run(np.zeros(model.n))
+    if x0_policy == "zero":
+        return yhat
+    return run(fit_x0(A, model.C, rec.y - yhat))
 
 
 def evaluate(identified, val: IoRecord, x0_policy: str = "ls_estimate") -> float:
@@ -234,7 +209,10 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
 
     grid = cfg.lambda_grid()
     t0 = time.perf_counter()
-    results = sweep(spec, ide1.y, grid * ide1.N, cfg.admm, fact=fact)
+    # a weight past float range is rejected by sweep as a configuration error
+    with np.errstate(over="ignore"):
+        weights = grid * ide1.N
+    results = sweep(spec, ide1.y, weights, cfg.admm, fact=fact)
     t_sweep = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -272,6 +272,9 @@ def test_sweep_grid_validation():
         sweep(spec, rec.y, [-1.0, 1.0])
     with pytest.raises(ValueError):
         sweep(spec, rec.y, [2.0, 1.0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(spec, rec.y, [1.0, bad])
 
 
 def test_objective_value_consistency():

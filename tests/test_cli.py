@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -116,13 +117,24 @@ def _nan_cell_csv(tmp_path):
             "--inputs", "1", "--outputs", "1", "--s", "500",
         ],
         _nan_cell_csv,
+        lambda tmp: [
+            "identify", "--data", make_data_file(tmp / "d.csv", n=200), "--inputs", "1",
+            "--outputs", "1", "--grid", "3", "--n-ide", "150", "--lambda-max", "inf",
+        ],
+        # finite bound, but the solver weight lambda * N leaves float range
+        lambda tmp: [
+            "identify", "--data", make_data_file(tmp / "d.csv", n=200), "--inputs", "1",
+            "--outputs", "1", "--grid", "3", "--n-ide", "150", "--lambda-max", "1e308",
+        ],
     ],
-    ids=["negative-n", "s-beyond-record", "nan-cell"],
+    ids=["negative-n", "s-beyond-record", "nan-cell", "lambda-max-inf", "lambda-max-overflow"],
 )
 def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     args = argv(tmp_path)
     capsys.readouterr()
-    code = run_cli(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(*args)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

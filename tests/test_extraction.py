@@ -241,7 +241,7 @@ def test_unstable_dynamics_raise_before_lapack(capfd):
     rng = np.random.default_rng(6)
     rec = IoRecord(u=rng.standard_normal((1000, 1)), y=rng.standard_normal((1000, 1)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notices
+        warnings.simplefilter("error")  # no recursion may warn on its way to the error
         with pytest.raises(SimulationOverflowError):
             estimate_BDx0(np.array([[3.0]]), [[1.0]], [[0.5]], rec)
         # zero outputs keep the predictor finite; only the initial-state rows overflow
@@ -250,6 +250,10 @@ def test_unstable_dynamics_raise_before_lapack(capfd):
         )
         with pytest.raises(SimulationOverflowError):
             evaluate(unstable, IoRecord(u=np.zeros((1000, 0)), y=np.zeros((1000, 1))))
+        obs = ObserverModel(Aobs=[[3.0]], Bobs=[[1.0]], C=[[1.0]], D=[[0.0]], K=[[0.5]])
+        long_rec = IoRecord(u=rng.standard_normal((2000, 1)), y=rng.standard_normal((2000, 1)))
+        with pytest.raises(SimulationOverflowError):
+            predict_observer(obs, long_rec)
     assert capfd.readouterr().err == ""
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,9 @@ def test_config_validation():
         PipelineConfig(lambda_min=0.0)
     with pytest.raises(ValueError):
         PipelineConfig(lambda_min=10.0, lambda_max=1.0)
+    for lo, hi in ((1.0, np.inf), (1.0, np.nan), (np.nan, 1.0), (np.inf, np.inf)):
+        with pytest.raises(ValueError):
+            PipelineConfig(lambda_min=lo, lambda_max=hi)
     with pytest.raises(ValueError):
         PipelineConfig(variant="m4")
     with pytest.raises(ValueError):
@@ -263,3 +268,12 @@ def test_evaluate_dimension_mismatch():
     bad = IoRecord(u=np.zeros((20, 2)), y=np.zeros((20, 1)))
     with pytest.raises(ValueError):
         evaluate(rep.best, bad)
+
+
+def test_evaluate_diverging_predictor_scores_minus_inf_silently():
+    # Aobs = 1.4: the predictor stays finite over 2000 samples, its squared error does not
+    model = StateSpaceModel(A=[[1.5]], B=np.zeros((1, 0)), C=[[1.0]], D=np.zeros((1, 0)), K=[[0.1]])
+    y = np.random.default_rng(0).standard_normal((2000, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(model, IoRecord(u=np.zeros((2000, 0)), y=y)) == -np.inf
