@@ -27,9 +27,9 @@ from .structured_ops import (
     apply_adjoint,
     apply_operator,
     block_hankel,
+    block_toeplitz,
     build_M,
     hankel,
-    toeplitz_lower,
 )
 
 __version__ = "0.1.0"

@@ -171,8 +171,6 @@ class SolveResult:
     objective: float
     converged: bool
     y_dual: np.ndarray
-    primal_history: np.ndarray
-    dual_history: np.ndarray
 
 
 def nuclear_norm(X: np.ndarray) -> float:
@@ -241,8 +239,6 @@ def solve(
     sqrt_pri = math.sqrt(Z.size)
     sqrt_dual = math.sqrt(p * d)
 
-    pri_hist: list[float] = []
-    dual_hist: list[float] = []
     converged = False
     iterations = 0
     pri = dual = math.inf
@@ -265,8 +261,6 @@ def solve(
 
         pri = float(np.linalg.norm(Rmat))
         dual = float(np.linalg.norm(Sdual))
-        pri_hist.append(pri)
-        dual_hist.append(dual)
 
         eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(
             float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
@@ -298,8 +292,6 @@ def solve(
         objective=objective_value(spec, quad, xdv),
         converged=converged,
         y_dual=Y,
-        primal_history=np.array(pri_hist),
-        dual_history=np.array(dual_hist),
     )
 
 

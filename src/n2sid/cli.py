@@ -218,6 +218,8 @@ def _per_output_vaf(model, val: IoRecord, x0_policy: str) -> list[float]:
 
 
 def cmd_identify(args) -> int:
+    if args.discard < 0:
+        raise UsageError(f"--del must be nonnegative, got {args.discard}")
     rec = read_csv(args.data, args.inputs, args.outputs)
     if args.n_ide_list:
         try:

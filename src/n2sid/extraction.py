@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import SimulationOverflowError
 from .model import IoRecord, ObserverModel, StateSpaceModel, predict_observer, state_response
-from .structured_ops import DecisionVector, OperatorSpec
+from .structured_ops import DecisionVector, OperatorSpec, block_toeplitz
 
 __all__ = [
     "SubspaceSvd",
@@ -106,21 +106,17 @@ def lowrank_svd(Z: np.ndarray, spec: OperatorSpec) -> SubspaceSvd:
 
 
 def toeplitz_estimates(x: DecisionVector, spec: OperatorSpec) -> ToeplitzEstimates:
-    """Assemble the solved first-column parameters into block-Toeplitz form.
+    """The operator's solved block-Toeplitz matrix T = [T_u, T_y], split by signal.
 
     Tu's block (r, c) with r >= c is the p x m matrix of v[:, :, r-c];
     Ty's block (r, c) with r > c is the p x p matrix of w[:, :, r-c-1],
     with zero diagonal blocks.
     """
     s, p, m = spec.s, spec.p, spec.m
-    Tu = np.zeros((p * s, m * s))
-    Ty = np.zeros((p * s, p * s))
-    for r in range(s):
-        for c in range(r + 1):
-            Tu[r * p : (r + 1) * p, c * m : (c + 1) * m] = x.v[:, :, r - c]
-            if r > c:
-                Ty[r * p : (r + 1) * p, c * p : (c + 1) * p] = x.w[:, :, r - c - 1]
-    return ToeplitzEstimates(Tu=Tu, Ty=Ty)
+    T = block_toeplitz(x.markov_blocks()).reshape(p * s, s, m + p)
+    return ToeplitzEstimates(
+        Tu=T[:, :, :m].reshape(p * s, m * s), Ty=T[:, :, m:].reshape(p * s, p * s)
+    )
 
 
 def select_order(sigma: np.ndarray, max_order: int = 10) -> int:
@@ -301,14 +297,10 @@ def compute_m3(
         raise ValueError("order must be >= 1")
     s = svd.U.shape[0] // rec.p
     Aobs, C = estimate_AC(svd.U[:, :nhat], s, rec.p)
-    K = estimate_K(Aobs, C, estimates)
     p, m = rec.p, rec.m
-    D = estimates.Tu[:p, :m].copy()
-    if m:
-        G = _observability(Aobs, C, s - 1)
-        Bobs = _lstsq(G, estimates.Tu[p:, :m], "input-Toeplitz fit")
-    else:
-        Bobs = np.zeros((Aobs.shape[0], 0))
-    obs = ObserverModel(Aobs, Bobs, C, D, K)
+    # C Aobs^(j-1) [K, Bobs] against the j-th subdiagonal blocks of [Ty, Tu], j = 1..s-1
+    target = np.hstack([estimates.Ty[p:, :p], estimates.Tu[p:, :m]])
+    KB = _lstsq(_observability(Aobs, C, s - 1), target, "gain and input-Toeplitz fit")
+    obs = ObserverModel(Aobs, KB[:, p:], C, estimates.Tu[:p, :m].copy(), KB[:, :p])
     x0 = fit_x0(Aobs, C, rec.y - predict_observer(obs, rec))
     return _finish(obs, nhat, lam, svd.sigma, "m3", x0)

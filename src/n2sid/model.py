@@ -326,8 +326,8 @@ def generate_innovation_data(
     """
     u = _check_input(u, model.m)
     x0 = _check_x0(x0, model.n)
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     N = u.shape[0]
     rng = np.random.default_rng(seed)
     e = noise_std * rng.standard_normal((N, model.p)) if noise_std > 0 else np.zeros((N, model.p))

@@ -1,16 +1,17 @@
 """Structured-matrix operators behind the identification program.
 
 The convex program optimizes over a predicted-output sequence and the
-first-column parameters of two lower-triangular block-Toeplitz matrices.
-Collecting those unknowns in x, the linear map
+per-lag Markov-parameter blocks of two lower block-Toeplitz matrices.
+Collecting those unknowns in x, the linear map is the data equation
 
-    A(x) = Hankel(yhat) + sum_j Toeplitz(v_j) V_j + sum_j Toeplitz0(w_j) W_j
+    A(x) = block_hankel(yhat) + T(x) data,    T(x) = [T_u, T_y],
 
-(with frozen data matrices V_j, W_j built from negated input/output
-Hankel matrices) produces the matrix whose nuclear norm is penalized.
-This module provides A, its adjoint, and the FFT-based assembly of the
-coefficient matrix M representing adj(A(.)) o A(.) on one output block,
-kept as its diagonal, cross and small pieces.
+with ``data`` the frozen negated block-Hankel matrix of [u, y] and T(x)
+built by the one block-Toeplitz builder (T_y has a zero lag-0 block).
+Its adjoint takes yhat from the antidiagonal sums of Z and the Toeplitz
+blocks from the block-diagonal sums of Z data'.  The module also
+assembles, by FFT, the coefficient matrix M of adj(A(.)) o A(.) on one
+output block, kept as its diagonal, cross and small pieces.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -19,6 +20,7 @@ power-of-two padding is applied anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +28,9 @@ from .errors import ConsistencyError
 
 __all__ = [
     "hankel",
-    "toeplitz_lower",
     "block_hankel",
+    "block_toeplitz",
+    "block_toeplitz_adjoint",
     "FourierCache",
     "OperatorSpec",
     "DecisionVector",
@@ -45,26 +48,6 @@ def hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return x[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
 
 
-def toeplitz_lower(first_col: np.ndarray, s: int) -> np.ndarray:
-    """Lower-triangular s x s Toeplitz matrix.
-
-    A first column of length s fills the diagonal and below; length s - 1
-    fills strictly below the diagonal (zero diagonal).
-    """
-    c = np.asarray(first_col, dtype=float).reshape(-1)
-    if c.shape[0] == s:
-        full = c
-    elif c.shape[0] == s - 1:
-        full = np.concatenate([[0.0], c])
-    else:
-        raise ValueError(f"first column must have length {s} or {s - 1}, got {c.shape[0]}")
-    T = np.zeros((s, s))
-    for d in range(s):
-        idx = np.arange(s - d)
-        T[idx + d, idx] = full[d]
-    return T
-
-
 def block_hankel(series: np.ndarray, s: int) -> np.ndarray:
     """Block-Hankel matrix with s block rows from an (N, q) sample array.
 
@@ -78,10 +61,35 @@ def block_hankel(series: np.ndarray, s: int) -> np.ndarray:
     if N <= s:
         raise ValueError(f"need more than s={s} samples, got {N}")
     ncols = N - s + 1
-    out = np.empty((q * s, ncols))
-    for r in range(s):
-        out[r * q : (r + 1) * q, :] = series[r : r + ncols].T
-    return out
+    # samples repeated cyclically in rows of N + 1: entry (r, c) is sample r + c
+    windows = np.resize(series, (s, N + 1, q))[:, :ncols]
+    return windows.transpose(0, 2, 1).reshape(q * s, ncols)
+
+
+@lru_cache(maxsize=None)
+def _lag_selection(s: int) -> np.ndarray:
+    """0/1 matrix of shape (s*s, s): row r*s + c selects lag r - c (none above the diagonal)."""
+    lag = np.subtract.outer(np.arange(s), np.arange(s)).reshape(-1)
+    sel = (lag[:, None] == np.arange(s)).astype(float)
+    sel.flags.writeable = False
+    return sel
+
+
+def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
+    """Lower block-Toeplitz (p*s, q*s) matrix: block (r, c) is blocks[r - c] for r >= c, else 0."""
+    blocks = np.asarray(blocks, dtype=float)
+    s, p, q = blocks.shape
+    T = _lag_selection(s) @ blocks.reshape(s, p * q)
+    return T.reshape(s, s, p, q).transpose(0, 2, 1, 3).reshape(p * s, q * s)
+
+
+def block_toeplitz_adjoint(T: np.ndarray, p: int) -> np.ndarray:
+    """Adjoint of block_toeplitz: the sum of each lower block diagonal of T, shape (s, p, q)."""
+    T = np.asarray(T, dtype=float)
+    s = T.shape[0] // p
+    q = T.shape[1] // s
+    blocks = T.reshape(s, p, s, q).transpose(0, 2, 1, 3).reshape(s * s, p * q)
+    return (_lag_selection(s).T @ blocks).reshape(s, p, q)
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,9 @@ class OperatorSpec:
 
     V holds one s x ncols matrix per input channel (the negated input
     Hankel matrices), W one per output channel (negated output Hankel
-    matrices), with ncols = N - s + 1.
+    matrices), with ncols = N - s + 1.  ``data`` stacks the same rows as
+    the negated block-Hankel matrix of [u, y]: row r*(m+p) + j is row r
+    of the j-th matrix of V + W.
     """
 
     N: int
@@ -146,6 +156,7 @@ class OperatorSpec:
     m: int
     V: tuple
     W: tuple
+    data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s < 2:
@@ -166,6 +177,7 @@ class OperatorSpec:
                     raise ValueError(f"{name}[{j}] violates the Hankel pattern")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "W", W)
+        object.__setattr__(self, "data", np.stack(V + W, axis=1).reshape(-1, self.ncols))
 
     @property
     def ncols(self) -> int:
@@ -201,8 +213,7 @@ class DecisionVector:
     yhat[i] is output i's predicted sequence (length N); v[i, j] the s
     first-column entries of the Toeplitz block coupling output i to
     input j; w[i, j] the s-1 strictly-lower entries coupling output i to
-    output j.  The flat layout is all yhat rows, then all v blocks
-    (grouped by output, then channel), then all w blocks likewise.
+    output j.
     """
 
     yhat: np.ndarray
@@ -238,20 +249,10 @@ class DecisionVector:
             w=np.zeros((spec.p, spec.p, spec.s - 1)),
         )
 
-    def to_vector(self) -> np.ndarray:
-        """Flatten to the documented global stacking order."""
-        return np.concatenate([self.yhat.ravel(), self.v.ravel(), self.w.ravel()])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, N: int, p: int, m: int, s: int) -> "DecisionVector":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        sizes = (p * N, p * m * s, p * p * (s - 1))
-        if vec.shape[0] != sum(sizes):
-            raise ValueError(f"vector length {vec.shape[0]} != {sum(sizes)}")
-        y_part = vec[: sizes[0]].reshape(p, N)
-        v_part = vec[sizes[0] : sizes[0] + sizes[1]].reshape(p, m, s)
-        w_part = vec[sizes[0] + sizes[1] :].reshape(p, p, s - 1)
-        return cls(yhat=y_part, v=v_part, w=w_part)
+    def markov_blocks(self) -> np.ndarray:
+        """Per-lag blocks [v_k, w_(k-1)] of T = [T_u, T_y], (s, p, m + p); w's lag 0 is zero."""
+        w = np.concatenate([np.zeros((self.p, self.p, 1)), self.w], axis=2)
+        return np.concatenate([self.v, w], axis=1).transpose(2, 0, 1)
 
     def output_stack(self) -> np.ndarray:
         """Per-output layout: row i is [yhat_i, v_i (by channel), w_i]."""
@@ -285,32 +286,22 @@ def _check_compat(x: DecisionVector, spec: OperatorSpec) -> None:
 
 
 def apply_operator(x: DecisionVector, spec: OperatorSpec) -> np.ndarray:
-    """Evaluate the linear map on x; result is (p*s) x ncols.
+    """Evaluate the data equation Yhat_s + T(x) data; result is (p*s) x ncols.
 
     Output rows are interleaved: block row r stacks all p outputs at
     window offset r, matching the block-Hankel layout of the data.
     """
     _check_compat(x, spec)
-    s, ncols, p, m = spec.s, spec.ncols, spec.p, spec.m
-    out = np.zeros((p * s, ncols))
-    for i in range(p):
-        Ai = hankel(x.yhat[i], s, ncols)
-        for j in range(m):
-            Ai += toeplitz_lower(x.v[i, j], s) @ spec.V[j]
-        for j in range(p):
-            Ai += toeplitz_lower(x.w[i, j], s) @ spec.W[j]
-        out[i::p] = Ai
-    return out
+    return block_hankel(x.yhat.T, spec.s) + block_toeplitz(x.markov_blocks()) @ spec.data
 
 
-def _antidiag_sums(Z: np.ndarray) -> np.ndarray:
-    rows, cols = Z.shape
-    idx = (np.arange(rows)[:, None] + np.arange(cols)[None, :]).ravel()
-    return np.bincount(idx, weights=Z.ravel(), minlength=rows + cols - 1)
-
-
-def _lower_diag_sums(Y: np.ndarray, start: int, count: int) -> np.ndarray:
-    return np.array([np.trace(Y, offset=-(start + d)) for d in range(count)])
+def _antidiag_sums(Z: np.ndarray, p: int, N: int) -> np.ndarray:
+    """Adjoint of block_hankel on p channels: yhat[i, t] sums Z[r*p + i, c] over r + c = t."""
+    # rows of length N + 1 read back in rows of length N move entry (r, c) to column r + c
+    s, ncols = Z.shape[0] // p, Z.shape[1]
+    padded = np.zeros((p, s, N + 1))
+    padded[:, :, :ncols] = Z.reshape(s, p, ncols).transpose(1, 0, 2)
+    return padded.reshape(p, -1)[:, : s * N].reshape(p, s, N).sum(axis=1)
 
 
 def apply_adjoint(Z: np.ndarray, spec: OperatorSpec) -> DecisionVector:
@@ -318,18 +309,12 @@ def apply_adjoint(Z: np.ndarray, spec: OperatorSpec) -> DecisionVector:
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (spec.p * spec.s, spec.ncols):
         raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
-    s, p, m = spec.s, spec.p, spec.m
-    yhat = np.empty((p, spec.N))
-    v = np.empty((p, m, s))
-    w = np.empty((p, p, s - 1))
-    for i in range(p):
-        Zi = Z[i::p]
-        yhat[i] = _antidiag_sums(Zi)
-        for j in range(m):
-            v[i, j] = _lower_diag_sums(Zi @ spec.V[j].T, 0, s)
-        for j in range(p):
-            w[i, j] = _lower_diag_sums(Zi @ spec.W[j].T, 1, s - 1)
-    return DecisionVector(yhat=yhat, v=v, w=w)
+    blocks = block_toeplitz_adjoint(Z @ spec.data.T, spec.p)
+    return DecisionVector(
+        yhat=_antidiag_sums(Z, spec.p, spec.N),
+        v=blocks[:, :, : spec.m].transpose(1, 2, 0),
+        w=blocks[1:, :, spec.m :].transpose(1, 2, 0),
+    )
 
 
 def _real_part(a: np.ndarray, what: str) -> np.ndarray:

@@ -44,7 +44,7 @@ def test_criterion_01_adjoint_identity():
         x = random_decision(rng, spec)
         Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
         lhs = float(np.sum(apply_operator(x, spec) * Z))
-        rhs = float(np.dot(apply_adjoint(Z, spec).to_vector(), x.to_vector()))
+        rhs = float(np.sum(apply_adjoint(Z, spec).output_stack() * x.output_stack()))
         gap = abs(lhs - rhs) / (1.0 + abs(lhs))
         worst = max(worst, gap)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))

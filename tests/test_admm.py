@@ -235,7 +235,7 @@ def test_sweep_single_point_equals_direct_solve():
     direct = solve(spec, build_quadratic(rec.y, lam))
     swept = sweep(spec, rec.y, [lam])
     assert len(swept) == 1
-    assert np.array_equal(swept[0].x.to_vector(), direct.x.to_vector())
+    assert np.array_equal(swept[0].x.output_stack(), direct.x.output_stack())
     assert swept[0].objective == direct.objective
 
 

@@ -126,8 +126,23 @@ def _nan_cell_csv(tmp_path):
             "identify", "--data", make_data_file(tmp / "d.csv", n=200), "--inputs", "1",
             "--outputs", "1", "--grid", "3", "--n-ide", "150", "--lambda-max", "1e308",
         ],
+        lambda tmp: [
+            "identify", "--data", make_data_file(tmp / "d.csv", n=400), "--inputs", "1",
+            "--outputs", "1", "--del", "-60", "--n-ide", "60", "--s", "5", "--grid", "3",
+        ],
+        lambda tmp: [
+            "simulate", "--example", "order2", "--n", "50", "--noise-std", "nan",
+            "--out", str(tmp / "x.csv"),
+        ],
+        lambda tmp: [
+            "simulate", "--example", "order2", "--n", "50", "--noise-std", "inf",
+            "--out", str(tmp / "x.csv"),
+        ],
     ],
-    ids=["negative-n", "s-beyond-record", "nan-cell", "lambda-max-inf", "lambda-max-overflow"],
+    ids=[
+        "negative-n", "s-beyond-record", "nan-cell", "lambda-max-inf", "lambda-max-overflow",
+        "negative-del", "noise-std-nan", "noise-std-inf",
+    ],
 )
 def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
     args = argv(tmp_path)

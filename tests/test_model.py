@@ -189,6 +189,13 @@ def test_generate_innovation_data_noise_free_equals_simulate():
     np.testing.assert_array_equal(rec.y, simulate(model, u))
 
 
+@pytest.mark.parametrize("noise_std", [-0.1, float("nan"), float("inf"), float("-inf")])
+def test_generate_innovation_data_rejects_bad_noise_std(noise_std):
+    u = prbs(np.random.default_rng(10), 20, 1)
+    with pytest.raises(ValueError, match="noise_std"):
+        generate_innovation_data(make_siso_order2(), u, noise_std=noise_std, seed=0)
+
+
 def test_io_record_validation():
     with pytest.raises(ValueError):
         IoRecord(u=np.ones((5, 1)), y=np.ones((4, 1)))

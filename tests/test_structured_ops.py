@@ -9,9 +9,9 @@ from n2sid.structured_ops import (
     apply_adjoint,
     apply_operator,
     block_hankel,
+    block_toeplitz,
     build_M,
     hankel,
-    toeplitz_lower,
 )
 
 from helpers import (
@@ -88,16 +88,29 @@ def test_hankel_fourier_formula():
         assert np.abs(rebuilt.imag).max() < 1e-10
 
 
-def test_toeplitz_lower_patterns():
-    np.testing.assert_array_equal(toeplitz_lower([5.0], 1), [[5.0]])
+def _scalar_lags(*values):
+    return np.array(values, dtype=float).reshape(-1, 1, 1)
+
+
+def test_block_toeplitz_patterns():
+    np.testing.assert_array_equal(block_toeplitz(_scalar_lags(5.0)), [[5.0]])
     np.testing.assert_array_equal(
-        toeplitz_lower([1.0, 2.0, 3.0], 3), [[1, 0, 0], [2, 1, 0], [3, 2, 1]]
+        block_toeplitz(_scalar_lags(1.0, 2.0, 3.0)), [[1, 0, 0], [2, 1, 0], [3, 2, 1]]
     )
+    # a zero lag-0 block gives the strictly lower (output-Toeplitz) pattern
     np.testing.assert_array_equal(
-        toeplitz_lower([5.0, 7.0], 3), [[0, 0, 0], [5, 0, 0], [7, 5, 0]]
+        block_toeplitz(_scalar_lags(0.0, 5.0, 7.0)), [[0, 0, 0], [5, 0, 0], [7, 5, 0]]
     )
-    with pytest.raises(ValueError):
-        toeplitz_lower([1.0], 3)
+
+
+def test_block_toeplitz_block_layout():
+    blocks = np.arange(1.0, 13.0).reshape(2, 2, 3)  # lags 0 and 1 of 2 x 3 blocks
+    T = block_toeplitz(blocks)
+    assert T.shape == (4, 6)
+    np.testing.assert_array_equal(T[:2, :3], blocks[0])
+    np.testing.assert_array_equal(T[2:, 3:], blocks[0])
+    np.testing.assert_array_equal(T[2:, :3], blocks[1])
+    np.testing.assert_array_equal(T[:2, 3:], np.zeros((2, 3)))
 
 
 def test_block_hankel_scalar():
@@ -201,7 +214,7 @@ def test_operator_on_true_model_is_low_rank():
 def test_adjoint_of_zero():
     spec = random_spec(np.random.default_rng(9))
     out = apply_adjoint(np.zeros((spec.p * spec.s, spec.ncols)), spec)
-    assert np.all(out.to_vector() == 0.0)
+    assert np.all(out.output_stack() == 0.0)
 
 
 def test_adjoint_identity_random_trials():
@@ -211,7 +224,7 @@ def test_adjoint_identity_random_trials():
         x = random_decision(rng, spec)
         Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
         lhs = float(np.sum(apply_operator(x, spec) * Z))
-        rhs = float(np.dot(apply_adjoint(Z, spec).to_vector(), x.to_vector()))
+        rhs = float(np.sum(apply_adjoint(Z, spec).output_stack() * x.output_stack()))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -230,12 +243,11 @@ def test_decision_vector_round_trips():
     rng = np.random.default_rng(12)
     spec = random_spec(rng)
     x = random_decision(rng, spec)
-    vec = x.to_vector()
-    back = DecisionVector.from_vector(vec, spec.N, spec.p, spec.m, spec.s)
-    assert np.array_equal(back.to_vector(), vec)
     stack = x.output_stack()
-    back2 = DecisionVector.from_output_stack(stack, spec.N, spec.m, spec.s)
-    assert np.array_equal(back2.to_vector(), vec)
+    back = DecisionVector.from_output_stack(stack, spec.N, spec.m, spec.s)
+    assert np.array_equal(back.output_stack(), stack)
+    for name in ("yhat", "v", "w"):
+        assert np.array_equal(getattr(back, name), getattr(x, name))
 
 
 def test_output_only_spec_has_no_input_blocks():
