@@ -22,14 +22,12 @@ from .model import (
 )
 from .structured_ops import (
     DecisionVector,
-    FourierCache,
     OperatorSpec,
     apply_adjoint,
     apply_operator,
     block_hankel,
     block_toeplitz,
     build_M,
-    hankel,
 )
 
 __version__ = "0.1.0"

@@ -301,13 +301,12 @@ def sweep(
     lambda_grid,
     params: AdmmParams = AdmmParams(),
     fact: SweepFactorization | None = None,
-    warm_start: bool = True,
 ) -> list[SolveResult | None]:
     """Solve the program over an ascending grid of lambdas.
 
     The pieces of the coefficient matrix are computed once and shared by
     every (lambda, rho) x-update; each solve is warm-started from the
-    previous grid point unless disabled.  A failed grid point yields None
+    previous successful grid point.  A failed grid point yields None
     instead of aborting.
     """
     grid = np.asarray(lambda_grid, dtype=float).reshape(-1)
@@ -332,6 +331,5 @@ def sweep(
             results.append(None)
             continue
         results.append(res)
-        if warm_start:
-            carry_x, carry_z, carry_y = res.x, res.Z, res.y_dual
+        carry_x, carry_z, carry_y = res.x, res.Z, res.y_dual
     return results

@@ -149,7 +149,7 @@ def load_model_file(path: str) -> StateSpaceModel:
 # identify
 
 
-def _build_config(args, discard: int) -> PipelineConfig:
+def _build_config(args) -> PipelineConfig:
     order = args.order
     if order != "auto":
         try:
@@ -166,7 +166,6 @@ def _build_config(args, discard: int) -> PipelineConfig:
             order=order,
             max_order=args.max_order,
             split=args.split,
-            discard=discard,
             detrend=args.detrend,
             scale_outputs=args.scale_outputs,
             x0_policy="zero" if args.x0 == "zero" else "ls_estimate",
@@ -250,7 +249,7 @@ def cmd_identify(args) -> int:
             v_u = val.u - val.u.mean(axis=0) if val.u.size else val.u
             val = IoRecord(u=v_u, y=val.y - val.y.mean(axis=0))
 
-    cfg = _build_config(args, discard=0)
+    cfg = _build_config(args)
     x0_policy = cfg.x0_policy
     vaf_rows = []
     report = None

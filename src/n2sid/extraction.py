@@ -256,7 +256,6 @@ def compute_m2(
     rec: IoRecord,
     nhat: int,
     lam: float = float("nan"),
-    scaled: bool = False,
 ) -> IdentifiedModel:
     """State-sequence route: right singular vectors as states, then two regressions."""
     if nhat < 1:
@@ -264,9 +263,7 @@ def compute_m2(
     ncols = svd.Vt.shape[1]
     if ncols < nhat:
         raise ValueError(f"too few state samples: {ncols} < order {nhat}")
-    X = svd.Vt[:nhat].copy()
-    if scaled:
-        X = np.sqrt(svd.sigma[:nhat])[:, None] * X
+    X = svd.Vt[:nhat]
     U_d = rec.u[:ncols].T
     Y_d = rec.y[:ncols].T
 

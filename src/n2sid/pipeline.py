@@ -16,7 +16,7 @@ entry point produce identical results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -64,7 +64,6 @@ class PipelineConfig:
     order: int | str = "auto"
     max_order: int = 10
     split: str = "none"
-    discard: int = 0
     detrend: bool = True
     scale_outputs: bool = False
     x0_policy: str = "ls_estimate"
@@ -83,8 +82,6 @@ class PipelineConfig:
             raise ValueError(f"unknown split {self.split!r}")
         if self.x0_policy not in ("zero", "ls_estimate"):
             raise ValueError(f"unknown x0 policy {self.x0_policy!r}")
-        if self.discard < 0:
-            raise ValueError("discard must be nonnegative")
         if self.order != "auto" and (not isinstance(self.order, int) or self.order < 1):
             raise ValueError("order must be 'auto' or a positive integer")
         if self.max_order < 1:
@@ -109,28 +106,27 @@ class PipelineReport:
     vaf_validation: float | None = None
 
 
-def preprocess(rec: IoRecord, cfg: PipelineConfig) -> IoRecord:
-    """Discard the leading samples, remove per-channel offsets, optionally scale.
+def preprocess(rec: IoRecord, cfg: PipelineConfig) -> tuple[IoRecord, np.ndarray]:
+    """Remove per-channel offsets and optionally scale; return the record and the output scale.
 
     Scaling (off by default) divides each detrended output channel by
-    its max-abs value so that every output peaks at 1.
+    its max-abs value so that every output peaks at 1; the returned
+    per-output divisors are ones when scaling is off.
     """
-    if rec.N - cfg.discard <= cfg.s:
-        raise ValueError(
-            f"only {rec.N - cfg.discard} samples left after discarding {cfg.discard}, "
-            f"need more than s={cfg.s}"
-        )
-    u = rec.u[cfg.discard :].copy()
-    y = rec.y[cfg.discard :].copy()
+    if rec.N <= cfg.s:
+        raise ValueError(f"record has {rec.N} samples, need more than s={cfg.s}")
+    u = rec.u.copy()
+    y = rec.y.copy()
     if cfg.detrend:
         if u.size:
             u -= u.mean(axis=0)
         y -= y.mean(axis=0)
+    peaks = np.ones(rec.p)
     if cfg.scale_outputs:
         peaks = np.abs(y).max(axis=0)
         peaks[peaks == 0.0] = 1.0
         y /= peaks
-    return IoRecord(u=u, y=y)
+    return IoRecord(u=u, y=y), peaks
 
 
 def _split_record(rec: IoRecord, mode: str) -> tuple[IoRecord, IoRecord]:
@@ -194,10 +190,12 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     into two almost equal parts, the program is solved on the first and
     J is scored on the second (under the default split="none" both are
     the full preprocessed record).  Individual grid points may fail
-    without aborting the run; only an entirely failed grid raises.
+    without aborting the run; only an entirely failed grid raises.  The
+    selected model is returned in the record's output units, also when
+    the program ran on scaled outputs.
     """
     t_start = time.perf_counter()
-    pre = preprocess(rec, cfg)
+    pre, peaks = preprocess(rec, cfg)
     ide1, ide2 = _split_record(pre, cfg.split)
     if ide1.N <= cfg.s:
         raise ValueError(f"identification part has {ide1.N} samples, need more than s={cfg.s}")
@@ -243,8 +241,16 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     if not np.any(np.isfinite(j_values)):
         raise SolverError("all lambda grid points failed")
     best_idx = int(np.nanargmin(j_values))
+    best = models[best_idx]
+    # the program saw y / peaks (peaks are ones unless scale_outputs)
+    model = replace(
+        best.model,
+        C=peaks[:, None] * best.model.C,
+        D=peaks[:, None] * best.model.D,
+        K=best.model.K / peaks,
+    )
     return PipelineReport(
-        best=models[best_idx],
+        best=replace(best, model=model),
         lambda_opt=float(grid[best_idx]),
         lambdas=grid,
         j_values=j_values,

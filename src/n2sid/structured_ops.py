@@ -6,12 +6,14 @@ Collecting those unknowns in x, the linear map is the data equation
 
     A(x) = block_hankel(yhat) + T(x) data,    T(x) = [T_u, T_y],
 
-with ``data`` the frozen negated block-Hankel matrix of [u, y] and T(x)
-built by the one block-Toeplitz builder (T_y has a zero lag-0 block).
-Its adjoint takes yhat from the antidiagonal sums of Z and the Toeplitz
-blocks from the block-diagonal sums of Z data'.  The module also
-assembles, by FFT, the coefficient matrix M of adj(A(.)) o A(.) on one
-output block, kept as its diagonal, cross and small pieces.
+with ``data`` the frozen negated block-Hankel matrix of [u, y], the only
+copy of the record that the operator spec holds, and T(x) built by the
+one block-Toeplitz builder (T_y has a zero lag-0 block).  Its adjoint
+takes yhat from the antidiagonal sums of Z and the Toeplitz blocks from
+the block-diagonal sums of Z data'.  The module also assembles, by FFT,
+the coefficient matrix M of adj(A(.)) o A(.) on one output block from
+the channel rows of the same ``data``, kept as its diagonal, cross and
+small pieces.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -19,7 +21,7 @@ power-of-two padding is applied anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,25 +29,15 @@ import numpy as np
 from .errors import ConsistencyError
 
 __all__ = [
-    "hankel",
     "block_hankel",
     "block_toeplitz",
     "block_toeplitz_adjoint",
-    "FourierCache",
     "OperatorSpec",
     "DecisionVector",
     "apply_operator",
     "apply_adjoint",
     "build_M",
 ]
-
-
-def hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Hankel matrix H[a, b] = x[a + b] from a vector of length rows + cols - 1."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != rows + cols - 1:
-        raise ValueError(f"vector length {x.shape[0]} != rows + cols - 1 = {rows + cols - 1}")
-    return x[np.arange(rows)[:, None] + np.arange(cols)[None, :]]
 
 
 def block_hankel(series: np.ndarray, s: int) -> np.ndarray:
@@ -93,91 +85,40 @@ def block_toeplitz_adjoint(T: np.ndarray, p: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FourierCache:
-    """DFT bookkeeping for the (rows x cols) Hankel factorization.
-
-    The factorization works at order = rows + cols - 1 and selects DFT
-    columns g_cols (the flipped leading block) and h_cols (the trailing
-    block).  Products with those column blocks are plain mixed-radix
-    transforms at that exact order.
-    """
-
-    rows: int
-    cols: int
-    g_cols: np.ndarray = field(init=False)
-    h_cols: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "g_cols", np.arange(self.cols - 1, -1, -1))
-        object.__setattr__(self, "h_cols", np.arange(self.cols - 1, self.cols - 1 + self.rows))
-
-    @property
-    def order(self) -> int:
-        return self.rows + self.cols - 1
-
-    # Products with the selected column blocks, evaluated by FFT on
-    # scattered inputs instead of materializing the DFT matrix.
-    def mul_G(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(Z)
-        pad = np.zeros((self.order, Z.shape[1]), dtype=complex)
-        pad[: self.cols] = Z[::-1]
-        return np.fft.fft(pad, axis=0)
-
-    def mul_H(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(Z)
-        pad = np.zeros((self.order, Z.shape[1]), dtype=complex)
-        pad[self.cols - 1 : self.cols - 1 + self.rows] = Z
-        return np.fft.fft(pad, axis=0)
-
-    def mul_Fh(self, Z: np.ndarray) -> np.ndarray:
-        return self.order * np.fft.ifft(Z, axis=0)
-
-
-def _is_hankel(a: np.ndarray) -> bool:
-    if min(a.shape) < 2:
-        return True
-    return bool(np.array_equal(a[1:, :-1], a[:-1, 1:]))
-
-
-@dataclass(frozen=True)
 class OperatorSpec:
-    """Dimensions plus the frozen data matrices defining the linear map.
+    """Dimensions plus the frozen data matrix defining the linear map.
 
-    V holds one s x ncols matrix per input channel (the negated input
-    Hankel matrices), W one per output channel (negated output Hankel
-    matrices), with ncols = N - s + 1.  ``data`` stacks the same rows as
-    the negated block-Hankel matrix of [u, y]: row r*(m+p) + j is row r
-    of the j-th matrix of V + W.
+    Built from one i/o record by ``OperatorSpec.from_data(u, y, s)``.
+    ``data`` is the only copy of the record: the negated block-Hankel
+    matrix of [u, y] with s block rows and ncols = N - s + 1 columns, so
+    row r*(m+p) + j holds channel j (inputs first) at window offset r.
     """
 
-    N: int
+    u: InitVar[np.ndarray]
+    y: InitVar[np.ndarray]
     s: int
-    p: int
-    m: int
-    V: tuple
-    W: tuple
+    N: int = field(init=False)
+    p: int = field(init=False)
+    m: int = field(init=False)
     data: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, u, y):
+        u = np.asarray(u, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if u.ndim == 1:
+            u = u[:, None]
+        if y.ndim == 1:
+            y = y[:, None]
+        if u.shape[0] != y.shape[0]:
+            raise ValueError("u and y must have the same number of samples")
         if self.s < 2:
             raise ValueError("window s must be at least 2")
-        if self.N <= self.s:
-            raise ValueError(f"need N > s, got N={self.N}, s={self.s}")
-        if len(self.V) != self.m or len(self.W) != self.p:
-            raise ValueError("V/W channel counts do not match m/p")
-        V = tuple(np.asarray(v, dtype=float) for v in self.V)
-        W = tuple(np.asarray(w, dtype=float) for w in self.W)
-        for name, mats in (("V", V), ("W", W)):
-            for j, a in enumerate(mats):
-                if a.shape != (self.s, self.ncols):
-                    raise ValueError(
-                        f"{name}[{j}] has shape {a.shape}, expected {(self.s, self.ncols)}"
-                    )
-                if not _is_hankel(a):
-                    raise ValueError(f"{name}[{j}] violates the Hankel pattern")
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "data", np.stack(V + W, axis=1).reshape(-1, self.ncols))
+        if y.shape[0] <= self.s:
+            raise ValueError(f"need N > s, got N={y.shape[0]}, s={self.s}")
+        object.__setattr__(self, "N", y.shape[0])
+        object.__setattr__(self, "p", y.shape[1])
+        object.__setattr__(self, "m", u.shape[1])
+        object.__setattr__(self, "data", -block_hankel(np.hstack([u, y]), self.s))
 
     @property
     def ncols(self) -> int:
@@ -191,19 +132,7 @@ class OperatorSpec:
     @classmethod
     def from_data(cls, u: np.ndarray, y: np.ndarray, s: int) -> "OperatorSpec":
         """Build the spec from raw input/output samples ((N, m) and (N, p))."""
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if u.ndim == 1:
-            u = u[:, None]
-        if y.ndim == 1:
-            y = y[:, None]
-        if u.shape[0] != y.shape[0]:
-            raise ValueError("u and y must have the same number of samples")
-        N = y.shape[0]
-        ncols = N - s + 1
-        V = tuple(-hankel(u[:, j], s, ncols) for j in range(u.shape[1]))
-        W = tuple(-hankel(y[:, j], s, ncols) for j in range(y.shape[1]))
-        return cls(N=N, s=s, p=y.shape[1], m=u.shape[1], V=V, W=W)
+        return cls(u, y, s)
 
 
 @dataclass(frozen=True)
@@ -338,43 +267,61 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with diag of shape (N,), cross (N, r) and small (r, r).  Every piece
     is formed from Hadamard products of small DFT-domain factors: the
     predicted-output coupling uses order-N transforms, the Toeplitz
-    couplings order 2s-1.  Intermediates are complex; each piece is the
-    real part after checking that its imaginary residue is negligible.
+    couplings order 2s-1.  All m + p channels of ``spec.data`` are
+    transformed together over every lag 0..s-1 (one FFT for cross, one
+    Gram for small); one mask then drops the output channels' lag-0 rows
+    and columns, which are not decision variables.  Intermediates are
+    complex; each piece is the real part after checking that its
+    imaginary residue is negligible.
     """
-    N, s, ncols = spec.N, spec.s, spec.ncols
-    kappa = 2 * s - 1
+    N, s, m, ncols = spec.N, spec.s, spec.m, spec.ncols
+    c, kappa = m + spec.p, 2 * s - 1
 
-    fc = FourierCache(rows=s, cols=ncols)
-    F_k = np.fft.fft(np.eye(kappa), axis=0)
-    Phi = F_k[:, :s]
-    Psi = F_k[:, 1:s]
+    Phi = np.fft.fft(np.eye(kappa), axis=0)[:, :s]
     CC = np.conj(Phi @ Phi.T)
 
+    # The order-N DFT columns G (0..ncols-1, flipped) and H (ncols-1..N-1)
+    # factor the Hankel pattern, hankel(x) = H^H diag(F x) G / N; products
+    # with them are FFTs of inputs scattered into those rows.
     # Output-output block: the two order-N Gram factors are circulant, so
     # their Hadamard product conjugated back by the DFT is a diagonal.
     ind_h = np.zeros(N)
-    ind_h[fc.h_cols] = 1.0
+    ind_h[ncols - 1 :] = 1.0
     ind_g = np.zeros(N)
-    ind_g[fc.g_cols] = 1.0
+    ind_g[:ncols] = 1.0
     col0 = np.fft.fft(ind_h) * np.conj(np.fft.fft(ind_g))
-    diag_rev = np.fft.fft(col0)
-    diag = np.roll(diag_rev[::-1], 1) / N
+    diag = np.roll(np.fft.fft(col0)[::-1], 1) / N
 
-    HPhiH = fc.mul_H(Phi.conj().T)  # N x kappa
+    # Phi times every channel's s x ncols Hankel block of the data, (c, kappa, ncols)
+    P = Phi @ spec.data.reshape(s, c, ncols).transpose(1, 0, 2)
 
-    def cross_block(P: np.ndarray, trailing: np.ndarray) -> np.ndarray:
-        # conj(G) @ P.T computed as conj(G @ conj(P.T))
-        B = np.conj(fc.mul_G(np.conj(P.T)))
-        return fc.mul_Fh(HPhiH * B) @ trailing / (N * kappa)
+    # Toeplitz-Toeplitz blocks (j, k) from one Gram of all channels' factors
+    flat = P.reshape(c * kappa, ncols)
+    gram = (flat @ flat.T).reshape(c, kappa, c, kappa).transpose(0, 2, 1, 3)
+    small = (1.0 / kappa**2) * (Phi.T @ (gram * CC) @ Phi)
 
-    # Toeplitz parameters in stacking order: one (data block, DFT columns)
-    # pair per input channel, then per output channel.
-    params = [(Phi @ Vj, Phi) for Vj in spec.V] + [(Phi @ Wj, Psi) for Wj in spec.W]
-    cross = np.hstack([cross_block(P, T) for P, T in params])
-    scale = 1.0 / kappa**2
-    small = np.block(
-        [[scale * (Tj.T @ ((Pj @ Pk.T) * CC) @ Tk) for Pk, Tk in params] for Pj, Tj in params]
-    )
+    # H Phi^H, and conj(G) @ P_j.T as conj(G @ conj(P_j.T)) for every
+    # channel by one FFT over the reversed, zero-padded columns of P
+    HPhiH = np.zeros((N, kappa), dtype=complex)
+    HPhiH[ncols - 1 :] = Phi.conj().T
+    HPhiH = np.fft.fft(HPhiH, axis=0)
+    GP = np.zeros((N, c, kappa), dtype=complex)
+    np.conj(P.transpose(2, 0, 1)[::-1], out=GP[:ncols])
+    del P, flat  # freed before the transforms allocate a second GP
+    GP = np.fft.fft(GP, axis=0)
+    np.conj(GP, out=GP)
+    GP *= HPhiH[:, None, :]
+    GP = np.fft.ifft(GP, axis=0)
+    GP *= N  # N ifft = F^H
+    cross = GP @ Phi
+    cross /= N * kappa
+
+    # Every channel carries lags 0..s-1; the output channels' lag 0 is not
+    # a decision variable (the zero lag-0 block of T_y).
+    keep = np.ones((c, s), dtype=bool)
+    keep[m:, 0] = False
+    cross = cross[:, keep]
+    small = small.transpose(0, 2, 1, 3)[keep][:, keep]
 
     small = _real_part(small, "Toeplitz block of the coefficient matrix")
     return (

@@ -96,9 +96,11 @@ def dense_output_operator(spec: OperatorSpec) -> np.ndarray:
     """Dense matrix of one output's sub-operator, by explicit index loops.
 
     Maps the per-output block [yhat (N), v (m*s), w (p*(s-1))] to the
-    row-major flattening of the s x ncols result.
+    row-major flattening of the s x ncols result.  Row q of channel j's
+    negated Hankel matrix is row q*(m+p) + j of spec.data (inputs first).
     """
     s, nc, m, p, N = spec.s, spec.ncols, spec.m, spec.p, spec.N
+    c = m + p
     d = spec.block_dim
     A = np.zeros((s * nc, d))
     for a in range(s):
@@ -108,12 +110,12 @@ def dense_output_operator(spec: OperatorSpec) -> np.ndarray:
         for a in range(s):
             for b in range(nc):
                 for q in range(a + 1):
-                    A[a * nc + b, N + j * s + (a - q)] += spec.V[j][q, b]
+                    A[a * nc + b, N + j * s + (a - q)] += spec.data[q * c + j, b]
     for j in range(p):
         for a in range(s):
             for b in range(nc):
                 for q in range(a):
-                    A[a * nc + b, N + m * s + j * (s - 1) + (a - q - 1)] += spec.W[j][q, b]
+                    A[a * nc + b, N + m * s + j * (s - 1) + (a - q - 1)] += spec.data[q * c + m + j, b]
     return A
 
 

@@ -242,8 +242,8 @@ def test_sweep_single_point_equals_direct_solve():
 def test_sweep_warm_start_consistency():
     spec, y, _ = random_data_problem(15)
     grid = spec.N * np.logspace(-1.5, 3, 6)
-    warm = sweep(spec, y, grid, warm_start=True)
-    cold = sweep(spec, y, grid, warm_start=False)
+    warm = sweep(spec, y, grid)
+    cold = [solve(spec, build_quadratic(y, lam)) for lam in grid]
     for a, b in zip(warm, cold):
         assert a.objective == pytest.approx(b.objective, rel=1e-4, abs=1e-6)
 

@@ -301,13 +301,6 @@ def test_compute_m2_exact_inputs():
     assert rel <= 1e-6
 
 
-def test_compute_m2_scaled_similarity():
-    model, _, rec, _, svd, _ = exact_solution_inputs()
-    e1 = np.sort(np.linalg.eigvals(compute_m2(svd, rec, 2, scaled=False).model.A))
-    e2 = np.sort(np.linalg.eigvals(compute_m2(svd, rec, 2, scaled=True).model.A))
-    np.testing.assert_allclose(e1, e2, atol=1e-8)
-
-
 def test_compute_m2_too_few_state_samples():
     _, _, rec, _, svd, _ = exact_solution_inputs()
     short = SubspaceSvd(U=svd.U, sigma=svd.sigma, Vt=svd.Vt[:, :1])

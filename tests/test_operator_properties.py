@@ -1,9 +1,10 @@
-"""Property tests of the linear map A(x) = Yhat_s + T(x) data and its adjoint.
+"""Property tests of the linear map A(x) = Yhat_s + T(x) data, its adjoint and M.
 
 Specs are drawn over small windows and records, with and without inputs
 (m = 0 is the output-only program), and checked against the inner-product
-identity and the index-loop oracle in helpers.py.  Examples are drawn
-deterministically so the suite gives the same result on every run.
+identity and the index-loop and probing oracles in helpers.py.  Examples
+are drawn deterministically so the suite gives the same result on every
+run.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from n2sid.structured_ops import (
     block_toeplitz_adjoint,
 )
 
-from helpers import dense_output_operator, random_decision
+from helpers import dense_M, dense_output_operator, probe_M, random_decision
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
 
@@ -65,6 +66,14 @@ def test_operator_matches_dense_oracle(drawn):
     stack = x.output_stack()
     for i in range(spec.p):
         np.testing.assert_allclose(Z[i :: spec.p].ravel(), Amat @ stack[i], atol=1e-10)
+
+
+@PROPERTY
+@given(specs())
+def test_coefficient_matrix_matches_probe(drawn):
+    # covers the output channels' dropped lag-0 entries at m = 0 and p = 2
+    spec, _, _, _ = drawn
+    np.testing.assert_allclose(dense_M(spec), probe_M(spec), atol=1e-8)
 
 
 @PROPERTY

@@ -29,18 +29,19 @@ def noise_free_record(N=120, seed=0):
 
 def test_preprocess_identity():
     _, rec = noise_free_record()
-    out = preprocess(rec, PipelineConfig(s=10, detrend=False))
+    out, peaks = preprocess(rec, PipelineConfig(s=10, detrend=False))
     assert np.array_equal(out.u, rec.u)
     assert np.array_equal(out.y, rec.y)
+    assert np.array_equal(peaks, [1.0])
 
 
-def test_preprocess_discard_and_detrend():
+def test_preprocess_detrend():
     rng = np.random.default_rng(1)
     u = rng.standard_normal((50, 1)) + 3.0
     y = np.hstack([rng.standard_normal((50, 1)) - 2.0, np.full((50, 1), 7.0)])
     rec = IoRecord(u=u, y=y)
-    out = preprocess(rec, PipelineConfig(s=5, discard=4))
-    assert out.N == 46
+    out, _ = preprocess(rec, PipelineConfig(s=5))
+    assert out.N == 50
     np.testing.assert_allclose(out.u.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.y.mean(axis=0), 0.0, atol=1e-12)
     # a constant channel detrends to zero
@@ -52,14 +53,15 @@ def test_preprocess_output_scaling():
     y = rng.standard_normal((40, 1))
     y *= 4.0 / np.abs(y).max()
     rec = IoRecord(u=rng.standard_normal((40, 1)), y=y)
-    out = preprocess(rec, PipelineConfig(s=5, detrend=False, scale_outputs=True))
+    out, peaks = preprocess(rec, PipelineConfig(s=5, detrend=False, scale_outputs=True))
     assert np.abs(out.y).max() == pytest.approx(1.0)
+    assert peaks == pytest.approx([4.0])
 
 
 def test_preprocess_insufficient_samples():
     _, rec = noise_free_record(N=30)
     with pytest.raises(ValueError):
-        preprocess(rec, PipelineConfig(s=10, discard=25))
+        preprocess(rec, PipelineConfig(s=30))
 
 
 def test_split_halves_differ_by_at_most_one():
@@ -93,6 +95,22 @@ def test_identify_noise_free_recovers_system():
     u_val = prbs(np.random.default_rng(9), 200, 1)
     val = generate_innovation_data(model, u_val, noise_std=0.0)
     assert evaluate(rep.best, val) >= 99.9
+
+
+def test_scale_outputs_returns_model_in_record_units():
+    model = make_siso_order2()
+    rng = np.random.default_rng(9)
+    rec = generate_innovation_data(model, prbs(rng, 600, 1), noise_std=0.2, seed=10)
+    cfg = PipelineConfig(s=10, n_lambda=4, scale_outputs=True)
+    runs = []
+    for factor in (1.0, 8.0):
+        ide = IoRecord(u=rec.u[:300], y=factor * rec.y[:300])
+        val = IoRecord(u=rec.u[300:], y=factor * rec.y[300:])
+        runs.append(identify(ide, cfg).best.model)
+        assert evaluate(runs[-1], val) >= 90.0
+    # a power-of-two factor leaves the scaled program bit for bit unchanged
+    assert np.array_equal(runs[1].C, 8.0 * runs[0].C)
+    assert np.array_equal(runs[1].K, runs[0].K / 8.0)
 
 
 def test_identify_single_grid_point():

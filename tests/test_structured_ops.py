@@ -4,14 +4,12 @@ import pytest
 from n2sid.model import generate_innovation_data, markov_parameters, to_observer
 from n2sid.structured_ops import (
     DecisionVector,
-    FourierCache,
     OperatorSpec,
     apply_adjoint,
     apply_operator,
     block_hankel,
     block_toeplitz,
     build_M,
-    hankel,
 )
 
 from helpers import (
@@ -57,13 +55,13 @@ def test_circulant_fourier_identity():
 
 
 def test_hankel_pattern():
-    np.testing.assert_array_equal(hankel([1.0, 2.0, 3.0], 2, 2), [[1, 2], [2, 3]])
-    np.testing.assert_array_equal(hankel([4.0, 5.0, 6.0], 1, 3), [[4, 5, 6]])
+    np.testing.assert_array_equal(block_hankel([1.0, 2.0, 3.0], 2), [[1, 2], [2, 3]])
+    np.testing.assert_array_equal(block_hankel([4.0, 5.0, 6.0], 1), [[4, 5, 6]])
 
 
 def test_hankel_length_mismatch():
     with pytest.raises(ValueError):
-        hankel([1.0, 2.0], 2, 2)
+        block_hankel([1.0, 2.0], 2)
 
 
 def test_hankel_is_circulant_corner():
@@ -72,19 +70,21 @@ def test_hankel_is_circulant_corner():
     x = rng.standard_normal(m + n - 1)
     Cfull = circulant(x)
     corner = Cfull[n - 1 : n - 1 + m][:, np.arange(n - 1, -1, -1)]
-    np.testing.assert_array_equal(hankel(x, m, n), corner)
+    np.testing.assert_array_equal(block_hankel(x, m), corner)
 
 
 def test_hankel_fourier_formula():
+    # hankel(x) = H^H diag(F x) G / order, with G the flipped first n DFT
+    # columns and H the m columns from n - 1 on (the factorization of build_M)
     rng = np.random.default_rng(2)
     for m, n in ((3, 4), (1, 5), (2, 2), (6, 3), (5, 11)):
-        x = rng.standard_normal(m + n - 1)
-        fc = FourierCache(rows=m, cols=n)
-        F = dft_matrix(fc.order)
-        G = F[:, fc.g_cols]
-        H = F[:, fc.h_cols]
-        rebuilt = (H.conj().T @ np.diag(F @ x) @ G) / fc.order
-        np.testing.assert_allclose(hankel(x, m, n), rebuilt.real, atol=1e-10)
+        order = m + n - 1
+        x = rng.standard_normal(order)
+        F = dft_matrix(order)
+        G = F[:, np.arange(n - 1, -1, -1)]
+        H = F[:, np.arange(n - 1, order)]
+        rebuilt = (H.conj().T @ np.diag(F @ x) @ G) / order
+        np.testing.assert_allclose(block_hankel(x, m), rebuilt.real, atol=1e-10)
         assert np.abs(rebuilt.imag).max() < 1e-10
 
 
@@ -136,15 +136,15 @@ def test_block_hankel_matches_spec_channels():
     u = rng.standard_normal((12, 2))
     y = rng.standard_normal((12, 1))
     spec = OperatorSpec.from_data(u, y, s=4)
-    for j in range(2):
-        np.testing.assert_array_equal(block_hankel(u[:, j], 4), -spec.V[j])
+    channels = np.hstack([u, y])
+    for j in range(3):
+        np.testing.assert_array_equal(block_hankel(channels[:, j], 4), -spec.data[j::3])
 
 
-def test_fourier_cache_round_trip():
+def test_dft_round_trip():
     rng = np.random.default_rng(4)
     for rows, cols in ((2, 5), (3, 3), (4, 9)):
-        fc = FourierCache(rows=rows, cols=cols)
-        x = rng.standard_normal((fc.order, 3))
+        x = rng.standard_normal((rows + cols - 1, 3))
         back = idft(dft(x))
         assert np.abs(back - x).max() <= 1e-12 * (1 + np.abs(x).max())
 
@@ -173,7 +173,7 @@ def test_operator_unit_toeplitz_recovers_data_matrix():
     v = np.zeros((1, 1, 4))
     v[0, 0, 0] = 1.0
     x = DecisionVector(yhat=x.yhat, v=v, w=x.w)
-    np.testing.assert_allclose(apply_operator(x, spec), spec.V[0], atol=0)
+    np.testing.assert_allclose(apply_operator(x, spec), -block_hankel(u, 4), atol=0)
 
 
 def test_operator_matches_dense_oracle():
@@ -253,7 +253,7 @@ def test_decision_vector_round_trips():
 def test_output_only_spec_has_no_input_blocks():
     y = np.random.default_rng(17).standard_normal((12, 1))
     spec = OperatorSpec.from_data(np.zeros((12, 0)), y, s=3)
-    assert spec.m == 0 and spec.V == ()
+    assert spec.m == 0 and spec.data.shape == (3, 10)
     x = DecisionVector.zeros(spec)
     assert x.v.shape == (1, 0, 3)
     # the operator reduces to the Hankel plus output-Toeplitz terms
@@ -266,8 +266,8 @@ def test_operator_spec_validation():
         OperatorSpec.from_data(np.ones((5, 1)), np.ones((5, 1)), s=1)
     with pytest.raises(ValueError):
         OperatorSpec.from_data(np.ones((4, 1)), np.ones((4, 1)), s=4)
-    with pytest.raises(ValueError):
-        OperatorSpec(N=6, s=3, p=1, m=1, V=(np.ones((3, 4)),), W=(np.eye(3)[:, :4],))
+    with pytest.raises(ValueError, match="same number of samples"):
+        OperatorSpec.from_data(np.ones((6, 1)), np.ones((5, 1)), s=2)
 
 
 # ---------------------------------------------------------------------------
