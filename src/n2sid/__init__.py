@@ -21,7 +21,6 @@ from .model import (
     vaf,
 )
 from .structured_ops import (
-    DecisionVector,
     OperatorSpec,
     apply_adjoint,
     apply_operator,

@@ -4,19 +4,21 @@ The program solved is
 
     minimize  ||A(x)||_*  +  (lambda / N) * sum_k ||y(k) - yhat(k)||^2
 
-over decision vectors x = (yhat, v, w).  Writing the quadratic part as
-0.5 (x - a)^T H (x - a) with H = (2 lambda / N) I on the yhat block and
-zero elsewhere, the splitting introduces Z = A(x) and alternates
+over the (p, d) output stack X, row i being [yhat_i, v_i, w_i] (see
+structured_ops).  Writing the quadratic part as 0.5 (X - a)^T H (X - a),
+with a = [y', 0] and H = (2 lambda / N) I on the yhat block and zero
+elsewhere, the splitting introduces Z = A(X) and alternates
 
-    x      <- argmin  0.5 (x - a)^T H (x - a) + (rho/2) ||A(x) - Z + Y/rho||^2
-    Z      <- svt(A(x) + Y/rho, 1/rho)
-    Y      <- Y + rho (A(x) - Z)
+    X      <- argmin  0.5 (X - a)^T H (X - a) + (rho/2) ||A(X) - Z + Y/rho||^2
+    Z      <- svt(A(X) + Y/rho, 1/rho)
+    Y      <- Y + rho (A(X) - Z)
 
-with residual-balanced penalty adaptation.  The x step solves
-(H + rho M) x = H a + rho adj(Z - Y/rho) per output block, where M is
-the shared coefficient matrix.  Its yhat block is diagonal, so for each
-(lambda, rho) pair the solve eliminates that block and works with a
-Schur complement of side m*s + p*(s-1), independent of the record length.
+with residual-balanced penalty adaptation.  The X step solves
+(H + rho M) X_i = H a_i + rho adj(Z - Y/rho)_i for every output row i,
+where M is the shared coefficient matrix.  Its yhat block is diagonal,
+so for each (lambda, rho) pair the solve eliminates that block and works
+with a Schur complement of side m*s + p*(s-1), independent of the record
+length.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .structured_ops import (
-    DecisionVector,
-    OperatorSpec,
-    apply_adjoint,
-    apply_operator,
-    build_M,
-)
+from .structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
 
 __all__ = [
     "AdmmParams",
@@ -75,9 +71,9 @@ class AdmmParams:
 
 @dataclass(frozen=True)
 class QuadraticTerm:
-    """Fit term (lambda / N) sum_k ||y(k) - yhat(k)||^2 in the 0.5 (x-a)' H (x-a) form.
+    """Fit term (lambda / N) sum_k ||y(k) - yhat(k)||^2 in the 0.5 (X-a)' H (X-a) form.
 
-    ``a`` has the measured outputs in its yhat block and zeros in v, w;
+    a has the measured outputs in its yhat block and zeros in v, w;
     H is (2 lambda / N) times the identity on the yhat block.
     """
 
@@ -97,20 +93,13 @@ class QuadraticTerm:
         """Diagonal of H on the yhat block: 2 lambda / N."""
         return 2.0 * self.lam / self.y.shape[0]
 
-    def a(self, spec: OperatorSpec) -> DecisionVector:
-        out = DecisionVector.zeros(spec)
-        return DecisionVector(yhat=self.y.T.copy(), v=out.v, w=out.w)
-
-    def half_quadratic(self, x: DecisionVector) -> float:
-        diff = x.yhat - self.y.T
+    def half_quadratic(self, X: np.ndarray) -> float:
+        diff = X[:, : self.y.shape[0]] - self.y.T
         return 0.5 * self.weight * float(np.sum(diff * diff))
 
 
 def build_quadratic(y: np.ndarray, lam: float) -> QuadraticTerm:
     """Quadratic term for measured outputs y ((N, p) or (N,)) at the given lambda."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
     return QuadraticTerm(lam=float(lam), y=y)
 
 
@@ -129,7 +118,8 @@ class SweepFactorization:
         return cls(spec=spec, diag=diag, cross=cross, small=small)
 
     def matches(self, spec: OperatorSpec) -> bool:
-        return all(getattr(self.spec, k) == getattr(spec, k) for k in ("N", "s", "p", "m"))
+        """Same dimensions and the same record: M depends on the data, not only on its size."""
+        return self.spec == spec and np.array_equal(self.spec.data, spec.data)
 
 
 class _XSolver:
@@ -161,9 +151,9 @@ class _XSolver:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver output: optimizer, low-rank iterate and convergence diagnostics."""
+    """Solver output: optimizer (a (p, d) output stack), low-rank iterate and diagnostics."""
 
-    x: DecisionVector
+    x: np.ndarray
     Z: np.ndarray
     iterations: int
     primal_res: float
@@ -194,8 +184,8 @@ def svt(Y: np.ndarray, threshold: float) -> np.ndarray:
     return (U * shrunk) @ Vt
 
 
-def objective_value(spec: OperatorSpec, quad: QuadraticTerm, x: DecisionVector) -> float:
-    return nuclear_norm(apply_operator(x, spec)) + quad.half_quadratic(x)
+def objective_value(spec: OperatorSpec, quad: QuadraticTerm, X: np.ndarray) -> float:
+    return nuclear_norm(apply_operator(X, spec)) + quad.half_quadratic(X)
 
 
 def solve(
@@ -203,15 +193,15 @@ def solve(
     quad: QuadraticTerm,
     params: AdmmParams = AdmmParams(),
     fact: SweepFactorization | None = None,
-    x0: DecisionVector | None = None,
+    x0: np.ndarray | None = None,
     z0: np.ndarray | None = None,
     y0: np.ndarray | None = None,
 ) -> SolveResult:
     """Run the splitting iteration to (approximate) optimality.
 
-    Warm starts pass the previous (x, Z, Y) triple; by default x starts
-    from the measured outputs with zero Toeplitz parameters, Z from
-    A(x), and the dual variable from zero.
+    Warm starts pass the previous (X, Z, Y) triple, X a (p, d) output
+    stack; by default X starts from a, the measured outputs with zero
+    Toeplitz parameters, Z from A(X), and the dual variable from zero.
     """
     if quad.y.shape != (spec.N, spec.p):
         raise ValueError(f"measured outputs have shape {quad.y.shape}, expected {(spec.N, spec.p)}")
@@ -220,18 +210,15 @@ def solve(
     elif not fact.matches(spec):
         raise ValueError("factorization was built for a different operator spec")
 
-    N, p, s, m = spec.N, spec.p, spec.s, spec.m
-    d = spec.block_dim
+    N, p, d = spec.N, spec.p, spec.block_dim
     weight = quad.weight
     Ha = np.zeros((p, d))
     Ha[:, :N] = weight * quad.y.T
 
     if x0 is None:
-        X = quad.a(spec).output_stack()
-    else:
-        X = x0.output_stack()
-    xdv = DecisionVector.from_output_stack(X, N, m, s)
-    Z = apply_operator(xdv, spec) if z0 is None else np.array(z0, dtype=float)
+        x0 = np.zeros((p, d))
+        x0[:, :N] = quad.y.T
+    Z = apply_operator(x0, spec) if z0 is None else np.array(z0, dtype=float)
     Y = np.zeros_like(Z) if y0 is None else np.array(y0, dtype=float)
 
     rho = params.rho0
@@ -245,15 +232,13 @@ def solve(
 
     for it in range(1, params.max_iter + 1):
         iterations = it
-        Radj = apply_adjoint(Z - Y / rho, spec).output_stack()
-        RHS = (Ha + rho * Radj).T
+        RHS = (Ha + rho * apply_adjoint(Z - Y / rho, spec)).T
         X = solver.solve(RHS).T
-        xdv = DecisionVector.from_output_stack(X, N, m, s)
-        AX = apply_operator(xdv, spec)
+        AX = apply_operator(X, spec)
         Znew = svt(AX + Y / rho, 1.0 / rho)
         Rmat = AX - Znew
         Y = Y + rho * Rmat
-        Sdual = rho * apply_adjoint(Z - Znew, spec).output_stack()
+        Sdual = rho * apply_adjoint(Z - Znew, spec)
         Z = Znew
 
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z)) and np.all(np.isfinite(Y))):
@@ -266,7 +251,7 @@ def solve(
             float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
         )
         eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(
-            np.linalg.norm(apply_adjoint(Y, spec).output_stack())
+            np.linalg.norm(apply_adjoint(Y, spec))
         )
         if pri <= eps_pri and dual <= eps_dual:
             converged = True
@@ -284,12 +269,12 @@ def solve(
             solver = _XSolver(fact, weight, rho)
 
     return SolveResult(
-        x=xdv,
+        x=X,
         Z=Z,
         iterations=iterations,
         primal_res=pri,
         dual_res=dual,
-        objective=objective_value(spec, quad, xdv),
+        objective=objective_value(spec, quad, X),
         converged=converged,
         y_dual=Y,
     )

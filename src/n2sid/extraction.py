@@ -5,14 +5,18 @@ SVD, picks the model order from the singular-value spectrum, and builds
 the quintuple (A, B, C, D, K) by one of three procedures:
 
 * m1: shift-invariance of the left singular vectors gives (Aobs, C);
-  the solved output-Toeplitz parameters give K by least squares; then
+  the solved output Markov blocks give K by least squares; then
   (Bobs, D) and the initial state are fit to the observer's one-step
   prediction error on the identification record.
 * m2: the right singular vectors are taken as a state-sequence estimate
   and every matrix follows from two linear regressions on the observer
   equations.
-* m3: (Aobs, C, K) as in m1; (Bobs, D) matched to the solved
-  input-Toeplitz parameters instead of the data record.
+* m3: (Aobs, C, K) as in m1; (Bobs, D) matched to the solved input
+  Markov blocks instead of the data record.
+
+The solved Markov blocks are read from the solver's output stack by
+``structured_ops.toeplitz_estimates``: an (s, p, m + p) array whose lag-k
+block is [v_k, w_k], the lag-k blocks of T_u and T_y (w_0 = 0).
 
 A, B are recovered from the observer quantities as A = Aobs + K C and
 B = Bobs + K D.
@@ -34,14 +38,12 @@ import numpy as np
 
 from .errors import SimulationOverflowError
 from .model import IoRecord, ObserverModel, StateSpaceModel, predict_observer, state_response
-from .structured_ops import DecisionVector, OperatorSpec, block_toeplitz
+from .structured_ops import OperatorSpec
 
 __all__ = [
     "SubspaceSvd",
-    "ToeplitzEstimates",
     "IdentifiedModel",
     "lowrank_svd",
-    "toeplitz_estimates",
     "select_order",
     "estimate_AC",
     "estimate_K",
@@ -79,14 +81,6 @@ class SubspaceSvd:
 
 
 @dataclass(frozen=True)
-class ToeplitzEstimates:
-    """Solved block-Toeplitz matrices: Tu (ps x ms) and strictly-lower Ty (ps x ps)."""
-
-    Tu: np.ndarray
-    Ty: np.ndarray
-
-
-@dataclass(frozen=True)
 class IdentifiedModel:
     model: StateSpaceModel
     order: int
@@ -103,20 +97,6 @@ def lowrank_svd(Z: np.ndarray, spec: OperatorSpec) -> SubspaceSvd:
         raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
     U, sigma, Vt = np.linalg.svd(Z, full_matrices=False)
     return SubspaceSvd(U=U, sigma=sigma, Vt=Vt)
-
-
-def toeplitz_estimates(x: DecisionVector, spec: OperatorSpec) -> ToeplitzEstimates:
-    """The operator's solved block-Toeplitz matrix T = [T_u, T_y], split by signal.
-
-    Tu's block (r, c) with r >= c is the p x m matrix of v[:, :, r-c];
-    Ty's block (r, c) with r > c is the p x p matrix of w[:, :, r-c-1],
-    with zero diagonal blocks.
-    """
-    s, p, m = spec.s, spec.p, spec.m
-    T = block_toeplitz(x.markov_blocks()).reshape(p * s, s, m + p)
-    return ToeplitzEstimates(
-        Tu=T[:, :, :m].reshape(p * s, m * s), Ty=T[:, :, m:].reshape(p * s, p * s)
-    )
 
 
 def select_order(sigma: np.ndarray, max_order: int = 10) -> int:
@@ -161,17 +141,15 @@ def estimate_AC(U_nhat: np.ndarray, s: int, p: int) -> tuple[np.ndarray, np.ndar
     return Aobs, C
 
 
-def estimate_K(Aobs: np.ndarray, C: np.ndarray, estimates: ToeplitzEstimates) -> np.ndarray:
-    """Gain K fitted to the subdiagonal blocks of the solved output Toeplitz matrix.
+def estimate_K(Aobs: np.ndarray, C: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Gain K fitted to the solved output Markov blocks (the last p columns of ``blocks``).
 
-    Minimizes the stacked Frobenius mismatch of C Aobs^(j-1) K against
-    the j-th subdiagonal block for j = 1..s-1.
+    Minimizes the stacked Frobenius mismatch of C Aobs^(k-1) K against
+    the lag-k block w_k for k = 1..s-1.
     """
     p = C.shape[0]
-    s = estimates.Ty.shape[0] // p
-    G = _observability(Aobs, C, s - 1)
-    target = estimates.Ty[p:, :p]
-    return _lstsq(G, target, "gain fit")
+    G = _observability(Aobs, C, blocks.shape[0] - 1)
+    return _lstsq(G, blocks[1:, :, -p:].reshape(-1, p), "gain fit")
 
 
 def _observability(A: np.ndarray, C: np.ndarray, rows: int) -> np.ndarray:
@@ -236,17 +214,17 @@ def _finish(obs: ObserverModel, order, lam, sigma, variant, x0) -> IdentifiedMod
 
 def compute_m1(
     svd: SubspaceSvd,
-    estimates: ToeplitzEstimates,
+    blocks: np.ndarray,
     rec: IoRecord,
     nhat: int,
     lam: float = float("nan"),
 ) -> IdentifiedModel:
-    """Shift-invariance for (Aobs, C), Toeplitz fit for K, data fit for (Bobs, D, x0)."""
+    """Shift-invariance for (Aobs, C), Markov-block fit for K, data fit for (Bobs, D, x0)."""
     if nhat < 1:
         raise ValueError("order must be >= 1")
     s = svd.U.shape[0] // rec.p
     Aobs, C = estimate_AC(svd.U[:, :nhat], s, rec.p)
-    K = estimate_K(Aobs, C, estimates)
+    K = estimate_K(Aobs, C, blocks)
     Bobs, D, x0 = estimate_BDx0(Aobs, C, K, rec)
     return _finish(ObserverModel(Aobs, Bobs, C, D, K), nhat, lam, svd.sigma, "m1", x0)
 
@@ -284,20 +262,20 @@ def compute_m2(
 
 def compute_m3(
     svd: SubspaceSvd,
-    estimates: ToeplitzEstimates,
+    blocks: np.ndarray,
     rec: IoRecord,
     nhat: int,
     lam: float = float("nan"),
 ) -> IdentifiedModel:
-    """As m1 but (Bobs, D) matched to the solved input-Toeplitz parameters."""
+    """As m1 but (Bobs, D) matched to the solved input Markov blocks."""
     if nhat < 1:
         raise ValueError("order must be >= 1")
     s = svd.U.shape[0] // rec.p
     Aobs, C = estimate_AC(svd.U[:, :nhat], s, rec.p)
-    p, m = rec.p, rec.m
-    # C Aobs^(j-1) [K, Bobs] against the j-th subdiagonal blocks of [Ty, Tu], j = 1..s-1
-    target = np.hstack([estimates.Ty[p:, :p], estimates.Tu[p:, :m]])
-    KB = _lstsq(_observability(Aobs, C, s - 1), target, "gain and input-Toeplitz fit")
-    obs = ObserverModel(Aobs, KB[:, p:], C, estimates.Tu[:p, :m].copy(), KB[:, :p])
+    m = rec.m
+    # C Aobs^(k-1) [Bobs, K] against the lag-k blocks [v_k, w_k], k = 1..s-1
+    target = blocks[1:].reshape(-1, blocks.shape[2])
+    BK = _lstsq(_observability(Aobs, C, s - 1), target, "gain and input-Toeplitz fit")
+    obs = ObserverModel(Aobs, BK[:, :m], C, blocks[0, :, :m].copy(), BK[:, m:])
     x0 = fit_x0(Aobs, C, rec.y - predict_observer(obs, rec))
     return _finish(obs, nhat, lam, svd.sigma, "m3", x0)

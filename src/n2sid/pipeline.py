@@ -31,10 +31,9 @@ from .extraction import (
     fit_x0,
     lowrank_svd,
     select_order,
-    toeplitz_estimates,
 )
 from .model import IoRecord, simulate, predict_observer, to_observer, vaf
-from .structured_ops import OperatorSpec
+from .structured_ops import OperatorSpec, toeplitz_estimates
 
 __all__ = [
     "PipelineConfig",
@@ -175,12 +174,12 @@ def _extract(result, spec: OperatorSpec, rec: IoRecord, cfg: PipelineConfig, lam
         order = select_order(svd.sigma, cap)
     else:
         order = cfg.order
-    estimates = toeplitz_estimates(result.x, spec)
+    blocks = toeplitz_estimates(result.x, spec)
     if cfg.variant == "m1":
-        return compute_m1(svd, estimates, rec, order, lam)
+        return compute_m1(svd, blocks, rec, order, lam)
     if cfg.variant == "m2":
         return compute_m2(svd, rec, order, lam)
-    return compute_m3(svd, estimates, rec, order, lam)
+    return compute_m3(svd, blocks, rec, order, lam)
 
 
 def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineReport:
@@ -191,8 +190,9 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     J is scored on the second (under the default split="none" both are
     the full preprocessed record).  Individual grid points may fail
     without aborting the run; only an entirely failed grid raises.  The
-    selected model is returned in the record's output units, also when
-    the program ran on scaled outputs.
+    selected model and the J curve are in the record's output units, also
+    when the program ran on scaled outputs; the singular values stay in
+    the program's scaled units.
     """
     t_start = time.perf_counter()
     pre, peaks = preprocess(rec, cfg)
@@ -232,10 +232,11 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         models[i] = idm
         orders[i] = idm.order
         sigma_per_lambda[i] = idm.sigma
-        # an unstable model may legitimately score an overflowing J; it
-        # then simply never wins the argmin
+        # J in record units (peaks are ones unless scale_outputs); an
+        # unstable model may legitimately score an overflowing J, and then
+        # simply never wins the argmin
         with np.errstate(over="ignore"):
-            j_values[i] = float(np.sum((ide2.y - yhat) ** 2))
+            j_values[i] = float(np.sum(((ide2.y - yhat) * peaks) ** 2))
     t_extract = time.perf_counter() - t0
 
     if not np.any(np.isfinite(j_values)):

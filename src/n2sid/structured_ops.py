@@ -2,18 +2,21 @@
 
 The convex program optimizes over a predicted-output sequence and the
 per-lag Markov-parameter blocks of two lower block-Toeplitz matrices.
-Collecting those unknowns in x, the linear map is the data equation
+The unknowns are held as one (p, block_dim) output stack X, row i being
+[yhat_i, v_i by channel, w_i by channel]; one lag/channel mask fixes the
+order of the Toeplitz part, and ``toeplitz_estimates`` unpacks it into
+the per-lag blocks.  The linear map is the data equation
 
-    A(x) = block_hankel(yhat) + T(x) data,    T(x) = [T_u, T_y],
+    A(X) = block_hankel(yhat) + T(X) data,    T(X) = [T_u, T_y],
 
 with ``data`` the frozen negated block-Hankel matrix of [u, y], the only
-copy of the record that the operator spec holds, and T(x) built by the
+copy of the record that the operator spec holds, and T(X) built by the
 one block-Toeplitz builder (T_y has a zero lag-0 block).  Its adjoint
 takes yhat from the antidiagonal sums of Z and the Toeplitz blocks from
 the block-diagonal sums of Z data'.  The module also assembles, by FFT,
 the coefficient matrix M of adj(A(.)) o A(.) on one output block from
 the channel rows of the same ``data``, kept as its diagonal, cross and
-small pieces.
+small pieces, with its columns in the order of the stack.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -33,7 +36,7 @@ __all__ = [
     "block_toeplitz",
     "block_toeplitz_adjoint",
     "OperatorSpec",
-    "DecisionVector",
+    "toeplitz_estimates",
     "apply_operator",
     "apply_adjoint",
     "build_M",
@@ -135,93 +138,44 @@ class OperatorSpec:
         return cls(u, y, s)
 
 
-@dataclass(frozen=True)
-class DecisionVector:
-    """Unknowns of the convex program, grouped per output.
+@lru_cache(maxsize=None)
+def _toeplitz_mask(m: int, p: int, s: int) -> np.ndarray:
+    """(m + p, s) mask of the Toeplitz unknowns by channel (inputs first) and lag.
 
-    yhat[i] is output i's predicted sequence (length N); v[i, j] the s
-    first-column entries of the Toeplitz block coupling output i to
-    input j; w[i, j] the s-1 strictly-lower entries coupling output i to
-    output j.
+    Every channel carries lags 0..s-1 except the outputs' lag 0, the zero
+    lag-0 block of T_y.  Its row-major order is the order of the Toeplitz
+    columns of the output stack and of the coefficient matrix.
     """
-
-    yhat: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        yhat = np.atleast_2d(np.asarray(self.yhat, dtype=float))
-        v = np.asarray(self.v, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        p = yhat.shape[0]
-        if v.ndim != 3 or v.shape[0] != p:
-            raise ValueError(f"v must have shape (p, m, s) with p={p}, got {v.shape}")
-        if w.ndim != 3 or w.shape[:2] != (p, p):
-            raise ValueError(f"w must have shape (p, p, s-1) with p={p}, got {w.shape}")
-        object.__setattr__(self, "yhat", yhat)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-
-    @property
-    def p(self) -> int:
-        return self.yhat.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.yhat.shape[1]
-
-    @classmethod
-    def zeros(cls, spec: OperatorSpec) -> "DecisionVector":
-        return cls(
-            yhat=np.zeros((spec.p, spec.N)),
-            v=np.zeros((spec.p, spec.m, spec.s)),
-            w=np.zeros((spec.p, spec.p, spec.s - 1)),
-        )
-
-    def markov_blocks(self) -> np.ndarray:
-        """Per-lag blocks [v_k, w_(k-1)] of T = [T_u, T_y], (s, p, m + p); w's lag 0 is zero."""
-        w = np.concatenate([np.zeros((self.p, self.p, 1)), self.w], axis=2)
-        return np.concatenate([self.v, w], axis=1).transpose(2, 0, 1)
-
-    def output_stack(self) -> np.ndarray:
-        """Per-output layout: row i is [yhat_i, v_i (by channel), w_i]."""
-        p = self.p
-        return np.concatenate(
-            [self.yhat, self.v.reshape(p, -1), self.w.reshape(p, -1)], axis=1
-        )
-
-    @classmethod
-    def from_output_stack(
-        cls, X: np.ndarray, N: int, m: int, s: int
-    ) -> "DecisionVector":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        p = X.shape[0]
-        if X.shape[1] != N + m * s + p * (s - 1):
-            raise ValueError("per-output stack has wrong width")
-        return cls(
-            yhat=X[:, :N],
-            v=X[:, N : N + m * s].reshape(p, m, s),
-            w=X[:, N + m * s :].reshape(p, p, s - 1),
-        )
+    keep = np.ones((m + p, s), dtype=bool)
+    keep[m:, 0] = False
+    keep.flags.writeable = False
+    return keep
 
 
-def _check_compat(x: DecisionVector, spec: OperatorSpec) -> None:
-    if x.yhat.shape != (spec.p, spec.N) or x.v.shape != (spec.p, spec.m, spec.s) or x.w.shape != (
-        spec.p,
-        spec.p,
-        spec.s - 1,
-    ):
-        raise ValueError("decision vector shapes do not match the operator spec")
+def toeplitz_estimates(X: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """Per-lag Markov blocks [v_k, w_k] of T = [T_u, T_y] from the output stack X.
+
+    X is (p, block_dim): row i is [yhat_i, v_i by channel, w_i by
+    channel], v_i with lags 0..s-1 per input and w_i with lags 1..s-1 per
+    output.  The result is (s, p, m + p) with a zero lag-0 output block.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.shape != (spec.p, spec.block_dim):
+        raise ValueError(f"X has shape {X.shape}, expected {(spec.p, spec.block_dim)}")
+    blocks = np.zeros((spec.p, spec.m + spec.p, spec.s))
+    blocks[:, _toeplitz_mask(spec.m, spec.p, spec.s)] = X[:, spec.N :]
+    return blocks.transpose(2, 0, 1)
 
 
-def apply_operator(x: DecisionVector, spec: OperatorSpec) -> np.ndarray:
-    """Evaluate the data equation Yhat_s + T(x) data; result is (p*s) x ncols.
+def apply_operator(X: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """Evaluate the data equation Yhat_s + T(X) data; result is (p*s) x ncols.
 
     Output rows are interleaved: block row r stacks all p outputs at
     window offset r, matching the block-Hankel layout of the data.
     """
-    _check_compat(x, spec)
-    return block_hankel(x.yhat.T, spec.s) + block_toeplitz(x.markov_blocks()) @ spec.data
+    X = np.asarray(X, dtype=float)
+    T = block_toeplitz(toeplitz_estimates(X, spec))
+    return block_hankel(X[:, : spec.N].T, spec.s) + T @ spec.data
 
 
 def _antidiag_sums(Z: np.ndarray, p: int, N: int) -> np.ndarray:
@@ -233,17 +187,14 @@ def _antidiag_sums(Z: np.ndarray, p: int, N: int) -> np.ndarray:
     return padded.reshape(p, -1)[:, : s * N].reshape(p, s, N).sum(axis=1)
 
 
-def apply_adjoint(Z: np.ndarray, spec: OperatorSpec) -> DecisionVector:
-    """Adjoint of apply_operator: <A(x), Z> == <x, adjoint(Z)> for all x."""
+def apply_adjoint(Z: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+    """Adjoint of apply_operator, as a (p, block_dim) stack: <A(X), Z> == <X, adjoint(Z)>."""
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (spec.p * spec.s, spec.ncols):
         raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
-    blocks = block_toeplitz_adjoint(Z @ spec.data.T, spec.p)
-    return DecisionVector(
-        yhat=_antidiag_sums(Z, spec.p, spec.N),
-        v=blocks[:, :, : spec.m].transpose(1, 2, 0),
-        w=blocks[1:, :, spec.m :].transpose(1, 2, 0),
-    )
+    blocks = block_toeplitz_adjoint(Z @ spec.data.T, spec.p).transpose(1, 2, 0)
+    toeplitz = blocks[:, _toeplitz_mask(spec.m, spec.p, spec.s)]
+    return np.concatenate([_antidiag_sums(Z, spec.p, spec.N), toeplitz], axis=1)
 
 
 def _real_part(a: np.ndarray, what: str) -> np.ndarray:
@@ -316,10 +267,7 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cross = GP @ Phi
     cross /= N * kappa
 
-    # Every channel carries lags 0..s-1; the output channels' lag 0 is not
-    # a decision variable (the zero lag-0 block of T_y).
-    keep = np.ones((c, s), dtype=bool)
-    keep[m:, 0] = False
+    keep = _toeplitz_mask(m, spec.p, s)
     cross = cross[:, keep]
     small = small.transpose(0, 2, 1, 3)[keep][:, keep]
 

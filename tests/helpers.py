@@ -10,13 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from n2sid.model import IoRecord, StateSpaceModel
-from n2sid.structured_ops import (
-    DecisionVector,
-    OperatorSpec,
-    apply_adjoint,
-    apply_operator,
-    build_M,
-)
+from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
 
 
 def circulant(x) -> np.ndarray:
@@ -126,8 +120,7 @@ def probe_M(spec: OperatorSpec) -> np.ndarray:
     for k in range(d):
         X = np.zeros((spec.p, d))
         X[0, k] = 1.0
-        x = DecisionVector.from_output_stack(X, spec.N, spec.m, spec.s)
-        M[:, k] = apply_adjoint(apply_operator(x, spec), spec).output_stack()[0]
+        M[:, k] = apply_adjoint(apply_operator(X, spec), spec)[0]
     return M
 
 
@@ -139,8 +132,7 @@ def probe_full_M(spec: OperatorSpec) -> np.ndarray:
         for k in range(d):
             X = np.zeros((spec.p, d))
             X[i, k] = 1.0
-            x = DecisionVector.from_output_stack(X, spec.N, spec.m, spec.s)
-            M[:, i * d + k] = apply_adjoint(apply_operator(x, spec), spec).output_stack().ravel()
+            M[:, i * d + k] = apply_adjoint(apply_operator(X, spec), spec).ravel()
     return M
 
 
@@ -154,11 +146,18 @@ def random_spec(rng: np.random.Generator, s_lo=2, s_hi=8, n_hi=40) -> OperatorSp
     return OperatorSpec.from_data(u, y, s)
 
 
-def random_decision(rng: np.random.Generator, spec: OperatorSpec) -> DecisionVector:
-    return DecisionVector(
-        yhat=rng.standard_normal((spec.p, spec.N)),
-        v=rng.standard_normal((spec.p, spec.m, spec.s)),
-        w=rng.standard_normal((spec.p, spec.p, spec.s - 1)),
+def decision_stack(yhat, v, w) -> np.ndarray:
+    """Output stack [yhat_i, v_i, w_i] from yhat (p, N), v (p, m, s) and w (p, p, s-1)."""
+    p = yhat.shape[0]
+    return np.concatenate([yhat, np.reshape(v, (p, -1)), np.reshape(w, (p, -1))], axis=1)
+
+
+def random_decision(rng: np.random.Generator, spec: OperatorSpec) -> np.ndarray:
+    """Random (p, block_dim) output stack."""
+    return decision_stack(
+        rng.standard_normal((spec.p, spec.N)),
+        rng.standard_normal((spec.p, spec.m, spec.s)),
+        rng.standard_normal((spec.p, spec.p, spec.s - 1)),
     )
 
 

@@ -44,7 +44,7 @@ def test_criterion_01_adjoint_identity():
         x = random_decision(rng, spec)
         Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
         lhs = float(np.sum(apply_operator(x, spec) * Z))
-        rhs = float(np.sum(apply_adjoint(Z, spec).output_stack() * x.output_stack()))
+        rhs = float(np.sum(apply_adjoint(Z, spec) * x))
         gap = abs(lhs - rhs) / (1.0 + abs(lhs))
         worst = max(worst, gap)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
@@ -128,7 +128,7 @@ def test_criterion_05_lambda_extremes():
 
     lam = 1e9 * spec.N
     res_inf = solve(spec, build_quadratic(rec.y, lam))
-    rel = np.linalg.norm(res_inf.x.yhat.T - rec.y) / np.linalg.norm(rec.y)
+    rel = np.linalg.norm(res_inf.x[:, : spec.N].T - rec.y) / np.linalg.norm(rec.y)
     assert rel <= 1e-4
     sv = np.linalg.svd(res_inf.Z, compute_uv=False)
     assert int(np.sum(sv > 1e-6 * sv[0])) <= 2

@@ -16,7 +16,7 @@ from n2sid.admm import (
 )
 from n2sid.errors import SolverError
 from n2sid.model import generate_innovation_data
-from n2sid.structured_ops import DecisionVector, OperatorSpec
+from n2sid.structured_ops import OperatorSpec
 
 from helpers import dense_M, make_siso_order2, prbs, random_decision, random_spec
 
@@ -74,7 +74,7 @@ def test_svt_rank_and_annihilation():
 def test_build_quadratic_zero_lambda():
     quad = build_quadratic(np.ones((10, 1)), 0.0)
     assert quad.weight == 0.0
-    x = DecisionVector(yhat=np.zeros((1, 10)), v=np.zeros((1, 1, 3)), w=np.zeros((1, 1, 2)))
+    x = np.zeros((1, 10 + 3 + 2))
     assert quad.half_quadratic(x) == 0.0
 
 
@@ -91,7 +91,7 @@ def test_quadratic_matches_fit_term():
     quad = build_quadratic(y, lam)
     for _ in range(5):
         x = random_decision(rng, spec)
-        direct = (lam / spec.N) * float(np.sum((y - x.yhat.T) ** 2))
+        direct = (lam / spec.N) * float(np.sum((y - x[:, : spec.N].T) ** 2))
         assert quad.half_quadratic(x) == pytest.approx(direct, rel=1e-12)
 
 
@@ -100,9 +100,17 @@ def test_quadratic_a_vector_blocks():
     u = rng.standard_normal((12, 1))
     y = rng.standard_normal((12, 2))
     spec = OperatorSpec.from_data(u, y, s=3)
-    a = build_quadratic(y, 1.0).a(spec)
-    np.testing.assert_array_equal(a.yhat, y.T)
-    assert np.all(a.v == 0.0) and np.all(a.w == 0.0)
+    quad = build_quadratic(y, 1.0)
+    # a = [y', 0]: the fit term vanishes there, whatever the Toeplitz part holds
+    a = np.zeros((spec.p, spec.block_dim))
+    a[:, : spec.N] = y.T
+    assert quad.half_quadratic(a) == 0.0
+    shifted = a.copy()
+    shifted[:, spec.N :] = rng.standard_normal((spec.p, spec.block_dim - spec.N))
+    assert quad.half_quadratic(shifted) == 0.0
+    # and a is solve's default starting point
+    params = AdmmParams(max_iter=3)
+    assert np.array_equal(solve(spec, quad, params).Z, solve(spec, quad, params, x0=a).Z)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +178,7 @@ def test_solve_huge_lambda_pins_output_and_rank():
     spec = OperatorSpec.from_data(rec.u, rec.y, s=8)
     lam = 1e9 * spec.N
     res = solve(spec, build_quadratic(rec.y, lam))
-    rel = np.linalg.norm(res.x.yhat.T - rec.y) / np.linalg.norm(rec.y)
+    rel = np.linalg.norm(res.x[:, : spec.N].T - rec.y) / np.linalg.norm(rec.y)
     assert rel <= 1e-4
     sv = np.linalg.svd(res.Z, compute_uv=False)
     assert np.sum(sv > 1e-6 * sv[0]) <= 2
@@ -216,6 +224,23 @@ def test_solve_rejects_mismatched_outputs():
         solve(spec, build_quadratic(rec.y[:-1], 1.0))
 
 
+def test_solve_rejects_factorization_of_another_record():
+    rng = np.random.default_rng(20)
+    # two records of the same size: M depends on the samples, not only on (N, s, p, m)
+    u, y = rng.standard_normal((100, 1)), rng.standard_normal((100, 1))
+    spec = OperatorSpec.from_data(u, y, 5)
+    other = OperatorSpec.from_data(rng.standard_normal((100, 1)), rng.standard_normal((100, 1)), 5)
+    quad = build_quadratic(y, 50.0)
+    fact = SweepFactorization.from_spec(spec)
+    assert fact.matches(OperatorSpec.from_data(u.copy(), y.copy(), 5))
+    assert not fact.matches(other)
+    with pytest.raises(ValueError, match="different operator spec"):
+        solve(other, quad, fact=fact)
+    with pytest.raises(ValueError, match="different operator spec"):
+        sweep(other, y, [50.0], fact=fact)
+    assert solve(spec, quad, fact=fact).converged
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AdmmParams(tau=1.0)
@@ -235,7 +260,7 @@ def test_sweep_single_point_equals_direct_solve():
     direct = solve(spec, build_quadratic(rec.y, lam))
     swept = sweep(spec, rec.y, [lam])
     assert len(swept) == 1
-    assert np.array_equal(swept[0].x.output_stack(), direct.x.output_stack())
+    assert np.array_equal(swept[0].x, direct.x)
     assert swept[0].objective == direct.objective
 
 
@@ -256,7 +281,7 @@ def test_sweep_monotone_terms_in_lambda():
     nuc = []
     for res in results:
         assert res is not None
-        fit.append(float(np.sum((rec.y - res.x.yhat.T) ** 2)))
+        fit.append(float(np.sum((rec.y - res.x[:, : spec.N].T) ** 2)))
         nuc.append(nuclear_norm(np.asarray(res.Z)))
     for a, b in zip(fit[:-1], fit[1:]):
         assert b <= a * (1 + 1e-3) + 1e-9

@@ -5,7 +5,6 @@ import pytest
 
 from n2sid.extraction import (
     SubspaceSvd,
-    ToeplitzEstimates,
     compute_m1,
     compute_m2,
     compute_m3,
@@ -14,7 +13,6 @@ from n2sid.extraction import (
     estimate_K,
     lowrank_svd,
     select_order,
-    toeplitz_estimates,
 )
 from n2sid.model import (
     IoRecord,
@@ -26,9 +24,9 @@ from n2sid.model import (
     to_observer,
     vaf,
 )
-from n2sid.structured_ops import DecisionVector, OperatorSpec
+from n2sid.structured_ops import OperatorSpec, block_toeplitz, toeplitz_estimates
 
-from helpers import make_siso_order2, naive_states, observability, prbs
+from helpers import decision_stack, make_siso_order2, naive_states, observability, prbs
 
 
 def select_order_reference(sigma, max_order=10):
@@ -53,7 +51,7 @@ def exact_solution_inputs(N=60, s=8, seed=0):
     mk_y = markov_parameters(obs, s, "output")
     v = np.array([[[blk[0, 0] for blk in mk_u]]])
     w = np.array([[[blk[0, 0] for blk in mk_y[1:]]]])
-    x = DecisionVector(yhat=rec.y.T.copy(), v=v, w=w)
+    x = decision_stack(rec.y.T, v, w)
     return model, obs, rec, spec, lowrank_svd(Z, spec), toeplitz_estimates(x, spec)
 
 
@@ -135,14 +133,16 @@ def test_toeplitz_estimates_blocks_match_markov_parameters():
     mk_y = markov_parameters(obs, 5, "output")
     v = np.array([[[blk[0, 0] for blk in mk_u]]])
     w = np.array([[[blk[0, 0] for blk in mk_y[1:]]]])
-    x = DecisionVector(yhat=np.zeros((1, 20)), v=v, w=w)
-    est = toeplitz_estimates(x, spec)
+    x = decision_stack(np.zeros((1, 20)), v, w)
+    blocks = toeplitz_estimates(x, spec)
+    assert blocks.shape == (5, 1, 2)
+    Tu, Ty = block_toeplitz(blocks[:, :, :1]), block_toeplitz(blocks[:, :, 1:])
     for j in range(5):
-        np.testing.assert_allclose(est.Tu[j : j + 1, 0:1], mk_u[j])
-        np.testing.assert_allclose(est.Ty[j : j + 1, 0:1], mk_y[j])
+        np.testing.assert_allclose(Tu[j : j + 1, 0:1], mk_u[j])
+        np.testing.assert_allclose(Ty[j : j + 1, 0:1], mk_y[j])
     # strict lower-triangular block-Toeplitz pattern
-    assert np.all(np.triu(est.Tu, 1) == 0.0)
-    assert np.all(np.triu(est.Ty) == 0.0)
+    assert np.all(np.triu(Tu, 1) == 0.0)
+    assert np.all(np.triu(Ty) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +184,22 @@ def test_estimate_k_recovers_true_gain():
     for r in range(s):
         for c in range(r):
             Ty[r, c] = mk_y[r - c][0, 0]
-    est = ToeplitzEstimates(Tu=np.zeros((s, s)), Ty=Ty)
-    K = estimate_K(obs.Aobs, obs.C, est)
+    blocks = np.zeros((s, 1, 2))
+    blocks[:, :, 1] = Ty[:, :1]  # T_y's first block column holds its Markov blocks
+    K = estimate_K(obs.Aobs, obs.C, blocks)
     np.testing.assert_allclose(K, obs.K, atol=1e-8)
 
 
 def test_estimate_k_zero_target():
     model = make_siso_order2()
     obs = to_observer(model)
-    est = ToeplitzEstimates(Tu=np.zeros((5, 5)), Ty=np.zeros((5, 5)))
-    assert np.all(estimate_K(obs.Aobs, obs.C, est) == 0.0)
+    assert np.all(estimate_K(obs.Aobs, obs.C, np.zeros((5, 1, 2))) == 0.0)
 
 
 def test_estimate_k_scalar_consistent_system():
-    est = ToeplitzEstimates(Tu=np.zeros((3, 3)), Ty=np.array([[0, 0, 0], [0.8, 0, 0], [0.4, 0.8, 0]]))
-    K = estimate_K(np.array([[0.5]]), np.array([[1.0]]), est)
+    # lags 0..2 of [T_u, T_y]: T_y = [[0, 0, 0], [0.8, 0, 0], [0.4, 0.8, 0]]
+    blocks = np.array([[[0.0, 0.0]], [[0.0, 0.8]], [[0.0, 0.4]]])
+    K = estimate_K(np.array([[0.5]]), np.array([[1.0]]), blocks)
     assert K[0, 0] == pytest.approx(0.8)
 
 
@@ -348,7 +349,6 @@ def test_all_variants_match_generator_markov_parameters():
 
 def test_compute_m3_zero_toeplitz():
     _, obs, rec, spec, svd, _ = exact_solution_inputs()
-    zeros = ToeplitzEstimates(Tu=np.zeros((spec.s, spec.s)), Ty=np.zeros((spec.s, spec.s)))
-    out = compute_m3(svd, zeros, rec, 2)
+    out = compute_m3(svd, np.zeros((spec.s, 1, 2)), rec, 2)
     assert np.all(out.model.D == 0.0)
     np.testing.assert_allclose(out.model.B, out.model.K @ out.model.D, atol=1e-12)

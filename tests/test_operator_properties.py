@@ -11,7 +11,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from n2sid.extraction import toeplitz_estimates
 from n2sid.structured_ops import (
     OperatorSpec,
     apply_adjoint,
@@ -19,6 +18,7 @@ from n2sid.structured_ops import (
     block_hankel,
     block_toeplitz,
     block_toeplitz_adjoint,
+    toeplitz_estimates,
 )
 
 from helpers import dense_M, dense_output_operator, probe_M, random_decision
@@ -52,7 +52,7 @@ def test_adjoint_identity(drawn):
     x = random_decision(rng, spec)
     Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
     lhs = float(np.sum(apply_operator(x, spec) * Z))
-    rhs = float(np.sum(apply_adjoint(Z, spec).output_stack() * x.output_stack()))
+    rhs = float(np.sum(apply_adjoint(Z, spec) * x))
     assert _close(lhs, rhs)
 
 
@@ -63,9 +63,8 @@ def test_operator_matches_dense_oracle(drawn):
     Amat = dense_output_operator(spec)
     x = random_decision(rng, spec)
     Z = apply_operator(x, spec)
-    stack = x.output_stack()
     for i in range(spec.p):
-        np.testing.assert_allclose(Z[i :: spec.p].ravel(), Amat @ stack[i], atol=1e-10)
+        np.testing.assert_allclose(Z[i :: spec.p].ravel(), Amat @ x[i], atol=1e-10)
 
 
 @PROPERTY
@@ -81,14 +80,16 @@ def test_coefficient_matrix_matches_probe(drawn):
 def test_toeplitz_estimates_reproduce_the_data_equation(drawn):
     spec, rng, u, y = drawn
     x = random_decision(rng, spec)
-    est = toeplitz_estimates(x, spec)
+    blocks = toeplitz_estimates(x, spec)
+    Tu = block_toeplitz(blocks[:, :, : spec.m])
+    Ty = block_toeplitz(blocks[:, :, spec.m :])
     rebuilt = (
-        block_hankel(x.yhat.T, spec.s)
-        - est.Tu @ block_hankel(u, spec.s)
-        - est.Ty @ block_hankel(y, spec.s)
+        block_hankel(x[:, : spec.N].T, spec.s)
+        - Tu @ block_hankel(u, spec.s)
+        - Ty @ block_hankel(y, spec.s)
     )
     np.testing.assert_allclose(apply_operator(x, spec), rebuilt, atol=1e-10)
-    assert np.all(est.Ty[: spec.p] == 0.0)
+    assert np.all(Ty[: spec.p] == 0.0)
 
 
 @PROPERTY

@@ -113,6 +113,39 @@ def test_scale_outputs_returns_model_in_record_units():
     assert np.array_equal(runs[1].K, runs[0].K / 8.0)
 
 
+def test_scale_outputs_reports_j_in_record_units(monkeypatch):
+    model = make_siso_order2()
+    rng = np.random.default_rng(11)
+    rec = generate_innovation_data(model, prbs(rng, 200, 1), noise_std=0.2, seed=12)
+    rec = IoRecord(u=rec.u, y=8.0 * rec.y)
+    cfg = PipelineConfig(s=8, n_lambda=5, scale_outputs=True)
+    extracted = {}
+    real_extract = pipeline_mod._extract
+
+    def capturing_extract(result, spec, ide, cfg, lam):
+        extracted[lam] = real_extract(result, spec, ide, cfg, lam)
+        return extracted[lam]
+
+    monkeypatch.setattr(pipeline_mod, "_extract", capturing_extract)
+    rep = identify(rec, cfg)
+    raw, _ = preprocess(rec, PipelineConfig(s=8))
+    _, peaks = preprocess(rec, cfg)
+    assert peaks[0] > 1.0
+    # each scored grid point's model, taken to record units, scores its J on the unscaled record
+    assert np.isfinite(rep.j_values).sum() >= 3
+    for lam, j in zip(rep.lambdas, rep.j_values):
+        if not np.isfinite(j):
+            continue
+        m = extracted[lam].model
+        in_record_units = StateSpaceModel(m.A, m.B, peaks * m.C, peaks * m.D, m.K / peaks)
+        yhat = pipeline_mod._predict(in_record_units, raw, cfg.x0_policy)
+        assert j == pytest.approx(float(np.sum((raw.y - yhat) ** 2)), rel=1e-8)
+    yhat = pipeline_mod._predict(rep.best.model, raw, cfg.x0_policy)
+    assert rep.j_values[rep.lambdas == rep.lambda_opt][0] == pytest.approx(
+        float(np.sum((raw.y - yhat) ** 2)), rel=1e-8
+    )
+
+
 def test_identify_single_grid_point():
     _, rec = noise_free_record(N=60)
     cfg = PipelineConfig(s=6, detrend=False, lambda_min=10.0, lambda_max=10.0, n_lambda=1)

@@ -3,17 +3,18 @@ import pytest
 
 from n2sid.model import generate_innovation_data, markov_parameters, to_observer
 from n2sid.structured_ops import (
-    DecisionVector,
     OperatorSpec,
     apply_adjoint,
     apply_operator,
     block_hankel,
     block_toeplitz,
     build_M,
+    toeplitz_estimates,
 )
 
 from helpers import (
     circulant,
+    decision_stack,
     dense_M,
     dense_output_operator,
     dft,
@@ -156,9 +157,9 @@ def test_dft_round_trip():
 def test_operator_hankel_only():
     rng = np.random.default_rng(5)
     spec = random_spec(rng)
-    x = DecisionVector.zeros(spec)
     yhat = rng.standard_normal((spec.p, spec.N))
-    x = DecisionVector(yhat=yhat, v=x.v, w=x.w)
+    x = np.zeros((spec.p, spec.block_dim))
+    x[:, : spec.N] = yhat
     np.testing.assert_allclose(
         apply_operator(x, spec), block_hankel(yhat.T, spec.s), atol=0
     )
@@ -169,10 +170,9 @@ def test_operator_unit_toeplitz_recovers_data_matrix():
     u = rng.standard_normal(15)
     y = rng.standard_normal(15)
     spec = OperatorSpec.from_data(u, y, s=4)
-    x = DecisionVector.zeros(spec)
     v = np.zeros((1, 1, 4))
     v[0, 0, 0] = 1.0
-    x = DecisionVector(yhat=x.yhat, v=v, w=x.w)
+    x = decision_stack(np.zeros((1, spec.N)), v, np.zeros((1, 1, 3)))
     np.testing.assert_allclose(apply_operator(x, spec), -block_hankel(u, 4), atol=0)
 
 
@@ -183,10 +183,9 @@ def test_operator_matches_dense_oracle():
         Amat = dense_output_operator(spec)
         x = random_decision(rng, spec)
         Z = apply_operator(x, spec)
-        stack = x.output_stack()
         for i in range(spec.p):
             np.testing.assert_allclose(
-                Z[i :: spec.p].ravel(), Amat @ stack[i], atol=1e-10
+                Z[i :: spec.p].ravel(), Amat @ x[i], atol=1e-10
             )
 
 
@@ -202,7 +201,7 @@ def test_operator_on_true_model_is_low_rank():
     mk_y = markov_parameters(obs, s, "output")
     v = np.array([[[blk[0, 0] for blk in mk_u]]])
     w = np.array([[[blk[0, 0] for blk in mk_y[1:]]]])
-    x = DecisionVector(yhat=rec.y.T.copy(), v=v, w=w)
+    x = decision_stack(rec.y.T, v, w)
     Z = apply_operator(x, spec)
     states = naive_states(obs.Aobs, np.hstack([obs.Bobs, obs.K]), np.hstack([rec.u, rec.y]), np.zeros(2))
     expected = observability(obs.Aobs, obs.C, s) @ states[: spec.ncols].T
@@ -214,7 +213,8 @@ def test_operator_on_true_model_is_low_rank():
 def test_adjoint_of_zero():
     spec = random_spec(np.random.default_rng(9))
     out = apply_adjoint(np.zeros((spec.p * spec.s, spec.ncols)), spec)
-    assert np.all(out.output_stack() == 0.0)
+    assert out.shape == (spec.p, spec.block_dim)
+    assert np.all(out == 0.0)
 
 
 def test_adjoint_identity_random_trials():
@@ -224,7 +224,7 @@ def test_adjoint_identity_random_trials():
         x = random_decision(rng, spec)
         Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
         lhs = float(np.sum(apply_operator(x, spec) * Z))
-        rhs = float(np.sum(apply_adjoint(Z, spec).output_stack() * x.output_stack()))
+        rhs = float(np.sum(apply_adjoint(Z, spec) * x))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -235,29 +235,18 @@ def test_adjoint_single_entry_matches_dense_column():
     a, b = 1, 2
     Z = np.zeros((spec.p * spec.s, spec.ncols))
     Z[(a - 1) * spec.p, b] = 1.0  # row a of output block 1
-    got = apply_adjoint(Z, spec).output_stack()[0]
+    got = apply_adjoint(Z, spec)[0]
     np.testing.assert_allclose(got, Amat[(a - 1) * spec.ncols + b], atol=1e-12)
-
-
-def test_decision_vector_round_trips():
-    rng = np.random.default_rng(12)
-    spec = random_spec(rng)
-    x = random_decision(rng, spec)
-    stack = x.output_stack()
-    back = DecisionVector.from_output_stack(stack, spec.N, spec.m, spec.s)
-    assert np.array_equal(back.output_stack(), stack)
-    for name in ("yhat", "v", "w"):
-        assert np.array_equal(getattr(back, name), getattr(x, name))
 
 
 def test_output_only_spec_has_no_input_blocks():
     y = np.random.default_rng(17).standard_normal((12, 1))
     spec = OperatorSpec.from_data(np.zeros((12, 0)), y, s=3)
     assert spec.m == 0 and spec.data.shape == (3, 10)
-    x = DecisionVector.zeros(spec)
-    assert x.v.shape == (1, 0, 3)
+    assert spec.block_dim == 12 + 2
+    x = decision_stack(y.T, np.zeros((1, 0, 3)), np.zeros((1, 1, 2)))
+    assert toeplitz_estimates(x, spec).shape == (3, 1, 1)
     # the operator reduces to the Hankel plus output-Toeplitz terms
-    x = DecisionVector(yhat=y.T.copy(), v=x.v, w=x.w)
     np.testing.assert_array_equal(apply_operator(x, spec), block_hankel(y, 3))
 
 
@@ -268,6 +257,18 @@ def test_operator_spec_validation():
         OperatorSpec.from_data(np.ones((4, 1)), np.ones((4, 1)), s=4)
     with pytest.raises(ValueError, match="same number of samples"):
         OperatorSpec.from_data(np.ones((6, 1)), np.ones((5, 1)), s=2)
+
+
+def test_operator_rejects_misshapen_stack():
+    rng = np.random.default_rng(19)
+    spec = OperatorSpec.from_data(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)), s=3)
+    good = random_decision(rng, spec)
+    apply_operator(good, spec)
+    for bad in (good[:1], good[:, :-1], np.hstack([good, good[:, :1]]), good.T, good.ravel()):
+        with pytest.raises(ValueError, match="expected"):
+            apply_operator(bad, spec)
+    with pytest.raises(ValueError, match="expected"):
+        toeplitz_estimates(good[:, 1:], spec)
 
 
 # ---------------------------------------------------------------------------
