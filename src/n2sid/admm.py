@@ -5,20 +5,23 @@ The program solved is
     minimize  ||A(x)||_*  +  (lambda / N) * sum_k ||y(k) - yhat(k)||^2
 
 over the (p, d) output stack X, row i being [yhat_i, v_i, w_i] (see
-structured_ops).  Writing the quadratic part as 0.5 (X - a)^T H (X - a),
-with a = [y', 0] and H = (2 lambda / N) I on the yhat block and zero
-elsewhere, the splitting introduces Z = A(X) and alternates
+structured_ops).  The fit term is fixed by the measured outputs y and
+lambda alone: it is 0.5 (X - a)^T H (X - a) with a = [y', 0] and
+H = (2 lambda / N) I on the yhat block and zero elsewhere.  The
+splitting introduces Z = A(X) and alternates
 
     X      <- argmin  0.5 (X - a)^T H (X - a) + (rho/2) ||A(X) - Z + Y/rho||^2
     Z      <- svt(A(X) + Y/rho, 1/rho)
     Y      <- Y + rho (A(X) - Z)
 
-with residual-balanced penalty adaptation.  The X step solves
-(H + rho M) X_i = H a_i + rho adj(Z - Y/rho)_i for every output row i,
-where M is the shared coefficient matrix.  Its yhat block is diagonal,
-so for each (lambda, rho) pair the solve eliminates that block and works
-with a Schur complement of side m*s + p*(s-1), independent of the record
-length.
+with residual-balanced penalty adaptation (rho from RHO0, stepped by
+TAU).  A solve starts from Z = A(a), Y = 0, or from a previous solve's Z
+and Y; a sweep warm-starts each lambda from the last successful one.
+The X step solves (H + rho M) X_i = H a_i + rho adj(Z - Y/rho)_i for
+every output row i, where M is the shared coefficient matrix.  Its yhat
+block is diagonal, so for each (lambda, rho) pair the solve eliminates
+that block and works with a Schur complement of side m*s + p*(s-1),
+independent of the record length.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ from .structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
 
 __all__ = [
     "AdmmParams",
-    "QuadraticTerm",
     "SweepFactorization",
     "SolveResult",
-    "build_quadratic",
     "nuclear_norm",
     "objective_value",
     "svt",
@@ -44,8 +45,10 @@ __all__ = [
     "sweep",
 ]
 
+RHO0 = 1.0
 RHO_MIN = 1e-6
 RHO_MAX = 1e6
+TAU = 2.0
 
 
 @dataclass(frozen=True)
@@ -55,52 +58,11 @@ class AdmmParams:
     max_iter: int = 200
     eps_abs: float = 1e-6
     eps_rel: float = 1e-3
-    tau: float = 2.0
     mu: float = 10.0
-    rho0: float = 1.0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        for name in ("eps_abs", "eps_rel", "rho0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.tau <= 1 or self.mu <= 1:
-            raise ValueError("tau and mu must exceed 1")
-
-
-@dataclass(frozen=True)
-class QuadraticTerm:
-    """Fit term (lambda / N) sum_k ||y(k) - yhat(k)||^2 in the 0.5 (X-a)' H (X-a) form.
-
-    a has the measured outputs in its yhat block and zeros in v, w;
-    H is (2 lambda / N) times the identity on the yhat block.
-    """
-
-    lam: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        object.__setattr__(self, "y", y)
-
-    @property
-    def weight(self) -> float:
-        """Diagonal of H on the yhat block: 2 lambda / N."""
-        return 2.0 * self.lam / self.y.shape[0]
-
-    def half_quadratic(self, X: np.ndarray) -> float:
-        diff = X[:, : self.y.shape[0]] - self.y.T
-        return 0.5 * self.weight * float(np.sum(diff * diff))
-
-
-def build_quadratic(y: np.ndarray, lam: float) -> QuadraticTerm:
-    """Quadratic term for measured outputs y ((N, p) or (N,)) at the given lambda."""
-    return QuadraticTerm(lam=float(lam), y=y)
+        if self.max_iter < 1 or self.eps_abs <= 0 or self.eps_rel <= 0 or self.mu <= 1:
+            raise ValueError("need max_iter >= 1, eps_abs > 0, eps_rel > 0 and mu > 1")
 
 
 @dataclass(frozen=True)
@@ -184,44 +146,58 @@ def svt(Y: np.ndarray, threshold: float) -> np.ndarray:
     return (U * shrunk) @ Vt
 
 
-def objective_value(spec: OperatorSpec, quad: QuadraticTerm, X: np.ndarray) -> float:
-    return nuclear_norm(apply_operator(X, spec)) + quad.half_quadratic(X)
+def _measured(spec: OperatorSpec, y: np.ndarray, lam: float) -> np.ndarray:
+    """Measured outputs as an (N, p) array, after checking them and 0 <= lambda < inf."""
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    if y.shape != (spec.N, spec.p):
+        raise ValueError(f"measured outputs have shape {y.shape}, expected {(spec.N, spec.p)}")
+    return y
+
+
+def objective_value(spec: OperatorSpec, y: np.ndarray, lam: float, X: np.ndarray) -> float:
+    """The program's objective ||A(X)||_* + (lam / N) sum_k ||y(k) - yhat(k)||^2 at X."""
+    diff = X[:, : spec.N] - _measured(spec, y, lam).T
+    return nuclear_norm(apply_operator(X, spec)) + 0.5 * (2.0 * lam / spec.N) * float(np.sum(diff * diff))
 
 
 def solve(
     spec: OperatorSpec,
-    quad: QuadraticTerm,
+    y: np.ndarray,
+    lam: float,
     params: AdmmParams = AdmmParams(),
     fact: SweepFactorization | None = None,
-    x0: np.ndarray | None = None,
-    z0: np.ndarray | None = None,
-    y0: np.ndarray | None = None,
+    warm: SolveResult | None = None,
 ) -> SolveResult:
     """Run the splitting iteration to (approximate) optimality.
 
-    Warm starts pass the previous (X, Z, Y) triple, X a (p, d) output
-    stack; by default X starts from a, the measured outputs with zero
-    Toeplitz parameters, Z from A(X), and the dual variable from zero.
+    The measured outputs y, (N, p) or (N,), and lam >= 0 fix the fit term.
+    The iteration starts from Z = A(a) and Y = 0, or from the Z and Y of
+    ``warm``, a previous result on the same spec; X needs no start.
     """
-    if quad.y.shape != (spec.N, spec.p):
-        raise ValueError(f"measured outputs have shape {quad.y.shape}, expected {(spec.N, spec.p)}")
+    lam = float(lam)
+    y = _measured(spec, y, lam)
     if fact is None:
         fact = SweepFactorization.from_spec(spec)
     elif not fact.matches(spec):
         raise ValueError("factorization was built for a different operator spec")
 
     N, p, d = spec.N, spec.p, spec.block_dim
-    weight = quad.weight
-    Ha = np.zeros((p, d))
-    Ha[:, :N] = weight * quad.y.T
+    weight = 2.0 * lam / N
+    a = np.zeros((p, d))
+    a[:, :N] = y.T
+    Ha = weight * a
 
-    if x0 is None:
-        x0 = np.zeros((p, d))
-        x0[:, :N] = quad.y.T
-    Z = apply_operator(x0, spec) if z0 is None else np.array(z0, dtype=float)
-    Y = np.zeros_like(Z) if y0 is None else np.array(y0, dtype=float)
+    if warm is None:
+        Z = apply_operator(a, spec)
+        Y = np.zeros_like(Z)
+    else:
+        Z, Y = warm.Z, warm.y_dual
 
-    rho = params.rho0
+    rho = RHO0
     solver = _XSolver(fact, weight, rho)
     sqrt_pri = math.sqrt(Z.size)
     sqrt_dual = math.sqrt(p * d)
@@ -259,9 +235,9 @@ def solve(
 
         # at most one penalty step per iteration, clamped
         if pri > params.mu * dual:
-            rho_new = min(rho * params.tau, RHO_MAX)
+            rho_new = min(rho * TAU, RHO_MAX)
         elif dual > params.mu * pri:
-            rho_new = max(rho / params.tau, RHO_MIN)
+            rho_new = max(rho / TAU, RHO_MIN)
         else:
             rho_new = rho
         if rho_new != rho:
@@ -274,7 +250,7 @@ def solve(
         iterations=iterations,
         primal_res=pri,
         dual_res=dual,
-        objective=objective_value(spec, quad, X),
+        objective=objective_value(spec, y, lam, X),
         converged=converged,
         y_dual=Y,
     )
@@ -307,14 +283,11 @@ def sweep(
         fact = SweepFactorization.from_spec(spec)
 
     results: list[SolveResult | None] = []
-    carry_x = carry_z = carry_y = None
+    warm = None
     for lam in grid:
-        quad = build_quadratic(y_measured, lam)
         try:
-            res = solve(spec, quad, params, fact, x0=carry_x, z0=carry_z, y0=carry_y)
+            warm = solve(spec, y_measured, lam, params, fact, warm=warm)
+            results.append(warm)
         except (SolverError, np.linalg.LinAlgError):
             results.append(None)
-            continue
-        results.append(res)
-        carry_x, carry_z, carry_y = res.x, res.Z, res.y_dual
     return results

@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .pipeline import PipelineConfig, evaluate, identify, identify_output_only
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
+
+# --x0 flag -> the pipeline's initial-state policy
+X0_POLICIES = {"zero": "zero", "ls": "ls_estimate"}
 
 
 class UsageError(Exception):
@@ -168,7 +172,7 @@ def _build_config(args) -> PipelineConfig:
             split=args.split,
             detrend=args.detrend,
             scale_outputs=args.scale_outputs,
-            x0_policy="zero" if args.x0 == "zero" else "ls_estimate",
+            x0_policy=X0_POLICIES[args.x0],
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -179,18 +183,8 @@ def _report_json(args, cfg, report, vaf_agg, vaf_per_output, n_ide, n_val) -> di
         "tool": "n2sid",
         "version": __version__,
         "config": {
-            "s": cfg.s,
-            "lambda_min": cfg.lambda_min,
-            "lambda_max": cfg.lambda_max,
-            "n_lambda": cfg.n_lambda,
-            "variant": cfg.variant,
-            "order": cfg.order,
-            "max_order": cfg.max_order,
-            "split": cfg.split,
+            **asdict(cfg),
             "discard": args.discard,
-            "detrend": cfg.detrend,
-            "scale_outputs": cfg.scale_outputs,
-            "x0_policy": cfg.x0_policy,
             "output_only": bool(args.output_only),
             "n_ide": n_ide,
             "n_val": n_val,
@@ -246,8 +240,7 @@ def cmd_identify(args) -> int:
             raise UsageError(f"validation slice [{n_max}:{stop}] exceeds the data")
         val = IoRecord(u=data_u[n_max:stop], y=data_y[n_max:stop])
         if args.detrend:
-            v_u = val.u - val.u.mean(axis=0) if val.u.size else val.u
-            val = IoRecord(u=v_u, y=val.y - val.y.mean(axis=0))
+            val = val.detrended()
 
     cfg = _build_config(args)
     x0_policy = cfg.x0_policy
@@ -345,7 +338,7 @@ def cmd_validate(args) -> int:
         raise UsageError(f"{args.report}: no model section")
     model = _model_from_json(report["model"])
     val = read_csv(args.data, model.m, model.p)
-    policy = "zero" if args.x0 == "zero" else "ls_estimate"
+    policy = X0_POLICIES[args.x0]
     agg = evaluate(model, val, policy)
     per = _per_output_vaf(model, val, policy)
     for j, v in enumerate(per):
@@ -392,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated identification lengths to sweep")
     ident.add_argument("--n-val", type=int, default=None,
                        help="validation length, taken after the longest identification slice")
-    ident.add_argument("--x0", choices=("zero", "ls"), default="ls",
+    ident.add_argument("--x0", choices=tuple(X0_POLICIES), default="ls",
                        help="initial state policy for scoring (default ls)")
     ident.add_argument("--report", default=None, help="write a JSON report here")
     ident.add_argument("--sv-csv", default=None, help="write per-lambda singular values here")
@@ -414,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     valp = sub.add_parser("validate", help="score a reported model on a held-out record")
     valp.add_argument("--report", required=True, help="report JSON from identify")
     valp.add_argument("--data", required=True, help="validation CSV")
-    valp.add_argument("--x0", choices=("zero", "ls"), default="ls")
+    valp.add_argument("--x0", choices=tuple(X0_POLICIES), default="ls")
     valp.set_defaults(func=cmd_validate)
     return parser
 

@@ -43,12 +43,8 @@ __all__ = [
 ]
 
 
-def _as_matrix(a, rows: int | None = None, cols: int | None = None, name: str = "") -> np.ndarray:
+def _as_matrix(a, name: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if rows is not None and a.shape[0] != rows:
-        raise ValueError(f"{name} has {a.shape[0]} rows, expected {rows}")
-    if cols is not None and a.shape[1] != cols:
-        raise ValueError(f"{name} has {a.shape[1]} columns, expected {cols}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -185,6 +181,10 @@ class IoRecord:
     @property
     def p(self) -> int:
         return self.y.shape[1]
+
+    def detrended(self) -> "IoRecord":
+        """The record with each channel's mean removed."""
+        return IoRecord(u=self.u - self.u.mean(axis=0), y=self.y - self.y.mean(axis=0))
 
 
 def to_observer(model: StateSpaceModel) -> ObserverModel:

@@ -16,12 +16,12 @@ entry point produce identical results.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .admm import AdmmParams, SweepFactorization, sweep
+from .admm import SweepFactorization, sweep
 from .errors import N2sidError, SolverError
 from .extraction import (
     IdentifiedModel,
@@ -66,7 +66,6 @@ class PipelineConfig:
     detrend: bool = True
     scale_outputs: bool = False
     x0_policy: str = "ls_estimate"
-    admm: AdmmParams = field(default_factory=AdmmParams)
 
     def __post_init__(self):
         if self.s < 2:
@@ -114,18 +113,14 @@ def preprocess(rec: IoRecord, cfg: PipelineConfig) -> tuple[IoRecord, np.ndarray
     """
     if rec.N <= cfg.s:
         raise ValueError(f"record has {rec.N} samples, need more than s={cfg.s}")
-    u = rec.u.copy()
-    y = rec.y.copy()
     if cfg.detrend:
-        if u.size:
-            u -= u.mean(axis=0)
-        y -= y.mean(axis=0)
+        rec = rec.detrended()
     peaks = np.ones(rec.p)
     if cfg.scale_outputs:
-        peaks = np.abs(y).max(axis=0)
+        peaks = np.abs(rec.y).max(axis=0)
         peaks[peaks == 0.0] = 1.0
-        y /= peaks
-    return IoRecord(u=u, y=y), peaks
+        rec = IoRecord(u=rec.u, y=rec.y / peaks)
+    return rec, peaks
 
 
 def _split_record(rec: IoRecord, mode: str) -> tuple[IoRecord, IoRecord]:
@@ -210,7 +205,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     # a weight past float range is rejected by sweep as a configuration error
     with np.errstate(over="ignore"):
         weights = grid * ide1.N
-    results = sweep(spec, ide1.y, weights, cfg.admm, fact=fact)
+    results = sweep(spec, ide1.y, weights, fact=fact)
     t_sweep = time.perf_counter() - t0
 
     t0 = time.perf_counter()

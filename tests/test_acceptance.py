@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from n2sid.admm import AdmmParams, build_quadratic, solve
+from n2sid.admm import AdmmParams, solve
 from n2sid.extraction import select_order
 from n2sid.model import IoRecord, generate_innovation_data, simulate
 from n2sid.pipeline import PipelineConfig, evaluate, identify, identify_output_only
@@ -103,9 +103,8 @@ def test_criterion_04_admm_vs_reference():
         y = rng.standard_normal((N, 1))
         spec = OperatorSpec.from_data(u, y, s)
         lam = N * 10.0 ** rng.uniform(-1.5, 3.0)
-        quad = build_quadratic(y, lam)
-        res = solve(spec, quad)
-        ref = solve(spec, quad, ref_params)
+        res = solve(spec, y, lam)
+        ref = solve(spec, y, lam, ref_params)
         gap = abs(res.objective - ref.objective) / (1.0 + abs(ref.objective))
         gaps.append(gap)
         if gap <= 1e-4 and res.converged and res.iterations <= 200:
@@ -123,11 +122,11 @@ def test_criterion_05_lambda_extremes():
     rec = generate_innovation_data(model, u, noise_std=0.0)
     spec = OperatorSpec.from_data(rec.u, rec.y, s=8)
 
-    res0 = solve(spec, build_quadratic(rec.y, 0.0))
+    res0 = solve(spec, rec.y, 0.0)
     assert res0.objective <= 1e-6
 
     lam = 1e9 * spec.N
-    res_inf = solve(spec, build_quadratic(rec.y, lam))
+    res_inf = solve(spec, rec.y, lam)
     rel = np.linalg.norm(res_inf.x[:, : spec.N].T - rec.y) / np.linalg.norm(rec.y)
     assert rel <= 1e-4
     sv = np.linalg.svd(res_inf.Z, compute_uv=False)

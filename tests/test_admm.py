@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from n2sid.admm import (
     AdmmParams,
     SweepFactorization,
     _XSolver,
-    build_quadratic,
     nuclear_norm,
     objective_value,
     solve,
@@ -16,7 +16,7 @@ from n2sid.admm import (
 )
 from n2sid.errors import SolverError
 from n2sid.model import generate_innovation_data
-from n2sid.structured_ops import OperatorSpec
+from n2sid.structured_ops import OperatorSpec, apply_operator
 
 from helpers import dense_M, make_siso_order2, prbs, random_decision, random_spec
 
@@ -68,19 +68,26 @@ def test_svt_rank_and_annihilation():
 
 
 # ---------------------------------------------------------------------------
-# quadratic term
+# fit term
 
 
-def test_build_quadratic_zero_lambda():
-    quad = build_quadratic(np.ones((10, 1)), 0.0)
-    assert quad.weight == 0.0
+def test_objective_value_zero_lambda():
+    u, y = np.zeros((10, 1)), np.ones((10, 1))
+    spec = OperatorSpec.from_data(u, y, 3)
     x = np.zeros((1, 10 + 3 + 2))
-    assert quad.half_quadratic(x) == 0.0
+    assert objective_value(spec, y, 0.0, x) == 0.0
+    # at lambda = 0 the fit term vanishes wherever X is
+    x = random_decision(np.random.default_rng(3), spec)
+    assert objective_value(spec, y, 0.0, x) == nuclear_norm(apply_operator(x, spec))
 
 
-def test_build_quadratic_negative_lambda():
-    with pytest.raises(ValueError):
-        build_quadratic(np.ones((5, 1)), -1.0)
+def test_lambda_outside_range_rejected():
+    spec, rec = small_problem(3)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nonnegative"):
+            objective_value(spec, rec.y, lam, np.zeros((1, spec.block_dim)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve(spec, rec.y, lam)
 
 
 def test_quadratic_matches_fit_term():
@@ -88,11 +95,11 @@ def test_quadratic_matches_fit_term():
     spec = random_spec(rng)
     y = rng.standard_normal((spec.N, spec.p))
     lam = 2.7
-    quad = build_quadratic(y, lam)
     for _ in range(5):
         x = random_decision(rng, spec)
         direct = (lam / spec.N) * float(np.sum((y - x[:, : spec.N].T) ** 2))
-        assert quad.half_quadratic(x) == pytest.approx(direct, rel=1e-12)
+        fit = objective_value(spec, y, lam, x) - objective_value(spec, y, 0.0, x)
+        assert fit == pytest.approx(direct, rel=1e-12)
 
 
 def test_quadratic_a_vector_blocks():
@@ -100,17 +107,21 @@ def test_quadratic_a_vector_blocks():
     u = rng.standard_normal((12, 1))
     y = rng.standard_normal((12, 2))
     spec = OperatorSpec.from_data(u, y, s=3)
-    quad = build_quadratic(y, 1.0)
     # a = [y', 0]: the fit term vanishes there, whatever the Toeplitz part holds
     a = np.zeros((spec.p, spec.block_dim))
     a[:, : spec.N] = y.T
-    assert quad.half_quadratic(a) == 0.0
+    assert objective_value(spec, y, 1.0, a) == nuclear_norm(apply_operator(a, spec))
     shifted = a.copy()
     shifted[:, spec.N :] = rng.standard_normal((spec.p, spec.block_dim - spec.N))
-    assert quad.half_quadratic(shifted) == 0.0
-    # and a is solve's default starting point
+    assert objective_value(spec, y, 1.0, shifted) == nuclear_norm(apply_operator(shifted, spec))
+    # and a cold start is a warm start from Z = A(a), Y = 0
     params = AdmmParams(max_iter=3)
-    assert np.array_equal(solve(spec, quad, params).Z, solve(spec, quad, params, x0=a).Z)
+    cold = solve(spec, y, 1.0, params)
+    start = replace(cold, Z=apply_operator(a, spec), y_dual=np.zeros_like(cold.Z))
+    warm = solve(spec, y, 1.0, params, warm=start)
+    assert np.array_equal(cold.Z, warm.Z)
+    assert np.array_equal(cold.x, warm.x)
+    assert np.array_equal(cold.y_dual, warm.y_dual)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +177,7 @@ def test_x_update_inconsistent_singular_system_raises():
 
 def test_solve_zero_lambda_objective_vanishes():
     spec, rec = small_problem(6)
-    res = solve(spec, build_quadratic(rec.y, 0.0))
+    res = solve(spec, rec.y, 0.0)
     assert res.objective <= 1e-6
 
 
@@ -177,7 +188,7 @@ def test_solve_huge_lambda_pins_output_and_rank():
     rec = generate_innovation_data(model, u, noise_std=0.0)
     spec = OperatorSpec.from_data(rec.u, rec.y, s=8)
     lam = 1e9 * spec.N
-    res = solve(spec, build_quadratic(rec.y, lam))
+    res = solve(spec, rec.y, lam)
     rel = np.linalg.norm(res.x[:, : spec.N].T - rec.y) / np.linalg.norm(rec.y)
     assert rel <= 1e-4
     sv = np.linalg.svd(res.Z, compute_uv=False)
@@ -198,19 +209,16 @@ def random_data_problem(seed):
 def test_solve_matches_long_reference_run():
     for seed in (10, 11, 12):
         spec, y, lam = random_data_problem(seed)
-        quad = build_quadratic(y, lam)
-        res = solve(spec, quad)
-        ref = solve(spec, quad, reference_params())
+        res = solve(spec, y, lam)
+        ref = solve(spec, y, lam, reference_params())
         assert res.objective <= ref.objective + 1e-4 * (1.0 + abs(ref.objective))
 
 
 def test_solve_converged_residual_contract():
     spec, rec = small_problem(12)
     params = AdmmParams()
-    res = solve(spec, build_quadratic(rec.y, 2.0), params)
+    res = solve(spec, rec.y, 2.0, params)
     assert res.converged
-    from n2sid.structured_ops import apply_operator
-
     ax = apply_operator(res.x, spec)
     thresh = math.sqrt(res.Z.size) * params.eps_abs + params.eps_rel * max(
         np.linalg.norm(ax), np.linalg.norm(res.Z)
@@ -218,10 +226,17 @@ def test_solve_converged_residual_contract():
     assert np.linalg.norm(ax - res.Z) <= thresh
 
 
+def test_solve_accepts_one_dimensional_outputs():
+    spec, rec = small_problem(13)
+    flat, column = solve(spec, rec.y[:, 0], 1.0), solve(spec, rec.y, 1.0)
+    assert np.array_equal(flat.x, column.x)
+    assert flat.objective == column.objective
+
+
 def test_solve_rejects_mismatched_outputs():
     spec, rec = small_problem(13)
     with pytest.raises(ValueError):
-        solve(spec, build_quadratic(rec.y[:-1], 1.0))
+        solve(spec, rec.y[:-1], 1.0)
 
 
 def test_solve_rejects_factorization_of_another_record():
@@ -230,20 +245,19 @@ def test_solve_rejects_factorization_of_another_record():
     u, y = rng.standard_normal((100, 1)), rng.standard_normal((100, 1))
     spec = OperatorSpec.from_data(u, y, 5)
     other = OperatorSpec.from_data(rng.standard_normal((100, 1)), rng.standard_normal((100, 1)), 5)
-    quad = build_quadratic(y, 50.0)
     fact = SweepFactorization.from_spec(spec)
     assert fact.matches(OperatorSpec.from_data(u.copy(), y.copy(), 5))
     assert not fact.matches(other)
     with pytest.raises(ValueError, match="different operator spec"):
-        solve(other, quad, fact=fact)
+        solve(other, y, 50.0, fact=fact)
     with pytest.raises(ValueError, match="different operator spec"):
         sweep(other, y, [50.0], fact=fact)
-    assert solve(spec, quad, fact=fact).converged
+    assert solve(spec, y, 50.0, fact=fact).converged
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        AdmmParams(tau=1.0)
+        AdmmParams(mu=1.0)
     with pytest.raises(ValueError):
         AdmmParams(max_iter=0)
     with pytest.raises(ValueError):
@@ -257,18 +271,33 @@ def test_params_validation():
 def test_sweep_single_point_equals_direct_solve():
     spec, rec = small_problem(14)
     lam = 3.0
-    direct = solve(spec, build_quadratic(rec.y, lam))
+    direct = solve(spec, rec.y, lam)
     swept = sweep(spec, rec.y, [lam])
     assert len(swept) == 1
     assert np.array_equal(swept[0].x, direct.x)
     assert swept[0].objective == direct.objective
 
 
+def test_sweep_point_is_solve_warm_started_from_previous_point():
+    spec, y, _ = random_data_problem(15)
+    grid = spec.N * np.logspace(-1.5, 3, 4)
+    fact = SweepFactorization.from_spec(spec)
+    swept = sweep(spec, y, grid, fact=fact)
+    warm = None
+    for lam, got in zip(grid, swept):
+        want = solve(spec, y, lam, fact=fact, warm=warm)
+        assert got.iterations == want.iterations
+        for name in ("x", "Z", "y_dual"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.objective == want.objective
+        warm = want
+
+
 def test_sweep_warm_start_consistency():
     spec, y, _ = random_data_problem(15)
     grid = spec.N * np.logspace(-1.5, 3, 6)
     warm = sweep(spec, y, grid)
-    cold = [solve(spec, build_quadratic(y, lam)) for lam in grid]
+    cold = [solve(spec, y, lam) for lam in grid]
     for a, b in zip(warm, cold):
         assert a.objective == pytest.approx(b.objective, rel=1e-4, abs=1e-6)
 
@@ -304,6 +333,5 @@ def test_sweep_grid_validation():
 
 def test_objective_value_consistency():
     spec, rec = small_problem(18)
-    quad = build_quadratic(rec.y, 4.0)
-    res = solve(spec, quad)
-    assert res.objective == pytest.approx(objective_value(spec, quad, res.x), rel=1e-12)
+    res = solve(spec, rec.y, 4.0)
+    assert res.objective == pytest.approx(objective_value(spec, rec.y, 4.0, res.x), rel=1e-12)

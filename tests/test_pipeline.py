@@ -201,8 +201,8 @@ def test_identify_records_failures_and_continues(monkeypatch):
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
     real_sweep = pipeline_mod.sweep
 
-    def breaking_sweep(spec, y, grid, params, fact=None):
-        out = real_sweep(spec, y, grid, params, fact=fact)
+    def breaking_sweep(spec, y, grid, fact=None):
+        out = real_sweep(spec, y, grid, fact=fact)
         out[0] = None
         return out
 
@@ -217,7 +217,7 @@ def test_identify_all_failed_raises(monkeypatch):
     _, rec = noise_free_record(N=60)
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=3)
     monkeypatch.setattr(
-        pipeline_mod, "sweep", lambda spec, y, grid, params, fact=None: [None] * len(grid)
+        pipeline_mod, "sweep", lambda spec, y, grid, fact=None: [None] * len(grid)
     )
     with pytest.raises(SolverError):
         identify(rec, cfg)
