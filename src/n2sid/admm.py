@@ -17,11 +17,17 @@ splitting introduces Z = A(X) and alternates
 with residual-balanced penalty adaptation (rho from RHO0, stepped by
 TAU).  A solve starts from Z = A(a), Y = 0, or from a previous solve's Z
 and Y; a sweep warm-starts each lambda from the last successful one.
-The X step solves (H + rho M) X_i = H a_i + rho adj(Z - Y/rho)_i for
+The X step solves (H + rho M) X_i = H a_i + rho adj(Z)_i - adj(Y)_i for
 every output row i, where M is the shared coefficient matrix.  Its yhat
 block is diagonal, so for each (lambda, rho) pair the solve eliminates
 that block and works with a Schur complement of side m*s + p*(s-1),
 independent of the record length.
+
+The iteration keeps adj(Z) and adj(Y) as running arrays, so it applies
+the adjoint once per iteration, to the new Z: since adj(A(X)) = M X,
+the dual update is adj(Y) += rho (M X - adj(Z_new)), with M X formed
+from M's held pieces.  Z is (p*s) x (N - s + 1), always wide, so svt
+works on the small p*s x p*s Gram instead of an SVD of Z (see svt).
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ RHO0 = 1.0
 RHO_MIN = 1e-6
 RHO_MAX = 1e6
 TAU = 2.0
+# svt falls back from the Gram to an SVD below this sigma / sigma_max
+GRAM_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,12 @@ class SweepFactorization:
     def matches(self, spec: OperatorSpec) -> bool:
         """Same dimensions and the same record: M depends on the data, not only on its size."""
         return self.spec == spec and np.array_equal(self.spec.data, spec.data)
+
+    def apply_M(self, X: np.ndarray) -> np.ndarray:
+        """M X_i for every row of the (p, d) output stack X: adj(A(X)) without the operator."""
+        N = self.diag.shape[0]
+        yhat, t = X[:, :N], X[:, N:]
+        return np.hstack([yhat * self.diag + t @ self.cross.T, yhat @ self.cross + t @ self.small])
 
 
 class _XSolver:
@@ -134,16 +148,32 @@ def svt(Y: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value thresholding, the proximal map of the nuclear norm.
 
     Soft-shrinks every singular value of Y by ``threshold``; a zero
-    threshold returns Y unchanged.
+    threshold returns Y unchanged.  Works on the Gram W W' of the short
+    side W (Y, or Y' when Y is tall): with W W' = U diag(sigma^2) U', the
+    result is U diag(f) U' W, f = max(sigma - threshold, 0) / sigma.  The
+    Gram squares the condition number, so a kept sigma below
+    GRAM_CUTOFF * sigma_max would lose accuracy; then an SVD of Y is used
+    instead.  A non-finite Y raises SolverError before any factorization.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     Y = np.asarray(Y, dtype=float)
     if threshold == 0.0:
         return Y.copy()
-    U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
-    shrunk = np.maximum(sv - threshold, 0.0)
-    return (U * shrunk) @ Vt
+    W = Y.T if Y.shape[0] > Y.shape[1] else Y
+    G = W @ W.T
+    if not np.all(np.isfinite(G)):
+        raise SolverError("non-finite matrix passed to singular value thresholding")
+    evals, U = np.linalg.eigh(G)
+    sigma = np.sqrt(np.maximum(evals, 0.0))
+    kept = sigma > threshold
+    if kept.any() and sigma[kept].min() < GRAM_CUTOFF * sigma[-1]:
+        U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
+        return (U * np.maximum(sv - threshold, 0.0)) @ Vt
+    f = np.zeros_like(sigma)
+    f[kept] = (sigma[kept] - threshold) / sigma[kept]
+    out = ((U * f) @ U.T) @ W
+    return out.T if W is not Y else out
 
 
 def _measured(spec: OperatorSpec, y: np.ndarray, lam: float) -> np.ndarray:
@@ -177,6 +207,9 @@ def solve(
     The measured outputs y, (N, p) or (N,), and lam >= 0 fix the fit term.
     The iteration starts from Z = A(a) and Y = 0, or from the Z and Y of
     ``warm``, a previous result on the same spec; X needs no start.
+    adj(Z) and adj(Y) are applied once at the start and then carried as
+    running arrays, so each iteration applies the adjoint once, to the
+    new Z, and svt once.
     """
     lam = float(lam)
     y = _measured(spec, y, lam)
@@ -196,6 +229,7 @@ def solve(
         Y = np.zeros_like(Z)
     else:
         Z, Y = warm.Z, warm.y_dual
+    adjZ, adjY = apply_adjoint(Z, spec), apply_adjoint(Y, spec)
 
     rho = RHO0
     solver = _XSolver(fact, weight, rho)
@@ -208,14 +242,16 @@ def solve(
 
     for it in range(1, params.max_iter + 1):
         iterations = it
-        RHS = (Ha + rho * apply_adjoint(Z - Y / rho, spec)).T
+        RHS = (Ha + rho * adjZ - adjY).T
         X = solver.solve(RHS).T
         AX = apply_operator(X, spec)
         Znew = svt(AX + Y / rho, 1.0 / rho)
+        adjZnew = apply_adjoint(Znew, spec)
         Rmat = AX - Znew
         Y = Y + rho * Rmat
-        Sdual = rho * apply_adjoint(Z - Znew, spec)
-        Z = Znew
+        adjY = adjY + rho * (fact.apply_M(X) - adjZnew)
+        Sdual = rho * (adjZ - adjZnew)
+        Z, adjZ = Znew, adjZnew
 
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z)) and np.all(np.isfinite(Y))):
             raise SolverError(f"non-finite iterates at iteration {it}")
@@ -226,9 +262,7 @@ def solve(
         eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(
             float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
         )
-        eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(
-            np.linalg.norm(apply_adjoint(Y, spec))
-        )
+        eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(np.linalg.norm(adjY))
         if pri <= eps_pri and dual <= eps_dual:
             converged = True
             break

@@ -7,8 +7,11 @@ basis probing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from n2sid.admm import RHO0, RHO_MAX, RHO_MIN, TAU, SolveResult, _XSolver
 from n2sid.model import IoRecord, StateSpaceModel
 from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
 
@@ -40,6 +43,67 @@ def dense_M(spec: OperatorSpec) -> np.ndarray:
     """Per-output coefficient matrix assembled as one d x d array from build_M's pieces."""
     diag, cross, small = build_M(spec)
     return np.block([[np.diag(diag), cross], [cross.T, small]])
+
+
+def svd_svt(Y: np.ndarray, threshold: float) -> np.ndarray:
+    """Singular value thresholding by a full LAPACK SVD of Y."""
+    U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
+    return (U * np.maximum(sv - threshold, 0.0)) @ Vt
+
+
+def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
+    """The splitting iteration with three adjoint applications per iteration.
+
+    adj(Z - Y/rho) for the right-hand side, adj(Z - Z_new) for the dual
+    residual and adj(Y) for its tolerance are applied afresh every
+    iteration, and svt is an SVD of the full Z.  Same start, penalty
+    steps and stopping rule as n2sid.admm.solve; the objective is left
+    as nan.
+    """
+    N, p, d = spec.N, spec.p, spec.block_dim
+    y = np.asarray(y, dtype=float).reshape(N, p)
+    weight = 2.0 * lam / N
+    a = np.zeros((p, d))
+    a[:, :N] = y.T
+    if warm is None:
+        Z = apply_operator(a, spec)
+        Y = np.zeros_like(Z)
+    else:
+        Z, Y = warm.Z, warm.y_dual
+    rho = RHO0
+    solver = _XSolver(fact, weight, rho)
+    converged = False
+    for it in range(1, params.max_iter + 1):
+        X = solver.solve((weight * a + rho * apply_adjoint(Z - Y / rho, spec)).T).T
+        AX = apply_operator(X, spec)
+        Znew = svd_svt(AX + Y / rho, 1.0 / rho)
+        R = AX - Znew
+        Y = Y + rho * R
+        pri = float(np.linalg.norm(R))
+        dual = float(np.linalg.norm(rho * apply_adjoint(Z - Znew, spec)))
+        Z = Znew
+        eps_pri = math.sqrt(Z.size) * params.eps_abs + params.eps_rel * max(
+            float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
+        )
+        eps_dual = math.sqrt(p * d) * params.eps_abs + params.eps_rel * float(
+            np.linalg.norm(apply_adjoint(Y, spec))
+        )
+        if pri <= eps_pri and dual <= eps_dual:
+            converged = True
+            break
+        if pri > params.mu * dual:
+            rho_new = min(rho * TAU, RHO_MAX)
+        elif dual > params.mu * pri:
+            rho_new = max(rho / TAU, RHO_MIN)
+        else:
+            rho_new = rho
+        if rho_new != rho:
+            rho = rho_new
+            solver = _XSolver(fact, weight, rho)
+    return SolveResult(
+        x=X, Z=Z, iterations=it, primal_res=pri, dual_res=dual,
+        objective=math.nan, converged=converged, y_dual=Y,
+    )
 
 
 def naive_simulate(A, B, C, D, u, x0):
@@ -169,6 +233,17 @@ def make_siso_order2() -> StateSpaceModel:
         C=[[2.0, -0.8]],
         D=[[0.2]],
         K=[[0.5], [-0.2]],
+    )
+
+
+def make_mimo_order4() -> StateSpaceModel:
+    """Two inputs, two outputs, order 4: two coupled, damped oscillatory modes."""
+    return StateSpaceModel(
+        A=[[0.8, 0.2, 0.0, 0.0], [-0.2, 0.8, 0.0, 0.0], [0.0, 0.0, 0.6, -0.4], [0.0, 0.0, 0.4, 0.6]],
+        B=[[1.0, 0.0], [0.5, 0.3], [0.0, 1.0], [0.2, -0.6]],
+        C=[[1.0, 0.0, 0.8, 0.0], [0.0, 0.7, 0.0, 1.0]],
+        D=[[0.1, 0.0], [0.0, 0.1]],
+        K=[[0.3, 0.0], [0.0, 0.2], [0.1, 0.0], [0.0, 0.1]],
     )
 
 

@@ -1,9 +1,13 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import n2sid.admm
 from n2sid.admm import (
     AdmmParams,
     SweepFactorization,
@@ -18,7 +22,17 @@ from n2sid.errors import SolverError
 from n2sid.model import generate_innovation_data
 from n2sid.structured_ops import OperatorSpec, apply_operator
 
-from helpers import dense_M, make_siso_order2, prbs, random_decision, random_spec
+from helpers import (
+    dense_M,
+    make_mimo_order4,
+    make_record,
+    make_siso_order2,
+    prbs,
+    random_decision,
+    random_spec,
+    reference_solve,
+    svd_svt,
+)
 
 
 def reference_params(iters=5000):
@@ -65,6 +79,80 @@ def test_svt_rank_and_annihilation():
     assert np.abs(svt(Y, sv[0] + 1e-12)).max() == 0.0
     with pytest.raises(ValueError):
         svt(Y, -0.1)
+
+
+def orthonormal_columns(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+
+
+def test_svt_falls_back_to_svd_below_gram_cutoff(monkeypatch):
+    # 15 x 1986, the shape of Z on a long SISO record, with one kept
+    # singular value at 1e-6 sigma_max, which the Gram path misses by ~1e-11
+    rng = np.random.default_rng(30)
+    U, V = orthonormal_columns(rng, 15, 15), orthonormal_columns(rng, 1986, 15)
+    sigma = np.concatenate([[1.0, 0.5, 0.2, 1e-6], np.full(11, 1e-8)])
+    Y = (U * sigma) @ V.T
+    t = 5e-7  # keeps the 1e-6 component, below GRAM_CUTOFF * sigma_max
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    out = svt(Y, t)
+    assert len(calls) == 1
+    components = U.T @ out @ V
+    np.testing.assert_allclose(components, np.diag(np.maximum(sigma - t, 0.0)), rtol=0, atol=1e-12)
+
+
+@st.composite
+def svt_cases(draw):
+    """(Y, threshold) over wide, tall and square shapes and these spectra:
+    full rank, deficient rank, zero, and graded down to 1e-8 sigma_max,
+    which puts kept values on both sides of the Gram cutoff."""
+    rows, cols = draw(st.sampled_from([(4, 30), (15, 136), (30, 5), (7, 7), (1, 9), (9, 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "deficient", "zero", "graded"]))
+    k = min(rows, cols)
+    if kind == "zero":
+        Y = np.zeros((rows, cols))
+    elif kind == "graded":
+        sigma = np.logspace(0, -8, k)
+        Y = (orthonormal_columns(rng, rows, k) * sigma) @ orthonormal_columns(rng, cols, k).T
+    else:
+        rank = k if kind == "full" else draw(st.integers(1, k))
+        Y = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    sigma_max = float(np.linalg.norm(Y, 2))
+    # from far below the smallest singular value to above the largest; a
+    # graded spectrum gets one that keeps values below the Gram cutoff
+    top = -4.0 if kind == "graded" else 0.2
+    t = 10.0 ** draw(st.floats(-9.0, top)) * (sigma_max if sigma_max > 0 else 1.0)
+    return Y, t
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(svt_cases())
+def test_svt_matches_svd_shrinkage(case):
+    Y, t = case
+    out = svt(Y, t)
+    assert out.shape == Y.shape
+    U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
+    shrunk = np.maximum(sv - t, 0.0)
+    scale = 1.0 + sv[0]
+    np.testing.assert_allclose(out, (U * shrunk) @ Vt, rtol=0, atol=1e-10 * scale)
+    # each component on the reference's singular vectors, relative to its own size
+    components = np.diag(U.T @ out @ Vt.T)
+    assert np.all(np.abs(components - shrunk) <= 1e-6 * sv + 1e-11 * scale)
+    if t > (1.0 + 1e-12) * sv[0]:
+        assert np.all(out == 0.0)
+
+
+def test_svt_rejects_non_finite_input():
+    Y = np.random.default_rng(31).standard_normal((15, 136))
+    for bad in (np.nan, np.inf):
+        Y_bad = Y.copy()
+        Y_bad[3, 40] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="non-finite"):
+                svt(Y_bad, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +341,45 @@ def test_solve_rejects_factorization_of_another_record():
     with pytest.raises(ValueError, match="different operator spec"):
         sweep(other, y, [50.0], fact=fact)
     assert solve(spec, y, 50.0, fact=fact).converged
+
+
+def test_solve_applies_the_adjoint_once_per_iteration(monkeypatch):
+    spec, rec = small_problem(19)
+    calls = {"apply_adjoint": 0, "svt": 0}
+    for name in calls:
+        real = getattr(n2sid.admm, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(n2sid.admm, name, counted)
+    res = solve(spec, rec.y, 2.0)
+    assert res.iterations > 2
+    assert calls["svt"] == res.iterations
+    # one per iteration, plus adj(Z) and adj(Y) of the starting point
+    assert calls["apply_adjoint"] <= res.iterations + 2
+
+
+@pytest.mark.parametrize(
+    "model, N, output_only",
+    [(make_siso_order2(), 80, False), (make_siso_order2(), 400, False), (make_mimo_order4(), 400, True)],
+    ids=["siso2-N80", "siso2-N400", "mimo4-output-only-N400"],
+)
+def test_solve_matches_three_adjoint_reference_loop(model, N, output_only):
+    rec = make_record(model, N, seed=40, noise_std=0.2)
+    u = np.zeros((N, 0)) if output_only else rec.u
+    spec = OperatorSpec.from_data(u, rec.y, 15)
+    fact = SweepFactorization.from_spec(spec)
+    params = AdmmParams()
+    warm = ref_warm = None
+    for lam in N * np.logspace(-1.5, 3, 8):
+        warm = solve(spec, rec.y, lam, params, fact, warm=warm)
+        ref_warm = reference_solve(spec, rec.y, lam, params, fact, warm=ref_warm)
+        assert warm.iterations == ref_warm.iterations
+        assert warm.converged == ref_warm.converged
+        gap = np.linalg.norm(warm.Z - ref_warm.Z) / np.linalg.norm(ref_warm.Z)
+        assert gap <= 1e-10
 
 
 def test_params_validation():

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from n2sid.admm import SweepFactorization
 from n2sid.structured_ops import (
     OperatorSpec,
     apply_adjoint,
@@ -101,3 +102,13 @@ def test_block_toeplitz_adjoint_identity(s, p, q, seed):
     lhs = float(np.sum(block_toeplitz(blocks) * T))
     rhs = float(np.sum(blocks * block_toeplitz_adjoint(T, p)))
     assert _close(lhs, rhs)
+
+
+@PROPERTY
+@given(specs())
+def test_coefficient_pieces_apply_adjoint_of_operator(drawn):
+    spec, rng, _, _ = drawn
+    x = random_decision(rng, spec)
+    want = apply_adjoint(apply_operator(x, spec), spec)
+    got = SweepFactorization.from_spec(spec).apply_M(x)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
