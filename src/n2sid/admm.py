@@ -134,7 +134,6 @@ class SolveResult:
     iterations: int
     primal_res: float
     dual_res: float
-    objective: float
     converged: bool
     y_dual: np.ndarray
 
@@ -284,7 +283,6 @@ def solve(
         iterations=iterations,
         primal_res=pri,
         dual_res=dual,
-        objective=objective_value(spec, y, lam, X),
         converged=converged,
         y_dual=Y,
     )

@@ -57,8 +57,7 @@ def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
     adj(Z - Y/rho) for the right-hand side, adj(Z - Z_new) for the dual
     residual and adj(Y) for its tolerance are applied afresh every
     iteration, and svt is an SVD of the full Z.  Same start, penalty
-    steps and stopping rule as n2sid.admm.solve; the objective is left
-    as nan.
+    steps and stopping rule as n2sid.admm.solve.
     """
     N, p, d = spec.N, spec.p, spec.block_dim
     y = np.asarray(y, dtype=float).reshape(N, p)
@@ -102,7 +101,7 @@ def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
             solver = _XSolver(fact, weight, rho)
     return SolveResult(
         x=X, Z=Z, iterations=it, primal_res=pri, dual_res=dual,
-        objective=math.nan, converged=converged, y_dual=Y,
+        converged=converged, y_dual=Y,
     )
 
 
@@ -125,6 +124,17 @@ def naive_observer_predict(Aobs, Bobs, C, D, K, u, y, x0):
         out.append(C @ x + D @ u[k])
         x = Aobs @ x + Bobs @ u[k] + K @ y[k]
     return np.array(out)
+
+
+def naive_state_response(A, C, x0, steps, drive=None):
+    """Outputs C x(k), k < steps, and the state x(steps) of x(k+1) = A x(k) + drive[k], one step at a time."""
+    A, C = np.atleast_2d(A), np.atleast_2d(C)
+    x = np.array(x0, dtype=float)
+    out = np.empty((steps, C.shape[0]) + x.shape[1:])
+    for k in range(steps):
+        out[k] = C @ x
+        x = A @ x if drive is None else A @ x + drive[k]
+    return out, x
 
 
 def naive_states(A, B, u, x0):

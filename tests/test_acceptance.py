@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from n2sid.admm import AdmmParams, solve
+from n2sid.admm import AdmmParams, objective_value, solve
 from n2sid.extraction import select_order
 from n2sid.model import IoRecord, generate_innovation_data, simulate
 from n2sid.pipeline import PipelineConfig, evaluate, identify, identify_output_only
@@ -105,7 +105,9 @@ def test_criterion_04_admm_vs_reference():
         lam = N * 10.0 ** rng.uniform(-1.5, 3.0)
         res = solve(spec, y, lam)
         ref = solve(spec, y, lam, ref_params)
-        gap = abs(res.objective - ref.objective) / (1.0 + abs(ref.objective))
+        res_obj = objective_value(spec, y, lam, res.x)
+        ref_obj = objective_value(spec, y, lam, ref.x)
+        gap = abs(res_obj - ref_obj) / (1.0 + abs(ref_obj))
         gaps.append(gap)
         if gap <= 1e-4 and res.converged and res.iterations <= 200:
             ok += 1
@@ -123,7 +125,8 @@ def test_criterion_05_lambda_extremes():
     spec = OperatorSpec.from_data(rec.u, rec.y, s=8)
 
     res0 = solve(spec, rec.y, 0.0)
-    assert res0.objective <= 1e-6
+    obj0 = objective_value(spec, rec.y, 0.0, res0.x)
+    assert obj0 <= 1e-6
 
     lam = 1e9 * spec.N
     res_inf = solve(spec, rec.y, lam)
@@ -131,7 +134,7 @@ def test_criterion_05_lambda_extremes():
     assert rel <= 1e-4
     sv = np.linalg.svd(res_inf.Z, compute_uv=False)
     assert int(np.sum(sv > 1e-6 * sv[0])) <= 2
-    _report(5, f"lambda=0 objective {res0.objective:.2e}; lambda=1e9*N fit {rel:.2e}, rank {int(np.sum(sv > 1e-6 * sv[0]))}")
+    _report(5, f"lambda=0 objective {obj0:.2e}; lambda=1e9*N fit {rel:.2e}, rank {int(np.sum(sv > 1e-6 * sv[0]))}")
 
 
 @pytest.fixture(scope="module")
@@ -161,11 +164,13 @@ def test_criterion_06_end_to_end_recovery(noise_free_problem):
     # 20 dB output SNR: noise std is a tenth of the clean output std
     noise_std = float(simulate(model, u_ide).std()) / 10.0
     good = 0
-    for seed in range(10):
-        noisy = generate_innovation_data(model, u_ide, noise_std=noise_std, seed=seed)
-        rep_n = identify(noisy, cfg)
-        if evaluate(rep_n.best, val) >= 90.0:
-            good += 1
+    # some noisy records leave the (B, D, x0) fit rank-deficient at high-order grid points
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        for seed in range(10):
+            noisy = generate_innovation_data(model, u_ide, noise_std=noise_std, seed=seed)
+            rep_n = identify(noisy, cfg)
+            if evaluate(rep_n.best, val) >= 90.0:
+                good += 1
     elapsed = time.perf_counter() - t0
     assert good >= 8
     assert elapsed < 120.0
@@ -224,13 +229,15 @@ def test_criterion_09_protocol_fidelity(tmp_path):
     report_path = tmp_path / "report.json"
     sv_path = tmp_path / "sv.csv"
     vaf_path = tmp_path / "vaf.csv"
-    code = main([
-        "identify", "--data", str(data_path), "--inputs", "1", "--outputs", "1",
-        "--s", "15", "--lambda-min", "0.0316227766", "--lambda-max", "1000",
-        "--grid", "20", "--del", "120", "--detrend",
-        "--n-ide-list", "80,120,150", "--n-val", "300",
-        "--report", str(report_path), "--sv-csv", str(sv_path), "--vaf-csv", str(vaf_path),
-    ])
+    # high-order grid points of the short records leave the (B, D, x0) fit rank-deficient
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        code = main([
+            "identify", "--data", str(data_path), "--inputs", "1", "--outputs", "1",
+            "--s", "15", "--lambda-min", "0.0316227766", "--lambda-max", "1000",
+            "--grid", "20", "--del", "120", "--detrend",
+            "--n-ide-list", "80,120,150", "--n-val", "300",
+            "--report", str(report_path), "--sv-csv", str(sv_path), "--vaf-csv", str(vaf_path),
+        ])
     assert code == 0
     report = json.loads(report_path.read_text())
     assert report["config"]["s"] == 15
@@ -256,7 +263,9 @@ def test_criterion_10_output_only_equivalence():
     rec = generate_innovation_data(model, np.zeros((120, 0)), noise_std=1.0, seed=1100)
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=10)
     rep_oo = identify_output_only(rec.y, cfg)
-    rep_zero = identify(IoRecord(u=np.zeros((120, 1)), y=rec.y), cfg)
+    # a zero input column makes the (B, D) part of the data fit rank-deficient
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        rep_zero = identify(IoRecord(u=np.zeros((120, 1)), y=rec.y), cfg)
     ok = np.isfinite(rep_oo.j_values) & np.isfinite(rep_zero.j_values)
     assert np.array_equal(np.isfinite(rep_oo.j_values), np.isfinite(rep_zero.j_values))
     assert np.any(ok)

@@ -1,18 +1,25 @@
-"""Property tests of the recursions built on model.state_response.
+"""Property tests of model.state_response and the recursions built on it.
 
-Each caller of the shared kernel is checked against an independent
+The kernel evaluates the recursion a window of WINDOW samples at a time,
+so its records span several windows and a ragged tail.  It is checked
+on and around the window edges, across a split of the record, and for
+its overflow contract; each caller is checked against an independent
 oracle: the per-sample recursions in helpers.py, explicit matrix powers,
 or the noise-free data its fit must reproduce.  Examples are drawn
 deterministically so the suite gives the same result on every run.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from n2sid.errors import SimulationOverflowError
 from n2sid.extraction import estimate_BDx0
 from n2sid.model import (
+    WINDOW,
     IoRecord,
     ObserverModel,
     StateSpaceModel,
@@ -20,23 +27,36 @@ from n2sid.model import (
     markov_parameters,
     predict_observer,
     simulate,
+    state_response,
 )
 
-from helpers import naive_observer_predict, naive_simulate
+from helpers import naive_observer_predict, naive_simulate, naive_state_response
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
-# (n, m, p, N, seed)
+# (n, m, p, N, seed); N spans several windows plus a ragged tail
 SHAPES = st.tuples(
-    st.integers(1, 4), st.integers(0, 2), st.integers(1, 2), st.integers(1, 40),
+    st.integers(1, 4), st.integers(0, 2), st.integers(1, 2), st.integers(1, 3 * WINDOW + 5),
     st.integers(0, 2**32 - 1),
 )
+EDGE_STEPS = [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5]
 
 
 def stable(rng, n, radius):
     """Random n x n matrix scaled down, if needed, to the given spectral radius."""
     A = rng.standard_normal((n, n))
     return A * (radius / max(radius, np.max(np.abs(np.linalg.eigvals(A)))))
+
+
+def kernel_case(seed, n, p, steps, q, driven):
+    """Stable A, C, a start of shape (n,) or (n, q) and, if driven, a matching drive."""
+    rng = np.random.default_rng(seed)
+    A = stable(rng, n, 0.95)
+    C = rng.standard_normal((p, n))
+    cols = () if q is None else (q,)
+    x0 = rng.standard_normal((n,) + cols)
+    drive = rng.standard_normal((steps, n) + cols) if driven else None
+    return A, C, x0, drive
 
 
 def random_system(n, m, p, seed):
@@ -115,3 +135,93 @@ def test_estimate_BDx0_predictor_reproduces_noise_free_data(shapes):
     Bobs, D, x0 = estimate_BDx0(Aobs, model.C, model.K, rec)
     yhat = predict_observer(ObserverModel(Aobs, Bobs, model.C, D, model.K), rec, x0)
     np.testing.assert_allclose(yhat, rec.y, rtol=0, atol=1e-7 * (1 + np.max(np.abs(rec.y))))
+
+
+# ---------------------------------------------------------------------------
+# the windowed kernel itself
+
+
+@pytest.mark.parametrize("q", [None, 0, 3], ids=["vector-start", "no-columns", "stacked-start"])
+@pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+@pytest.mark.parametrize("steps", EDGE_STEPS)
+def test_state_response_on_window_edges_matches_naive_recursion(steps, driven, q):
+    for n, p in ((1, 1), (3, 2)):
+        A, C, x0, drive = kernel_case(steps + 10 * n, n, p, steps, q, driven)
+        want, _ = naive_state_response(A, C, x0, steps, drive)
+        got = state_response(A, C, x0, steps, drive)
+        assert got.shape == want.shape == (steps, p) + np.shape(x0)[1:]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(
+    st.integers(1, 4), st.integers(1, 2), st.integers(0, 3 * WINDOW + 5),
+    st.one_of(st.sampled_from([WINDOW * j + e for j in range(4) for e in (-1, 0, 1)]),
+              st.integers(0, 3 * WINDOW + 5)),
+    st.sampled_from([None, 2]), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_state_response_is_consistent_across_a_split(n, p, steps, k, q, driven, seed):
+    """k steps, then steps - k from the state at k, equal one call over all steps."""
+    k = min(max(k, 0), steps)
+    A, C, x0, drive = kernel_case(seed, n, p, steps, q, driven)
+    head = None if drive is None else drive[:k]
+    tail = None if drive is None else drive[k:]
+    _, x_k = naive_state_response(A, C, x0, k, head)
+    joined = np.concatenate(
+        [state_response(A, C, x0, k, head), state_response(A, C, x_k, steps - k, tail)]
+    )
+    np.testing.assert_allclose(
+        state_response(A, C, x0, steps, drive), joined, rtol=1e-12, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+def test_state_response_overflow_raises_without_warnings(driven):
+    rng = np.random.default_rng(3)
+    growing = stable(rng, 3, 1.2)
+    growing *= 1.2 / np.max(np.abs(np.linalg.eigvals(growing)))
+    cases = [
+        (np.array([[3.0]]), np.ones((1, 1)), np.ones(1), 2000),
+        # 1.2^k leaves float range from k of about 3900 on
+        (growing, rng.standard_normal((2, 3)), rng.standard_normal(3), 4000),
+        # only the state after the last sample leaves float range, in a full window ...
+        (np.array([[1e200]]), np.ones((1, 1)), np.array([1e200]), 1),
+        # ... and in the ragged tail
+        (np.array([[2.0]]), np.ones((1, 1)), np.array([1e308 / 2.0**WINDOW]), WINDOW + 1),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, C, x0, steps in cases:
+            drive = rng.standard_normal((steps, A.shape[0])) if driven else None
+            with pytest.raises(SimulationOverflowError):
+                state_response(A, C, x0, steps, drive)
+
+
+def test_state_response_large_finite_response_does_not_raise():
+    """A stable response near the top of float range over many windows stays finite."""
+    angle = 0.3
+    A = 0.9 * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    C = np.array([[1.0, 0.5]])
+    steps = 10 * WINDOW + 7
+    x0 = np.array([1e305, -1e305])
+    drive = 1e304 * np.random.default_rng(4).uniform(-1.0, 1.0, (steps, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = state_response(A, C, x0, steps, drive)
+    want, _ = naive_state_response(A, C, x0, steps, drive)
+    assert np.max(np.abs(got)) > 1e304
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+def test_state_response_final_state_just_inside_float_range_does_not_raise(driven):
+    """x(steps) = 2^(L+1) x0 is finite, but a full window past the tail's start would not be."""
+    steps = WINDOW + 1
+    x0 = np.array([1e308 / 2.0 ** (WINDOW + 1)])
+    drive = np.ones((steps, 1)) if driven else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = state_response(np.array([[2.0]]), np.ones((1, 1)), x0, steps, drive)
+    want, x_final = naive_state_response(np.array([[2.0]]), np.ones((1, 1)), x0, steps, drive)
+    assert np.isfinite(x_final).all()
+    np.testing.assert_allclose(got, want, rtol=1e-12)
