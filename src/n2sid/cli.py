@@ -74,6 +74,8 @@ def write_csv(path: str, u: np.ndarray, y: np.ndarray) -> None:
 
 
 def read_csv(path: str, m: int, p: int) -> IoRecord:
+    if m < 0 or p < 1:
+        raise UsageError(f"need m >= 0 inputs and p >= 1 outputs, got m={m}, p={p}")
     if not os.path.exists(path):
         raise UsageError(f"data file not found: {path}")
     with open(path, newline="") as fh:
@@ -135,15 +137,22 @@ def _model_from_json(obj: dict) -> StateSpaceModel:
         raise UsageError(f"bad model specification: {exc}") from None
 
 
-def load_model_file(path: str) -> StateSpaceModel:
-    """Accepts either a bare model JSON or a full report (with a "model" key)."""
+def _read_json_object(path: str, what: str) -> dict:
     if not os.path.exists(path):
-        raise UsageError(f"model file not found: {path}")
+        raise UsageError(f"{what} file not found: {path}")
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def load_model_file(path: str) -> StateSpaceModel:
+    """Accepts either a bare model JSON or a full report (with a "model" key)."""
+    obj = _read_json_object(path, "model")
     if "model" in obj:
         obj = obj["model"]
     return _model_from_json(obj)
@@ -213,13 +222,15 @@ def _per_output_vaf(model, val: IoRecord, x0_policy: str) -> list[float]:
 def cmd_identify(args) -> int:
     if args.discard < 0:
         raise UsageError(f"--del must be nonnegative, got {args.discard}")
+    if args.vaf_csv and args.n_val is None:
+        raise UsageError("--vaf-csv requires --n-val")
     rec = read_csv(args.data, args.inputs, args.outputs)
     if args.n_ide_list:
         try:
             n_ide_list = [int(v) for v in args.n_ide_list.split(",")]
         except ValueError:
             raise UsageError("--n-ide-list must be comma-separated integers") from None
-    elif args.n_ide:
+    elif args.n_ide is not None:
         n_ide_list = [args.n_ide]
     else:
         n_ide_list = [rec.N - args.discard if args.n_val is None else rec.N - args.discard - args.n_val]
@@ -261,7 +272,6 @@ def cmd_identify(args) -> int:
             vaf_agg = evaluate(run.best, val_rec, x0_policy)
             vaf_per = _per_output_vaf(run.best.model, val_rec, x0_policy)
             vaf_rows.append((n_ide, vaf_agg))
-            run.vaf_validation = vaf_agg
         report = run
         order_msg = f"order={run.best.order} lambda_opt={run.lambda_opt:.6g}"
         vaf_msg = "" if vaf_agg is None else f" vaf={vaf_agg:.4f}"
@@ -281,8 +291,6 @@ def cmd_identify(args) -> int:
         _atomic_write(args.sv_csv, "\n".join(lines) + "\n")
         print(f"singular values written to {args.sv_csv}")
     if args.vaf_csv:
-        if not vaf_rows:
-            raise UsageError("--vaf-csv requires --n-val (and data for a validation slice)")
         lines = ["n_ide,vaf"] + [f"{n},{repr(float(v))}" for n, v in vaf_rows]
         _atomic_write(args.vaf_csv, "\n".join(lines) + "\n")
         print(f"VAF curve written to {args.vaf_csv}")
@@ -327,13 +335,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not os.path.exists(args.report):
-        raise UsageError(f"report file not found: {args.report}")
-    with open(args.report) as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.report}: invalid JSON: {exc}") from None
+    report = _read_json_object(args.report, "report")
     if "model" not in report:
         raise UsageError(f"{args.report}: no model section")
     model = _model_from_json(report["model"])

@@ -4,15 +4,14 @@ Given the low-rank matrix produced by the solver, extraction runs an
 SVD, picks the model order from the singular-value spectrum, and builds
 the quintuple (A, B, C, D, K) by one of three procedures:
 
-* m1: shift-invariance of the left singular vectors gives (Aobs, C);
-  the solved output Markov blocks give K by least squares; then
-  (Bobs, D) and the initial state are fit to the observer's one-step
-  prediction error on the identification record.
+* m3: shift-invariance of the left singular vectors gives (Aobs, C);
+  one fit of C Aobs^(k-1) [Bobs, K] to the solved Markov blocks gives
+  (Bobs, K), and D is the lag-0 input block.
+* m1: K from the same fit; (Bobs, D) and the initial state are fit to
+  the observer's one-step prediction error on the identification record.
 * m2: the right singular vectors are taken as a state-sequence estimate
   and every matrix follows from two linear regressions on the observer
   equations.
-* m3: (Aobs, C, K) as in m1; (Bobs, D) matched to the solved input
-  Markov blocks instead of the data record.
 
 The solved Markov blocks are read from the solver's output stack by
 ``structured_ops.toeplitz_estimates``: an (s, p, m + p) array whose lag-k
@@ -25,14 +24,14 @@ Every regressor of the data fits is a response of the observer to a
 fixed drive, computed by ``model.state_response``: the observability
 rows C Aobs^k are its free response from the identity, and the
 sensitivities to K y, to each entry of Bobs and to x0 are stacked
-responses of one loop.  ``fit_x0`` is the initial-state fit shared with
-the pipeline's scoring.
+responses of one loop.  ``fit_x0``, the initial-state fit shared with
+the pipeline's scoring, also returns the fitted free response.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +45,6 @@ __all__ = [
     "lowrank_svd",
     "select_order",
     "estimate_AC",
-    "estimate_K",
     "estimate_BDx0",
     "fit_x0",
     "compute_m1",
@@ -141,25 +139,14 @@ def estimate_AC(U_nhat: np.ndarray, s: int, p: int) -> tuple[np.ndarray, np.ndar
     return Aobs, C
 
 
-def estimate_K(Aobs: np.ndarray, C: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Gain K fitted to the solved output Markov blocks (the last p columns of ``blocks``).
-
-    Minimizes the stacked Frobenius mismatch of C Aobs^(k-1) K against
-    the lag-k block w_k for k = 1..s-1.
-    """
-    p = C.shape[0]
-    G = _observability(Aobs, C, blocks.shape[0] - 1)
-    return _lstsq(G, blocks[1:, :, -p:].reshape(-1, p), "gain fit")
-
-
 def _observability(A: np.ndarray, C: np.ndarray, rows: int) -> np.ndarray:
     """Stacked blocks C A^k for k < rows, shape (rows * p, n)."""
     n = np.atleast_2d(A).shape[0]
     return state_response(A, C, np.eye(n), rows).reshape(-1, n)
 
 
-def fit_x0(A: np.ndarray, C: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """Initial state whose free response C A^k x0 best fits ``residual`` (N x p).
+def fit_x0(A: np.ndarray, C: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x0 whose free response C A^k x0 best fits ``residual`` (N x p), and that response.
 
     Rank deficiency is not reported: the minimum-norm solution is used,
     and a direction the outputs cannot see does not change the fit.
@@ -167,7 +154,11 @@ def fit_x0(A: np.ndarray, C: np.ndarray, residual: np.ndarray) -> np.ndarray:
     residual = np.asarray(residual, dtype=float)
     rows = _observability(A, C, residual.shape[0])
     _require_finite("initial-state fit", residual)
-    return np.linalg.lstsq(rows, residual.reshape(-1), rcond=_LSTSQ_RCOND)[0]
+    x0 = np.linalg.lstsq(rows, residual.reshape(-1), rcond=_LSTSQ_RCOND)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = (rows @ x0).reshape(residual.shape)
+    _require_finite("initial-state response", fitted)
+    return x0, fitted
 
 
 def estimate_BDx0(
@@ -179,8 +170,6 @@ def estimate_BDx0(
     response to K y(k), plus one response per entry of Bobs (drive
     u_j(k) e_i), per entry of D and per entry of x0.
     """
-    if rec.N < 1:
-        raise ValueError("record is empty")
     Aobs, C, K = np.atleast_2d(Aobs), np.atleast_2d(C), np.atleast_2d(K)
     n, p, m, N = Aobs.shape[0], C.shape[0], rec.m, rec.N
     # column 0 is driven by K y(k), column 1 + j*n + i by u_j(k) e_i (entry Bobs[i, j])
@@ -212,6 +201,18 @@ def _finish(obs: ObserverModel, order, lam, sigma, variant, x0) -> IdentifiedMod
     )
 
 
+def _markov_fit(svd: SubspaceSvd, blocks: np.ndarray, nhat: int) -> ObserverModel:
+    """(Aobs, C) by shift invariance, C Aobs^(k-1) [Bobs, K] fit to [v_k, w_k] (k >= 1), D = v_0."""
+    if nhat < 1:
+        raise ValueError("order must be >= 1")
+    s, p, width = blocks.shape
+    m = width - p
+    Aobs, C = estimate_AC(svd.U[:, :nhat], s, p)
+    target = blocks[1:].reshape(-1, width)
+    BK = _lstsq(_observability(Aobs, C, s - 1), target, "gain and input-Toeplitz fit")
+    return ObserverModel(Aobs, BK[:, :m], C, blocks[0, :, :m].copy(), BK[:, m:])
+
+
 def compute_m1(
     svd: SubspaceSvd,
     blocks: np.ndarray,
@@ -219,14 +220,10 @@ def compute_m1(
     nhat: int,
     lam: float = float("nan"),
 ) -> IdentifiedModel:
-    """Shift-invariance for (Aobs, C), Markov-block fit for K, data fit for (Bobs, D, x0)."""
-    if nhat < 1:
-        raise ValueError("order must be >= 1")
-    s = svd.U.shape[0] // rec.p
-    Aobs, C = estimate_AC(svd.U[:, :nhat], s, rec.p)
-    K = estimate_K(Aobs, C, blocks)
-    Bobs, D, x0 = estimate_BDx0(Aobs, C, K, rec)
-    return _finish(ObserverModel(Aobs, Bobs, C, D, K), nhat, lam, svd.sigma, "m1", x0)
+    """K from the Markov-block fit, then (Bobs, D, x0) refit to the data."""
+    obs = _markov_fit(svd, blocks, nhat)
+    Bobs, D, x0 = estimate_BDx0(obs.Aobs, obs.C, obs.K, rec)
+    return _finish(replace(obs, Bobs=Bobs, D=D), nhat, lam, svd.sigma, "m1", x0)
 
 
 def compute_m2(
@@ -267,15 +264,7 @@ def compute_m3(
     nhat: int,
     lam: float = float("nan"),
 ) -> IdentifiedModel:
-    """As m1 but (Bobs, D) matched to the solved input Markov blocks."""
-    if nhat < 1:
-        raise ValueError("order must be >= 1")
-    s = svd.U.shape[0] // rec.p
-    Aobs, C = estimate_AC(svd.U[:, :nhat], s, rec.p)
-    m = rec.m
-    # C Aobs^(k-1) [Bobs, K] against the lag-k blocks [v_k, w_k], k = 1..s-1
-    target = blocks[1:].reshape(-1, blocks.shape[2])
-    BK = _lstsq(_observability(Aobs, C, s - 1), target, "gain and input-Toeplitz fit")
-    obs = ObserverModel(Aobs, BK[:, :m], C, blocks[0, :, :m].copy(), BK[:, m:])
-    x0 = fit_x0(Aobs, C, rec.y - predict_observer(obs, rec))
+    """The Markov-block fit's observer, with x0 fit to its prediction error."""
+    obs = _markov_fit(svd, blocks, nhat)
+    x0, _ = fit_x0(obs.Aobs, obs.C, rec.y - predict_observer(obs, rec))
     return _finish(obs, nhat, lam, svd.sigma, "m3", x0)

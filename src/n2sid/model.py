@@ -53,13 +53,6 @@ __all__ = [
 WINDOW = 32
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Innovation-form quintuple (A, B, C, D, K).
@@ -75,7 +68,7 @@ class StateSpaceModel:
     K: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, name="A")
+        A = np.atleast_2d(np.asarray(self.A, dtype=float))
         n = A.shape[0]
         if A.shape[1] != n:
             raise ValueError(f"A must be square, got {A.shape}")

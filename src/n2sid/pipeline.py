@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -101,7 +100,6 @@ class PipelineReport:
     sigma_per_lambda: list
     failures: list
     timings: dict
-    vaf_validation: float | None = None
 
 
 def preprocess(rec: IoRecord, cfg: PipelineConfig) -> tuple[IoRecord, np.ndarray]:
@@ -138,16 +136,18 @@ def _has_excitation(rec: IoRecord) -> bool:
 
 
 def _predict(model, rec: IoRecord, x0_policy: str) -> np.ndarray:
-    """Deterministic prediction used for both J scoring and validation VAF."""
+    """Deterministic prediction used for both J scoring and validation VAF.
+
+    It is linear in x0: a fitted x0 adds its free response to the zero-state prediction.
+    """
     if _has_excitation(rec):
-        A, run = model.A, partial(simulate, model, rec.u)
+        A, yhat = model.A, simulate(model, rec.u)
     else:
         obs = to_observer(model)
-        A, run = obs.Aobs, partial(predict_observer, obs, rec)
-    yhat = run(np.zeros(model.n))
+        A, yhat = obs.Aobs, predict_observer(obs, rec)
     if x0_policy == "zero":
         return yhat
-    return run(fit_x0(A, model.C, rec.y - yhat))
+    return yhat + fit_x0(A, model.C, rec.y - yhat)[1]
 
 
 def evaluate(identified, val: IoRecord, x0_policy: str = "ls_estimate") -> float:

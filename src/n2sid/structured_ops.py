@@ -114,6 +114,8 @@ class OperatorSpec:
             y = y[:, None]
         if u.shape[0] != y.shape[0]:
             raise ValueError("u and y must have the same number of samples")
+        if y.shape[1] < 1:
+            raise ValueError("need at least one output channel")
         if self.s < 2:
             raise ValueError("window s must be at least 2")
         if y.shape[0] <= self.s:

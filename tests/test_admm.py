@@ -420,6 +420,27 @@ def test_sweep_point_is_solve_warm_started_from_previous_point():
         warm = want
 
 
+@pytest.mark.parametrize("error", [SolverError, np.linalg.LinAlgError])
+def test_sweep_maps_a_failed_point_to_none_and_warm_starts_past_it(monkeypatch, error):
+    spec, y, _ = random_data_problem(15)
+    grid = spec.N * np.logspace(-1.5, 3, 3)
+    fact = SweepFactorization.from_spec(spec)
+
+    def failing_at_the_middle_point(spec_, y_, lam, *args, **kwargs):
+        if lam == grid[1]:
+            raise error("forced failure")
+        return solve(spec_, y_, lam, *args, **kwargs)
+
+    monkeypatch.setattr(n2sid.admm, "solve", failing_at_the_middle_point)
+    swept = sweep(spec, y, grid, fact=fact)
+    assert swept[1] is None
+    # the point after the failure is warm-started from the last successful result
+    want = solve(spec, y, grid[2], fact=fact, warm=swept[0])
+    assert swept[2].iterations == want.iterations
+    for name in ("x", "Z", "y_dual"):
+        assert np.array_equal(getattr(swept[2], name), getattr(want, name))
+
+
 def test_sweep_warm_start_consistency():
     spec, y, _ = random_data_problem(15)
     grid = spec.N * np.logspace(-1.5, 3, 6)

@@ -108,6 +108,22 @@ def _nan_cell_csv(tmp_path):
     return ["identify", "--data", str(path), "--inputs", "1", "--outputs", "1", "--s", "6"]
 
 
+def _text_file(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return str(path)
+
+
+def _identify(tmp, *flags, data=None):
+    data = data or make_data_file(tmp / "d.csv", n=200)
+    return ["identify", "--data", data, "--inputs", "1", "--outputs", "1", *flags]
+
+
+def _validate(tmp, report_text):
+    report = _text_file(tmp, "report.json", report_text)
+    return ["validate", "--report", report, "--data", make_data_file(tmp / "d.csv", n=60)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -138,10 +154,33 @@ def _nan_cell_csv(tmp_path):
             "simulate", "--example", "order2", "--n", "50", "--noise-std", "inf",
             "--out", str(tmp / "x.csv"),
         ],
+        lambda tmp: _identify(tmp, "--outputs", "0"),
+        lambda tmp: _identify(tmp, "--inputs", "-1"),
+        lambda tmp: [
+            "simulate", "--model", _text_file(tmp, "m.json", "5"), "--n", "10",
+            "--out", str(tmp / "x.csv"),
+        ],
+        lambda tmp: _validate(tmp, "5"),
+        lambda tmp: _identify(tmp, "--n-ide", "0"),
+        lambda tmp: _identify(
+            tmp, "--s", "6", "--grid", "3", "--vaf-csv", str(tmp / "v.csv"),
+            "--report", str(tmp / "r.json"),
+        ),
+        lambda tmp: _identify(tmp, data=_text_file(tmp, "e.csv", "")),
+        lambda tmp: _identify(tmp, data=_text_file(tmp, "h.csv", "u1,y1\n")),
+        lambda tmp: _identify(tmp, data=_text_file(tmp, "t.csv", "u1,y1\n1.0,abc\n")),
+        lambda tmp: _identify(tmp, "--order", "abc"),
+        lambda tmp: _identify(tmp, "--n-ide-list", "1,x"),
+        lambda tmp: ["simulate", "--example", "order3", "--n", "10", "--out", str(tmp / "x.csv")],
+        lambda tmp: _validate(tmp, '{"order": 2}'),
+        lambda tmp: _validate(tmp, "{not json"),
     ],
     ids=[
         "negative-n", "s-beyond-record", "nan-cell", "lambda-max-inf", "lambda-max-overflow",
-        "negative-del", "noise-std-nan", "noise-std-inf",
+        "negative-del", "noise-std-nan", "noise-std-inf", "zero-outputs", "negative-inputs",
+        "model-json-not-object", "report-json-not-object", "n-ide-zero", "vaf-csv-without-n-val",
+        "empty-data-file", "header-only-data-file", "non-numeric-cell", "order-not-integer",
+        "n-ide-list-not-integers", "unknown-example", "report-without-model", "invalid-json",
     ],
 )
 def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -154,6 +193,8 @@ def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    # an error leaves no report behind (the --vaf-csv case asks for one)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_identify_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

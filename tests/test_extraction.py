@@ -5,12 +5,12 @@ import pytest
 
 from n2sid.extraction import (
     SubspaceSvd,
+    _markov_fit,
     compute_m1,
     compute_m2,
     compute_m3,
     estimate_AC,
     estimate_BDx0,
-    estimate_K,
     lowrank_svd,
     select_order,
 )
@@ -175,7 +175,14 @@ def test_estimate_ac_rejects_large_order():
         estimate_AC(np.ones((6, 5)), s=3, p=2)
 
 
-def test_estimate_k_recovers_true_gain():
+def markov_fit_gain(Aobs, C, blocks):
+    """K of the shared Markov-block fit, given U spanning the observability rows of (Aobs, C)."""
+    U = observability(Aobs, C, blocks.shape[0])
+    n = U.shape[1]
+    return _markov_fit(SubspaceSvd(U=U, sigma=np.ones(n), Vt=np.zeros((n, 0))), blocks, n).K
+
+
+def test_markov_fit_recovers_true_gain():
     model = make_siso_order2()
     obs = to_observer(model)
     s = 6
@@ -186,20 +193,20 @@ def test_estimate_k_recovers_true_gain():
             Ty[r, c] = mk_y[r - c][0, 0]
     blocks = np.zeros((s, 1, 2))
     blocks[:, :, 1] = Ty[:, :1]  # T_y's first block column holds its Markov blocks
-    K = estimate_K(obs.Aobs, obs.C, blocks)
+    K = markov_fit_gain(obs.Aobs, obs.C, blocks)
     np.testing.assert_allclose(K, obs.K, atol=1e-8)
 
 
-def test_estimate_k_zero_target():
+def test_markov_fit_zero_target():
     model = make_siso_order2()
     obs = to_observer(model)
-    assert np.all(estimate_K(obs.Aobs, obs.C, np.zeros((5, 1, 2))) == 0.0)
+    assert np.all(markov_fit_gain(obs.Aobs, obs.C, np.zeros((5, 1, 2))) == 0.0)
 
 
-def test_estimate_k_scalar_consistent_system():
+def test_markov_fit_scalar_consistent_system():
     # lags 0..2 of [T_u, T_y]: T_y = [[0, 0, 0], [0.8, 0, 0], [0.4, 0.8, 0]]
     blocks = np.array([[[0.0, 0.0]], [[0.0, 0.8]], [[0.0, 0.4]]])
-    K = estimate_K(np.array([[0.5]]), np.array([[1.0]]), blocks)
+    K = markov_fit_gain(np.array([[0.5]]), np.array([[1.0]]), blocks)
     assert K[0, 0] == pytest.approx(0.8)
 
 

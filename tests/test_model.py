@@ -52,6 +52,22 @@ def test_observer_round_trip():
     np.testing.assert_allclose(back.B, model.B, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "K"])
+def test_state_space_model_rejects_a_non_finite_entry(name, bad):
+    mats = {
+        "A": [[0.5, 0.1], [0.0, 0.3]],
+        "B": [[1.0], [0.5]],
+        "C": [[1.0, -1.0]],
+        "D": [[0.2]],
+        "K": [[0.4], [0.1]],
+    }
+    mats[name] = np.array(mats[name])
+    mats[name][-1, -1] = bad
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+        StateSpaceModel(**mats)
+
+
 def test_simulate_hand_recursion():
     model = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]], K=[[0.0]])
     yhat = simulate(model, np.array([[1.0], [0.0], [0.0]]), x0=[0.0])

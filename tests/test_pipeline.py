@@ -5,7 +5,16 @@ import pytest
 
 import n2sid.pipeline as pipeline_mod
 from n2sid.errors import SolverError
-from n2sid.model import IoRecord, StateSpaceModel, generate_innovation_data, simulate, vaf
+from n2sid.extraction import fit_x0
+from n2sid.model import (
+    IoRecord,
+    StateSpaceModel,
+    generate_innovation_data,
+    predict_observer,
+    simulate,
+    to_observer,
+    vaf,
+)
 from n2sid.pipeline import (
     PipelineConfig,
     evaluate,
@@ -313,6 +322,27 @@ def test_evaluate_matches_vaf_delegation():
     got = evaluate(rep.best, val, x0_policy="zero")
     yhat = simulate(rep.best.model, val.u, np.zeros(rep.best.model.n))
     assert got == vaf(val.y, yhat)
+
+
+def test_ls_prediction_is_the_recursion_from_the_fitted_x0():
+    model = make_siso_order2()
+    rng = np.random.default_rng(16)
+    rec = generate_innovation_data(
+        model, prbs(rng, 90, 1), x0=rng.standard_normal(2), noise_std=0.1, seed=17
+    )
+    x0, fitted = fit_x0(model.A, model.C, rec.y - simulate(model, rec.u))
+    assert fitted.shape == rec.y.shape
+    got = pipeline_mod._predict(model, rec, "ls_estimate")
+    np.testing.assert_allclose(got, simulate(model, rec.u, x0), rtol=1e-12, atol=1e-12)
+    # no input: the observer predictor is scored
+    out_only = StateSpaceModel(
+        A=model.A, B=np.zeros((2, 0)), C=model.C, D=np.zeros((1, 0)), K=model.K
+    )
+    y_only = IoRecord(u=np.zeros((90, 0)), y=rec.y)
+    obs = to_observer(out_only)
+    x0, _ = fit_x0(obs.Aobs, obs.C, rec.y - predict_observer(obs, y_only))
+    got = pipeline_mod._predict(out_only, y_only, "ls_estimate")
+    np.testing.assert_allclose(got, predict_observer(obs, y_only, x0), rtol=1e-12, atol=1e-12)
 
 
 def test_evaluate_dimension_mismatch():

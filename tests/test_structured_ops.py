@@ -257,6 +257,8 @@ def test_operator_spec_validation():
         OperatorSpec.from_data(np.ones((4, 1)), np.ones((4, 1)), s=4)
     with pytest.raises(ValueError, match="same number of samples"):
         OperatorSpec.from_data(np.ones((6, 1)), np.ones((5, 1)), s=2)
+    with pytest.raises(ValueError, match="output channel"):
+        OperatorSpec.from_data(np.ones((6, 1)), np.ones((6, 0)), s=2)
 
 
 def test_operator_rejects_misshapen_stack():
@@ -269,6 +271,11 @@ def test_operator_rejects_misshapen_stack():
             apply_operator(bad, spec)
     with pytest.raises(ValueError, match="expected"):
         toeplitz_estimates(good[:, 1:], spec)
+    Z = apply_operator(good, spec)
+    apply_adjoint(Z, spec)
+    for bad in (Z[:-1], Z[:, :-1], np.hstack([Z, Z[:, :1]]), Z.T, Z.ravel()):
+        with pytest.raises(ValueError, match="expected"):
+            apply_adjoint(bad, spec)
 
 
 # ---------------------------------------------------------------------------
