@@ -20,14 +20,15 @@ and Y; a sweep warm-starts each lambda from the last successful one.
 The X step solves (H + rho M) X_i = H a_i + rho adj(Z)_i - adj(Y)_i for
 every output row i, where M is the shared coefficient matrix.  Its yhat
 block is diagonal, so for each (lambda, rho) pair the solve eliminates
-that block and works with a Schur complement of side m*s + p*(s-1),
-independent of the record length.
+that block and works with a Schur complement of side r = m*s + p*(s-1),
+built in O(s r^2) from the interior Gram held by the factorization.
 
-The iteration keeps adj(Z) and adj(Y) as running arrays, so it applies
-the adjoint once per iteration, to the new Z: since adj(A(X)) = M X,
-the dual update is adj(Y) += rho (M X - adj(Z_new)), with M X formed
-from M's held pieces.  Z is (p*s) x (N - s + 1), always wide, so svt
-works on the small p*s x p*s Gram instead of an SVD of Z (see svt).
+Each iteration applies the adjoint once, to the new Z, and carries no
+running adj(Y): the X step's optimality condition gives adj(Y_new) =
+H (a - X) + rho (adj(Z) - adj(Z_new)) (Boyd et al., "Distributed
+optimization and statistical learning via ADMM", 2011, sec. 3.3), so
+M X is never formed.  Z is (p*s) x (N-s+1), always wide, so svt works on
+the small p*s x p*s Gram (see svt).
 """
 
 from __future__ import annotations
@@ -75,27 +76,26 @@ class AdmmParams:
 
 @dataclass(frozen=True)
 class SweepFactorization:
-    """Pieces of the shared coefficient matrix M (see build_M), reused across lambdas."""
+    """Pieces of M (see build_M), reused across lambdas, and the Gram ``inner`` of
+    the cross rows whose diag is min(s, ncols): all but the 2 (k - 1) ``edge`` rows."""
 
     spec: OperatorSpec
     diag: np.ndarray
     cross: np.ndarray
     small: np.ndarray
+    edge: np.ndarray
+    inner: np.ndarray
 
     @classmethod
     def from_spec(cls, spec: OperatorSpec) -> "SweepFactorization":
         diag, cross, small = build_M(spec)
-        return cls(spec=spec, diag=diag, cross=cross, small=small)
+        k = min(spec.s, spec.ncols)
+        interior = cross[diag == k]
+        return cls(spec, diag, cross, small, edge=np.flatnonzero(diag < k), inner=interior.T @ interior)
 
     def matches(self, spec: OperatorSpec) -> bool:
         """Same dimensions and the same record: M depends on the data, not only on its size."""
         return self.spec == spec and np.array_equal(self.spec.data, spec.data)
-
-    def apply_M(self, X: np.ndarray) -> np.ndarray:
-        """M X_i for every row of the (p, d) output stack X: adj(A(X)) without the operator."""
-        N = self.diag.shape[0]
-        yhat, t = X[:, :N], X[:, N:]
-        return np.hstack([yhat * self.diag + t @ self.cross.T, yhat @ self.cross + t @ self.small])
 
 
 class _XSolver:
@@ -104,12 +104,17 @@ class _XSolver:
     Eliminates the yhat block, diagonal and positive since diag >= 1, and
     pseudo-inverts the r x r Schur complement S by eigendecomposition; if a mode
     is cut (1e-12 relative), solves raise when their residual shows inconsistency.
+    S = rho small - rho^2 cross' diag(dinv) cross is built from the interior
+    rows' Gram, which share one dinv, plus the edge rows: O(s r^2), not O(N r^2).
     """
 
     def __init__(self, fact: SweepFactorization, weight: float, rho: float):
         self.cross, self.rho = fact.cross, rho
         self.dinv = 1.0 / (weight + rho * fact.diag)
-        self.S = rho * fact.small - rho**2 * (fact.cross.T * self.dinv) @ fact.cross
+        dinv_inner = 1.0 / (weight + rho * min(fact.spec.s, fact.spec.ncols))
+        rows = fact.cross[fact.edge]
+        gram = dinv_inner * fact.inner + (rows.T * self.dinv[fact.edge]) @ rows
+        self.S = rho * fact.small - rho**2 * gram
         evals, evecs = np.linalg.eigh(self.S)
         keep = np.abs(evals) > 1e-12 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
         self.cut = not keep.all()
@@ -206,9 +211,10 @@ def solve(
     The measured outputs y, (N, p) or (N,), and lam >= 0 fix the fit term.
     The iteration starts from Z = A(a) and Y = 0, or from the Z and Y of
     ``warm``, a previous result on the same spec; X needs no start.
-    adj(Z) and adj(Y) are applied once at the start and then carried as
-    running arrays, so each iteration applies the adjoint once, to the
-    new Z, and svt once.
+    adj(Z) and adj(Y) are applied once at the start; then each iteration
+    applies the adjoint once, to the new Z, and svt once.  adj(Y) is not
+    carried but rebuilt in closed form (see above), exact as long as the X
+    step is, which _XSolver checks when it cuts a mode.
     """
     lam = float(lam)
     y = _measured(spec, y, lam)
@@ -248,8 +254,9 @@ def solve(
         adjZnew = apply_adjoint(Znew, spec)
         Rmat = AX - Znew
         Y = Y + rho * Rmat
-        adjY = adjY + rho * (fact.apply_M(X) - adjZnew)
         Sdual = rho * (adjZ - adjZnew)
+        adjY = Sdual.copy()
+        adjY[:, :N] += Ha[:, :N] - weight * X[:, :N]
         Z, adjZ = Znew, adjZnew
 
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z)) and np.all(np.isfinite(Y))):

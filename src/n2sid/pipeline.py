@@ -184,7 +184,8 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     into two almost equal parts, the program is solved on the first and
     J is scored on the second (under the default split="none" both are
     the full preprocessed record).  Individual grid points may fail
-    without aborting the run; only an entirely failed grid raises.  The
+    without aborting the run, each failure recorded with its stage
+    (solve, extract or score); only an entirely failed grid raises.  The
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
     the program's scaled units.
@@ -218,11 +219,13 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         if res is None:
             failures.append({"lambda": float(lam), "stage": "solve", "message": "solver failed"})
             continue
+        stage = "extract"
         try:
             idm = _extract(res, spec, ide1, cfg, float(lam))
+            stage = "score"
             yhat = _predict(idm.model, ide2, cfg.x0_policy)
         except (ValueError, N2sidError, np.linalg.LinAlgError) as exc:
-            failures.append({"lambda": float(lam), "stage": "extract", "message": str(exc)})
+            failures.append({"lambda": float(lam), "stage": stage, "message": str(exc)})
             continue
         models[i] = idm
         orders[i] = idm.order

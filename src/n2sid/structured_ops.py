@@ -13,10 +13,10 @@ with ``data`` the frozen negated block-Hankel matrix of [u, y], the only
 copy of the record that the operator spec holds, and T(X) built by the
 one block-Toeplitz builder (T_y has a zero lag-0 block).  Its adjoint
 takes yhat from the antidiagonal sums of Z and the Toeplitz blocks from
-the block-diagonal sums of Z data'.  The module also assembles, by FFT,
-the coefficient matrix M of adj(A(.)) o A(.) on one output block from
-the channel rows of the same ``data``, kept as its diagonal, cross and
-small pieces, with its columns in the order of the stack.
+the block-diagonal sums of Z data'.  The module also assembles the
+coefficient matrix M of adj(A(.)) o A(.) on one output block, columns in
+the order of the stack: its diagonal in closed form, and its cross and
+small pieces by FFT from the channel rows of the same ``data``.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -211,20 +211,20 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     All p output blocks of the full coefficient matrix are identical, so
     a single block of side d = N + r, r = m*s + p*(s-1), is described.
-    Its yhat-yhat block is diagonal (the occupancy counts of the Hankel
-    pattern, all >= 1), so M is returned as three pieces and never as a
-    d x d array:
+    Its yhat-yhat block is diagonal, so M is returned as three pieces and
+    never as a d x d array:
 
         M = [[diag(diag), cross], [cross.T, small]]
 
-    with diag of shape (N,), cross (N, r) and small (r, r).  Every piece
-    is formed from Hadamard products of small DFT-domain factors: the
-    predicted-output coupling uses order-N transforms, the Toeplitz
-    couplings order 2s-1.  All m + p channels of ``spec.data`` are
-    transformed together over every lag 0..s-1 (one FFT for cross, one
-    Gram for small); one mask then drops the output channels' lag-0 rows
-    and columns, which are not decision variables.  Intermediates are
-    complex; each piece is the real part after checking that its
+    with diag of shape (N,), cross (N, r) and small (r, r).  diag is the
+    exact occupancy count of the Hankel pattern, min(t + 1, N - t, s,
+    ncols) for sample t.  cross and small are Hadamard products of DFT-domain
+    factors: the predicted-output coupling uses order-N transforms, the
+    Toeplitz couplings order 2s-1.  All m + p channels of ``spec.data``
+    are transformed together over every lag 0..s-1 (one FFT for cross,
+    one Gram for small); one mask then drops the output channels' lag-0
+    rows and columns, which are not decision variables.  Intermediates
+    are complex; each piece is the real part after checking that its
     imaginary residue is negligible.
     """
     N, s, m, ncols = spec.N, spec.s, spec.m, spec.ncols
@@ -233,17 +233,8 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Phi = np.fft.fft(np.eye(kappa), axis=0)[:, :s]
     CC = np.conj(Phi @ Phi.T)
 
-    # The order-N DFT columns G (0..ncols-1, flipped) and H (ncols-1..N-1)
-    # factor the Hankel pattern, hankel(x) = H^H diag(F x) G / N; products
-    # with them are FFTs of inputs scattered into those rows.
-    # Output-output block: the two order-N Gram factors are circulant, so
-    # their Hadamard product conjugated back by the DFT is a diagonal.
-    ind_h = np.zeros(N)
-    ind_h[ncols - 1 :] = 1.0
-    ind_g = np.zeros(N)
-    ind_g[:ncols] = 1.0
-    col0 = np.fft.fft(ind_h) * np.conj(np.fft.fft(ind_g))
-    diag = np.roll(np.fft.fft(col0)[::-1], 1) / N
+    t = np.arange(N)
+    diag = np.minimum(np.minimum(t + 1, N - t), min(s, ncols)).astype(float)
 
     # Phi times every channel's s x ncols Hankel block of the data, (c, kappa, ncols)
     P = Phi @ spec.data.reshape(s, c, ncols).transpose(1, 0, 2)
@@ -253,6 +244,9 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     gram = (flat @ flat.T).reshape(c, kappa, c, kappa).transpose(0, 2, 1, 3)
     small = (1.0 / kappa**2) * (Phi.T @ (gram * CC) @ Phi)
 
+    # The order-N DFT columns G (0..ncols-1, flipped) and H (ncols-1..N-1)
+    # factor the Hankel pattern, hankel(x) = H^H diag(F x) G / N; products
+    # with them are FFTs of inputs scattered into those rows.
     # H Phi^H, and conj(G) @ P_j.T as conj(G @ conj(P_j.T)) for every
     # channel by one FFT over the reversed, zero-padded columns of P
     HPhiH = np.zeros((N, kappa), dtype=complex)
@@ -270,12 +264,7 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cross /= N * kappa
 
     keep = _toeplitz_mask(m, spec.p, s)
-    cross = cross[:, keep]
+    cross = _real_part(cross[:, keep], "cross block of the coefficient matrix")
     small = small.transpose(0, 2, 1, 3)[keep][:, keep]
-
     small = _real_part(small, "Toeplitz block of the coefficient matrix")
-    return (
-        _real_part(diag, "output block of the coefficient matrix"),
-        _real_part(cross, "cross block of the coefficient matrix"),
-        (small + small.T) / 2.0,
-    )
+    return diag, cross, (small + small.T) / 2.0

@@ -383,6 +383,24 @@ def test_solve_matches_three_adjoint_reference_loop(model, N, output_only):
         assert gap <= 1e-10
 
 
+def test_closed_form_dual_matches_reference_on_a_cut_schur_mode():
+    # an all-zero input channel leaves its Toeplitz coordinates out of M, so
+    # the Schur complement is singular and _XSolver pseudo-solves it
+    rec = make_record(make_siso_order2(), 150, seed=41, noise_std=0.2)
+    spec = OperatorSpec.from_data(np.hstack([rec.u, np.zeros((150, 1))]), rec.y, 15)
+    fact = SweepFactorization.from_spec(spec)
+    params = AdmmParams()
+    warm = ref_warm = None
+    for lam in 150 * np.array([0.1, 3.0, 100.0]):
+        assert _XSolver(fact, 2.0 * lam / spec.N, 1.0).cut
+        warm = solve(spec, rec.y, lam, params, fact, warm=warm)
+        ref_warm = reference_solve(spec, rec.y, lam, params, fact, warm=ref_warm)
+        assert warm.iterations == ref_warm.iterations
+        assert warm.converged == ref_warm.converged
+        gap = np.linalg.norm(warm.Z - ref_warm.Z) / np.linalg.norm(ref_warm.Z)
+        assert gap <= 1e-10
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AdmmParams(mu=1.0)

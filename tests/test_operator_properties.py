@@ -1,4 +1,5 @@
-"""Property tests of the linear map A(x) = Yhat_s + T(x) data, its adjoint and M.
+"""Property tests of the linear map A(x) = Yhat_s + T(x) data, its adjoint, M
+and the x-update's Schur complement.
 
 Specs are drawn over small windows and records, with and without inputs
 (m = 0 is the output-only program), and checked against the inner-product
@@ -8,10 +9,11 @@ run.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from n2sid.admm import SweepFactorization
+from n2sid.admm import SweepFactorization, _XSolver
 from n2sid.structured_ops import (
     OperatorSpec,
     apply_adjoint,
@@ -19,6 +21,7 @@ from n2sid.structured_ops import (
     block_hankel,
     block_toeplitz,
     block_toeplitz_adjoint,
+    build_M,
     toeplitz_estimates,
 )
 
@@ -110,5 +113,42 @@ def test_coefficient_pieces_apply_adjoint_of_operator(drawn):
     spec, rng, _, _ = drawn
     x = random_decision(rng, spec)
     want = apply_adjoint(apply_operator(x, spec), spec)
-    got = SweepFactorization.from_spec(spec).apply_M(x)
+    M = dense_M(spec)
+    got = np.stack([M @ x_i for x_i in x])
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_coefficient_diagonal_is_the_exact_occupancy_count():
+    # every (N, s) with s <= 7 and N <= 24, N < 2s - 1 included; diag depends on nothing else
+    for s in range(2, 8):
+        for N in range(s + 1, 25):
+            spec = OperatorSpec.from_data(np.zeros((N, 0)), np.arange(N, dtype=float), s)
+            hits = block_hankel(np.arange(N), s).astype(int).ravel()
+            counts = np.bincount(hits, minlength=N).astype(float)
+            assert np.array_equal(build_M(spec)[0], counts), (N, s)
+
+
+def _assert_schur_matches_dense(spec: OperatorSpec, weight: float, rho: float) -> None:
+    diag, cross, small = build_M(spec)
+    want = rho * small - rho**2 * cross.T @ np.diag(1.0 / (weight + rho * diag)) @ cross
+    got = _XSolver(SweepFactorization.from_spec(spec), weight, rho).S
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@PROPERTY
+@given(specs(), st.floats(0.0, 10.0), st.sampled_from([1e-6, 0.25, 1.0, 8.0, 1e6]))
+def test_schur_complement_from_the_interior_gram_matches_dense(drawn, weight, rho):
+    _assert_schur_matches_dense(drawn[0], weight, rho)
+
+
+@pytest.mark.parametrize(
+    "m, p, N, s",
+    [(0, 2, 20, 5), (0, 1, 9, 6), (1, 1, 8, 6), (2, 2, 7, 6), (1, 2, 30, 4)],
+    ids=["output-only-p2", "output-only-short", "short", "ncols2-mimo", "long"],
+)
+def test_schur_complement_covers_short_records_and_no_inputs(m, p, N, s):
+    # N < 2s - 1 in the short cases: there the interior count is ncols, not s
+    rng = np.random.default_rng(N * s + m + p)
+    spec = OperatorSpec.from_data(rng.standard_normal((N, m)), rng.standard_normal((N, p)), s)
+    for weight, rho in ((0.0, 1.0), (0.3, 2.0), (40.0, 0.5)):
+        _assert_schur_matches_dense(spec, weight, rho)

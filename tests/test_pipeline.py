@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,6 +221,30 @@ def test_identify_records_failures_and_continues(monkeypatch):
     assert any(f["stage"] == "solve" for f in rep.failures)
     assert np.isnan(rep.j_values[0])
     assert np.isfinite(rep.lambda_opt)
+
+
+def test_identify_names_the_stage_that_failed(monkeypatch):
+    _, rec = noise_free_record(N=60)
+    cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
+    grid = cfg.lambda_grid()
+    real_extract = pipeline_mod._extract
+
+    def failing_extract(res, spec, rec_, cfg_, lam):
+        if lam == grid[0]:
+            raise np.linalg.LinAlgError("forced extraction failure")
+        idm = real_extract(res, spec, rec_, cfg_, lam)
+        if lam == grid[1]:
+            # an unstable model whose scored recursion overflows
+            return replace(idm, model=replace(idm.model, A=1e10 * idm.model.A))
+        return idm
+
+    monkeypatch.setattr(pipeline_mod, "_extract", failing_extract)
+    rep = identify(rec, cfg)
+    stages = {f["lambda"]: (f["stage"], f["message"]) for f in rep.failures}
+    assert stages[grid[0]] == ("extract", "forced extraction failure")
+    assert stages[grid[1]][0] == "score"
+    assert "overflow" in stages[grid[1]][1]
+    assert np.all(np.isnan(rep.j_values[:2])) and np.all(np.isfinite(rep.j_values[2:]))
 
 
 def test_identify_all_failed_raises(monkeypatch):
