@@ -224,6 +224,9 @@ def cmd_identify(args) -> int:
         raise UsageError(f"--del must be nonnegative, got {args.discard}")
     if args.vaf_csv and args.n_val is None:
         raise UsageError("--vaf-csv requires --n-val")
+    for path in (args.report, args.sv_csv, args.vaf_csv):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"output directory not found: {path}")
     rec = read_csv(args.data, args.inputs, args.outputs)
     if args.n_ide_list:
         try:
@@ -422,7 +425,7 @@ def main(argv=None) -> int:
     except (N2sidError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -80,11 +80,10 @@ class SubspaceSvd:
 
 @dataclass(frozen=True)
 class IdentifiedModel:
+    """An extracted model, its order and its initial state on the identification record."""
+
     model: StateSpaceModel
     order: int
-    lam: float
-    sigma: np.ndarray
-    variant: str
     x0_ide: np.ndarray
 
 
@@ -190,17 +189,6 @@ def estimate_BDx0(
     return Bobs, D, theta[(n + p) * m :]
 
 
-def _finish(obs: ObserverModel, order, lam, sigma, variant, x0) -> IdentifiedModel:
-    return IdentifiedModel(
-        model=obs.to_state_space(),
-        order=order,
-        lam=float(lam),
-        sigma=np.asarray(sigma, dtype=float).copy(),
-        variant=variant,
-        x0_ide=np.asarray(x0, dtype=float).copy(),
-    )
-
-
 def _markov_fit(svd: SubspaceSvd, blocks: np.ndarray, nhat: int) -> ObserverModel:
     """(Aobs, C) by shift invariance, C Aobs^(k-1) [Bobs, K] fit to [v_k, w_k] (k >= 1), D = v_0."""
     if nhat < 1:
@@ -213,25 +201,14 @@ def _markov_fit(svd: SubspaceSvd, blocks: np.ndarray, nhat: int) -> ObserverMode
     return ObserverModel(Aobs, BK[:, :m], C, blocks[0, :, :m].copy(), BK[:, m:])
 
 
-def compute_m1(
-    svd: SubspaceSvd,
-    blocks: np.ndarray,
-    rec: IoRecord,
-    nhat: int,
-    lam: float = float("nan"),
-) -> IdentifiedModel:
+def compute_m1(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """K from the Markov-block fit, then (Bobs, D, x0) refit to the data."""
     obs = _markov_fit(svd, blocks, nhat)
     Bobs, D, x0 = estimate_BDx0(obs.Aobs, obs.C, obs.K, rec)
-    return _finish(replace(obs, Bobs=Bobs, D=D), nhat, lam, svd.sigma, "m1", x0)
+    return IdentifiedModel(replace(obs, Bobs=Bobs, D=D).to_state_space(), nhat, x0)
 
 
-def compute_m2(
-    svd: SubspaceSvd,
-    rec: IoRecord,
-    nhat: int,
-    lam: float = float("nan"),
-) -> IdentifiedModel:
+def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """State-sequence route: right singular vectors as states, then two regressions."""
     if nhat < 1:
         raise ValueError("order must be >= 1")
@@ -253,18 +230,12 @@ def compute_m2(
     C = theta2[:, :nhat]
     D = theta2[:, nhat:]
 
-    x0 = X[:, 0]
-    return _finish(ObserverModel(Aobs, Bobs, C, D, K), nhat, lam, svd.sigma, "m2", x0)
+    model = ObserverModel(Aobs, Bobs, C, D, K).to_state_space()
+    return IdentifiedModel(model, nhat, X[:, 0].copy())
 
 
-def compute_m3(
-    svd: SubspaceSvd,
-    blocks: np.ndarray,
-    rec: IoRecord,
-    nhat: int,
-    lam: float = float("nan"),
-) -> IdentifiedModel:
+def compute_m3(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """The Markov-block fit's observer, with x0 fit to its prediction error."""
     obs = _markov_fit(svd, blocks, nhat)
     x0, _ = fit_x0(obs.Aobs, obs.C, rec.y - predict_observer(obs, rec))
-    return _finish(obs, nhat, lam, svd.sigma, "m3", x0)
+    return IdentifiedModel(obs.to_state_space(), nhat, x0)

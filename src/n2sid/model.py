@@ -327,24 +327,19 @@ def predict_observer(obs: ObserverModel, rec: IoRecord, x0=None) -> np.ndarray:
     return state_response(obs.Aobs, obs.C, x0, rec.N, drive) + rec.u @ obs.D.T
 
 
-def markov_parameters(obs: ObserverModel, count: int, channel: str = "input") -> list[np.ndarray]:
-    """Impulse-response blocks of the predictor.
+def markov_parameters(obs: ObserverModel, count: int) -> np.ndarray:
+    """Impulse-response blocks [v_k, w_k] of the predictor, shape (count, p, m + p).
 
-    channel="input" returns [D, C Bobs, C Aobs Bobs, ...] (p x m blocks);
-    channel="output" returns [0, C K, C Aobs K, ...] (p x p blocks, zero
-    feed-through).
+    Lag 0 is [D, 0] and lag k >= 1 is C Aobs^(k-1) [Bobs, K]: the lag-k
+    blocks of T_u and T_y side by side, the layout of
+    ``structured_ops.toeplitz_estimates``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if channel == "input":
-        first = obs.D
-        gain = obs.Bobs
-    elif channel == "output":
-        first = np.zeros((obs.p, obs.p))
-        gain = obs.K
-    else:
-        raise ValueError(f"unknown channel {channel!r}")
-    return [first, *state_response(obs.Aobs, obs.C, gain, count - 1)]
+    blocks = np.zeros((count, obs.p, obs.m + obs.p))
+    blocks[0, :, : obs.m] = obs.D
+    blocks[1:] = state_response(obs.Aobs, obs.C, np.hstack([obs.Bobs, obs.K]), count - 1)
+    return blocks
 
 
 def vaf(y: np.ndarray, yhat: np.ndarray) -> float:

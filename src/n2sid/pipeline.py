@@ -162,7 +162,8 @@ def evaluate(identified, val: IoRecord, x0_policy: str = "ls_estimate") -> float
     return vaf(val.y, _predict(model, val, x0_policy))
 
 
-def _extract(result, spec: OperatorSpec, rec: IoRecord, cfg: PipelineConfig, lam: float):
+def _extract(result, spec: OperatorSpec, rec: IoRecord, cfg: PipelineConfig):
+    """The grid point's model at the selected order, and the singular values it was read from."""
     svd = lowrank_svd(result.Z, spec)
     if cfg.order == "auto":
         cap = min(cfg.max_order, (cfg.s - 1) * spec.p)
@@ -171,10 +172,10 @@ def _extract(result, spec: OperatorSpec, rec: IoRecord, cfg: PipelineConfig, lam
         order = cfg.order
     blocks = toeplitz_estimates(result.x, spec)
     if cfg.variant == "m1":
-        return compute_m1(svd, blocks, rec, order, lam)
+        return compute_m1(svd, blocks, rec, order), svd.sigma
     if cfg.variant == "m2":
-        return compute_m2(svd, rec, order, lam)
-    return compute_m3(svd, blocks, rec, order, lam)
+        return compute_m2(svd, rec, order), svd.sigma
+    return compute_m3(svd, blocks, rec, order), svd.sigma
 
 
 def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineReport:
@@ -188,9 +189,12 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     (solve, extract or score); only an entirely failed grid raises.  The
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
-    the program's scaled units.
+    the program's scaled units.  A fixed order above (s-1)*p, more than
+    the window can hold, is rejected before the sweep.
     """
     t_start = time.perf_counter()
+    if cfg.order != "auto" and cfg.order > (cfg.s - 1) * rec.p:
+        raise ValueError(f"order {cfg.order} exceeds (s-1)*p = {(cfg.s - 1) * rec.p}")
     pre, peaks = preprocess(rec, cfg)
     ide1, ide2 = _split_record(pre, cfg.split)
     if ide1.N <= cfg.s:
@@ -221,7 +225,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
             continue
         stage = "extract"
         try:
-            idm = _extract(res, spec, ide1, cfg, float(lam))
+            idm, sigma = _extract(res, spec, ide1, cfg)
             stage = "score"
             yhat = _predict(idm.model, ide2, cfg.x0_policy)
         except (ValueError, N2sidError, np.linalg.LinAlgError) as exc:
@@ -229,7 +233,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
             continue
         models[i] = idm
         orders[i] = idm.order
-        sigma_per_lambda[i] = idm.sigma
+        sigma_per_lambda[i] = sigma
         # J in record units (peaks are ones unless scale_outputs); an
         # unstable model may legitimately score an overflowing J, and then
         # simply never wins the argmin

@@ -226,6 +226,13 @@ def decision_stack(yhat, v, w) -> np.ndarray:
     return np.concatenate([yhat, np.reshape(v, (p, -1)), np.reshape(w, (p, -1))], axis=1)
 
 
+def markov_stack(yhat, blocks) -> np.ndarray:
+    """Output stack of yhat (p, N) and the Markov blocks [v_k, w_k] (s, p, m+p); w_0 is left out."""
+    m = blocks.shape[2] - blocks.shape[1]
+    v, w = blocks[:, :, :m], blocks[1:, :, m:]
+    return decision_stack(yhat, v.transpose(1, 2, 0), w.transpose(1, 2, 0))
+
+
 def random_decision(rng: np.random.Generator, spec: OperatorSpec) -> np.ndarray:
     """Random (p, block_dim) output stack."""
     return decision_stack(

@@ -174,6 +174,16 @@ def _validate(tmp, report_text):
         lambda tmp: ["simulate", "--example", "order3", "--n", "10", "--out", str(tmp / "x.csv")],
         lambda tmp: _validate(tmp, '{"order": 2}'),
         lambda tmp: _validate(tmp, "{not json"),
+        lambda tmp: _identify(tmp, "--s", "6", "--grid", "3", "--report", str(tmp / "no/r.json")),
+        lambda tmp: _identify(tmp, "--s", "6", "--grid", "3", "--sv-csv", str(tmp / "no/sv.csv")),
+        lambda tmp: _identify(
+            tmp, "--s", "6", "--grid", "3", "--n-ide", "100", "--n-val", "50",
+            "--vaf-csv", str(tmp / "no/v.csv"),
+        ),
+        lambda tmp: ["simulate", "--example", "order2", "--n", "9", "--out", str(tmp / "no/x.csv")],
+        lambda tmp: _identify(tmp, data=str(tmp)),
+        lambda tmp: ["validate", "--report", str(tmp), "--data", make_data_file(tmp / "d.csv")],
+        lambda tmp: _identify(tmp, "--s", "5", "--order", "7"),
     ],
     ids=[
         "negative-n", "s-beyond-record", "nan-cell", "lambda-max-inf", "lambda-max-overflow",
@@ -181,6 +191,9 @@ def _validate(tmp, report_text):
         "model-json-not-object", "report-json-not-object", "n-ide-zero", "vaf-csv-without-n-val",
         "empty-data-file", "header-only-data-file", "non-numeric-cell", "order-not-integer",
         "n-ide-list-not-integers", "unknown-example", "report-without-model", "invalid-json",
+        "report-dir-missing", "sv-csv-dir-missing", "vaf-csv-dir-missing",
+        "simulate-out-dir-missing", "data-is-directory", "report-is-directory",
+        "order-beyond-window",
     ],
 )
 def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -195,6 +208,27 @@ def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv)
     assert "Traceback" not in err
     # an error leaves no report behind (the --vaf-csv case asks for one)
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--report", "no/r.json"),
+        ("--sv-csv", "no/sv.csv"),
+        ("--vaf-csv", "no/v.csv", "--n-ide", "100", "--n-val", "50"),
+        ("--s", "5", "--order", "7"),
+    ],
+    ids=["report-dir-missing", "sv-csv-dir-missing", "vaf-csv-dir-missing", "order-beyond-window"],
+)
+def test_output_path_and_order_errors_stop_before_the_sweep(tmp_path, monkeypatch, flags):
+    import n2sid.pipeline as pipeline_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(pipeline_mod, "sweep", no_sweep)
+    flags = [str(tmp_path / f) if f.startswith("no/") else f for f in flags]
+    assert run_cli(*_identify(tmp_path, *flags)) == 2
 
 
 def test_identify_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

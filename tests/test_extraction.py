@@ -26,7 +26,7 @@ from n2sid.model import (
 )
 from n2sid.structured_ops import OperatorSpec, block_toeplitz, toeplitz_estimates
 
-from helpers import decision_stack, make_siso_order2, naive_states, observability, prbs
+from helpers import make_siso_order2, markov_stack, naive_states, observability, prbs
 
 
 def select_order_reference(sigma, max_order=10):
@@ -47,11 +47,7 @@ def exact_solution_inputs(N=60, s=8, seed=0):
     spec = OperatorSpec.from_data(rec.u, rec.y, s)
     states = naive_states(model.A, model.B, rec.u, np.zeros(2))
     Z = observability(obs.Aobs, obs.C, s) @ states[: spec.ncols].T
-    mk_u = markov_parameters(obs, s, "input")
-    mk_y = markov_parameters(obs, s, "output")
-    v = np.array([[[blk[0, 0] for blk in mk_u]]])
-    w = np.array([[[blk[0, 0] for blk in mk_y[1:]]]])
-    x = decision_stack(rec.y.T, v, w)
+    x = markov_stack(rec.y.T, markov_parameters(obs, s))
     return model, obs, rec, spec, lowrank_svd(Z, spec), toeplitz_estimates(x, spec)
 
 
@@ -129,17 +125,13 @@ def test_toeplitz_estimates_blocks_match_markov_parameters():
     u = rng.standard_normal((20, 1))
     y = rng.standard_normal((20, 1))
     spec = OperatorSpec.from_data(u, y, s=5)
-    mk_u = markov_parameters(obs, 5, "input")
-    mk_y = markov_parameters(obs, 5, "output")
-    v = np.array([[[blk[0, 0] for blk in mk_u]]])
-    w = np.array([[[blk[0, 0] for blk in mk_y[1:]]]])
-    x = decision_stack(np.zeros((1, 20)), v, w)
-    blocks = toeplitz_estimates(x, spec)
+    mk = markov_parameters(obs, 5)
+    blocks = toeplitz_estimates(markov_stack(np.zeros((1, 20)), mk), spec)
     assert blocks.shape == (5, 1, 2)
     Tu, Ty = block_toeplitz(blocks[:, :, :1]), block_toeplitz(blocks[:, :, 1:])
     for j in range(5):
-        np.testing.assert_allclose(Tu[j : j + 1, 0:1], mk_u[j])
-        np.testing.assert_allclose(Ty[j : j + 1, 0:1], mk_y[j])
+        np.testing.assert_allclose(Tu[j : j + 1, 0:1], mk[j, :, :1])
+        np.testing.assert_allclose(Ty[j : j + 1, 0:1], mk[j, :, 1:])
     # strict lower-triangular block-Toeplitz pattern
     assert np.all(np.triu(Tu, 1) == 0.0)
     assert np.all(np.triu(Ty) == 0.0)
@@ -186,7 +178,7 @@ def test_markov_fit_recovers_true_gain():
     model = make_siso_order2()
     obs = to_observer(model)
     s = 6
-    mk_y = markov_parameters(obs, s, "output")
+    mk_y = markov_parameters(obs, s)[:, :, 1:]
     Ty = np.zeros((s, s))
     for r in range(s):
         for c in range(r):
@@ -331,28 +323,26 @@ def test_compute_m3_exact_inputs_and_variant_agreement():
 def _impulse_chain(model, count):
     # simulation impulse response D, C B, C A B, ...
     frozen = ObserverModel(model.A, model.B, model.C, model.D, np.zeros((model.n, model.p)))
-    return markov_parameters(frozen, count, "input")
+    return markov_parameters(frozen, count)[:, :, : model.m]
 
 
 def test_all_variants_match_generator_markov_parameters():
     model, obs, rec, spec, svd, est = exact_solution_inputs()
     mk_true = _impulse_chain(model, 2 * spec.s)
-    scale = max(abs(b[0, 0]) for b in mk_true)
+    scale = np.max(np.abs(mk_true))
     # noise-free outputs are a linear function of the states and inputs
     with pytest.warns(UserWarning, match="rank-deficient"):
         m2 = compute_m2(svd, rec, 2)
     for idm in (compute_m1(svd, est, rec, 2), m2, compute_m3(svd, est, rec, 2)):
         mk_est = _impulse_chain(idm.model, 2 * spec.s)
-        for a, b in zip(mk_true, mk_est):
-            assert abs(a[0, 0] - b[0, 0]) <= 1e-4 * scale
+        assert np.max(np.abs(mk_est - mk_true)) <= 1e-4 * scale
     # m1/m3 take the gain from the solved output-Toeplitz parameters, so
     # their predictor-form parameters are pinned down even without noise
-    mk_obs = markov_parameters(obs, 2 * spec.s, "input")
-    obs_scale = max(abs(b[0, 0]) for b in mk_obs)
+    mk_obs = markov_parameters(obs, 2 * spec.s)[:, :, :1]
+    obs_scale = np.max(np.abs(mk_obs))
     for idm in (compute_m1(svd, est, rec, 2), compute_m3(svd, est, rec, 2)):
-        mk_est = markov_parameters(to_observer(idm.model), 2 * spec.s, "input")
-        for a, b in zip(mk_obs, mk_est):
-            assert abs(a[0, 0] - b[0, 0]) <= 1e-4 * obs_scale
+        mk_est = markov_parameters(to_observer(idm.model), 2 * spec.s)[:, :, :1]
+        assert np.max(np.abs(mk_est - mk_obs)) <= 1e-4 * obs_scale
 
 
 def test_compute_m3_zero_toeplitz():

@@ -151,21 +151,23 @@ def test_predict_observer_pure_delay():
 
 def test_markov_parameters_first_terms():
     obs = to_observer(make_siso_order2())
-    assert np.array_equal(markov_parameters(obs, 1, "input")[0], obs.D)
-    assert np.array_equal(markov_parameters(obs, 3, "output")[0], np.zeros((1, 1)))
+    blocks = markov_parameters(obs, 3)
+    assert blocks.shape == (3, 1, 2)
+    assert np.array_equal(blocks[0], np.hstack([obs.D, np.zeros((1, 1))]))
+    assert np.array_equal(markov_parameters(obs, 1), blocks[:1])
 
 
 def test_markov_parameters_scalar_hand_case():
     obs = ObserverModel(Aobs=[[0.5]], Bobs=[[1.0]], C=[[1.0]], D=[[2.0]], K=[[0.0]])
-    blocks = markov_parameters(obs, 3, "input")
-    np.testing.assert_allclose([b[0, 0] for b in blocks], [2.0, 1.0, 0.5])
+    blocks = markov_parameters(obs, 3)
+    np.testing.assert_allclose(blocks[:, 0, 0], [2.0, 1.0, 0.5])
 
 
 def test_markov_parameters_output_chain():
     obs = to_observer(make_siso_order2())
-    blocks = markov_parameters(obs, 4, "output")
-    np.testing.assert_allclose(blocks[1], obs.C @ obs.K)
-    np.testing.assert_allclose(blocks[3], obs.C @ obs.Aobs @ obs.Aobs @ obs.K)
+    blocks = markov_parameters(obs, 4)
+    np.testing.assert_allclose(blocks[1, :, 1:], obs.C @ obs.K)
+    np.testing.assert_allclose(blocks[3, :, 1:], obs.C @ obs.Aobs @ obs.Aobs @ obs.K)
 
 
 def test_vaf_trivial_cases():

@@ -129,12 +129,14 @@ def test_scale_outputs_reports_j_in_record_units(monkeypatch):
     rec = generate_innovation_data(model, prbs(rng, 200, 1), noise_std=0.2, seed=12)
     rec = IoRecord(u=rec.u, y=8.0 * rec.y)
     cfg = PipelineConfig(s=8, n_lambda=5, scale_outputs=True)
-    extracted = {}
+    extracted = []
     real_extract = pipeline_mod._extract
 
-    def capturing_extract(result, spec, ide, cfg, lam):
-        extracted[lam] = real_extract(result, spec, ide, cfg, lam)
-        return extracted[lam]
+    def capturing_extract(*args):
+        extracted.append(None)  # a failing extraction keeps its slot
+        out = real_extract(*args)
+        extracted[-1] = out[0]
+        return out
 
     monkeypatch.setattr(pipeline_mod, "_extract", capturing_extract)
     rep = identify(rec, cfg)
@@ -143,13 +145,17 @@ def test_scale_outputs_reports_j_in_record_units(monkeypatch):
     assert peaks[0] > 1.0
     # each scored grid point's model, taken to record units, scores its J on the unscaled record
     assert np.isfinite(rep.j_values).sum() >= 3
-    for lam, j in zip(rep.lambdas, rep.j_values):
-        if not np.isfinite(j):
+    # extraction runs on every solved grid point, in grid order
+    unsolved = {f["lambda"] for f in rep.failures if f["stage"] == "solve"}
+    solved = [i for i, lam in enumerate(rep.lambdas) if lam not in unsolved]
+    assert len(extracted) == len(solved)
+    for i, idm in zip(solved, extracted):
+        if not np.isfinite(rep.j_values[i]):
             continue
-        m = extracted[lam].model
+        m = idm.model
         in_record_units = StateSpaceModel(m.A, m.B, peaks * m.C, peaks * m.D, m.K / peaks)
         yhat = pipeline_mod._predict(in_record_units, raw, cfg.x0_policy)
-        assert j == pytest.approx(float(np.sum((raw.y - yhat) ** 2)), rel=1e-8)
+        assert rep.j_values[i] == pytest.approx(float(np.sum((raw.y - yhat) ** 2)), rel=1e-8)
     yhat = pipeline_mod._predict(rep.best.model, raw, cfg.x0_policy)
     assert rep.j_values[rep.lambdas == rep.lambda_opt][0] == pytest.approx(
         float(np.sum((raw.y - yhat) ** 2)), rel=1e-8
@@ -163,7 +169,6 @@ def test_identify_single_grid_point():
     assert rep.lambdas.shape == (1,)
     assert rep.j_values.shape == (1,)
     assert rep.lambda_opt == 10.0
-    assert rep.best.lam == 10.0
 
 
 def test_identify_split_half_runs():
@@ -206,6 +211,13 @@ def test_identify_fixed_order():
     assert rep.best.order == 3
 
 
+def test_fixed_order_beyond_the_window_is_rejected_before_the_sweep(monkeypatch):
+    _, rec = noise_free_record(N=60)
+    monkeypatch.setattr(pipeline_mod, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    with pytest.raises(ValueError, match=r"order 5 exceeds \(s-1\)\*p = 4"):
+        identify(rec, PipelineConfig(s=5, order=5))
+
+
 def test_identify_records_failures_and_continues(monkeypatch):
     _, rec = noise_free_record(N=60)
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
@@ -228,15 +240,18 @@ def test_identify_names_the_stage_that_failed(monkeypatch):
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
     grid = cfg.lambda_grid()
     real_extract = pipeline_mod._extract
+    calls = []
 
-    def failing_extract(res, spec, rec_, cfg_, lam):
-        if lam == grid[0]:
+    def failing_extract(res, spec, rec_, cfg_):
+        # every grid point solves, so call i extracts grid point i
+        calls.append(res)
+        if len(calls) == 1:
             raise np.linalg.LinAlgError("forced extraction failure")
-        idm = real_extract(res, spec, rec_, cfg_, lam)
-        if lam == grid[1]:
+        idm, sigma = real_extract(res, spec, rec_, cfg_)
+        if len(calls) == 2:
             # an unstable model whose scored recursion overflows
-            return replace(idm, model=replace(idm.model, A=1e10 * idm.model.A))
-        return idm
+            return replace(idm, model=replace(idm.model, A=1e10 * idm.model.A)), sigma
+        return idm, sigma
 
     monkeypatch.setattr(pipeline_mod, "_extract", failing_extract)
     rep = identify(rec, cfg)

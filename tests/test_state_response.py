@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from n2sid.errors import SimulationOverflowError
-from n2sid.extraction import estimate_BDx0
+from n2sid.extraction import SubspaceSvd, _markov_fit, estimate_BDx0
 from n2sid.model import (
     WINDOW,
     IoRecord,
@@ -29,8 +29,15 @@ from n2sid.model import (
     simulate,
     state_response,
 )
+from n2sid.structured_ops import OperatorSpec, toeplitz_estimates
 
-from helpers import naive_observer_predict, naive_simulate, naive_state_response
+from helpers import (
+    markov_stack,
+    naive_observer_predict,
+    naive_simulate,
+    naive_state_response,
+    observability,
+)
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None)
 
@@ -105,23 +112,32 @@ def test_predict_observer_matches_naive_recursion(shapes):
 
 @PROPERTY
 @given(SHAPES)
-def test_markov_parameters_match_explicit_powers(shapes):
+def test_markov_parameters_are_the_toeplitz_layout(shapes):
     n, m, p, count, seed = shapes
     rng = np.random.default_rng(seed)
     obs = ObserverModel(
         stable(rng, n, 0.95), rng.standard_normal((n, m)), rng.standard_normal((p, n)),
         rng.standard_normal((p, m)), rng.standard_normal((n, p)),
     )
-    for channel, first, gain in (
-        ("input", obs.D, obs.Bobs),
-        ("output", np.zeros((p, p)), obs.K),
-    ):
-        blocks = markov_parameters(obs, count, channel)
-        assert len(blocks) == count
-        np.testing.assert_array_equal(blocks[0], first)
-        for k in range(1, count):
-            expected = obs.C @ np.linalg.matrix_power(obs.Aobs, k - 1) @ gain
-            np.testing.assert_allclose(blocks[k], expected, rtol=1e-10, atol=1e-12)
+    blocks = markov_parameters(obs, count)
+    assert blocks.shape == (count, p, m + p)
+    np.testing.assert_array_equal(blocks[0], np.hstack([obs.D, np.zeros((p, p))]))
+    for k in range(1, count):
+        expected = obs.C @ np.linalg.matrix_power(obs.Aobs, k - 1) @ np.hstack([obs.Bobs, obs.K])
+        np.testing.assert_allclose(blocks[k], expected, rtol=1e-10, atol=1e-12)
+    # packed into an output stack, a window's blocks read back exactly
+    s = n + 3
+    blocks = markov_parameters(obs, s)
+    N = s + 5
+    spec = OperatorSpec.from_data(rng.standard_normal((N, m)), rng.standard_normal((N, p)), s)
+    stack = markov_stack(rng.standard_normal((p, N)), blocks)
+    np.testing.assert_array_equal(toeplitz_estimates(stack, spec), blocks)
+    # with the observability rows as U, the Markov-block fit inverts markov_parameters
+    U = observability(obs.Aobs, obs.C, s)
+    fit = _markov_fit(SubspaceSvd(U=U, sigma=np.ones(n), Vt=np.zeros((n, 0))), blocks, n)
+    for name in ("Aobs", "Bobs", "C", "D", "K"):
+        got, want = getattr(fit, name), getattr(obs, name)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), name
 
 
 @pytest.mark.filterwarnings("ignore:rank-deficient least squares")

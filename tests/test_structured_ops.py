@@ -21,6 +21,7 @@ from helpers import (
     dft_matrix,
     idft,
     make_siso_order2,
+    markov_stack,
     naive_states,
     observability,
     prbs,
@@ -197,11 +198,7 @@ def test_operator_on_true_model_is_low_rank():
     u = prbs(rng, N, 1)
     rec = generate_innovation_data(model, u, noise_std=0.0)
     spec = OperatorSpec.from_data(rec.u, rec.y, s)
-    mk_u = markov_parameters(obs, s, "input")
-    mk_y = markov_parameters(obs, s, "output")
-    v = np.array([[[blk[0, 0] for blk in mk_u]]])
-    w = np.array([[[blk[0, 0] for blk in mk_y[1:]]]])
-    x = decision_stack(rec.y.T, v, w)
+    x = markov_stack(rec.y.T, markov_parameters(obs, s))
     Z = apply_operator(x, spec)
     states = naive_states(obs.Aobs, np.hstack([obs.Bobs, obs.K]), np.hstack([rec.u, rec.y]), np.zeros(2))
     expected = observability(obs.Aobs, obs.C, s) @ states[: spec.ncols].T
