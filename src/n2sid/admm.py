@@ -8,15 +8,20 @@ over the (p, d) output stack X, row i being [yhat_i, v_i, w_i] (see
 structured_ops).  The fit term is fixed by the measured outputs y and
 lambda alone: it is 0.5 (X - a)^T H (X - a) with a = [y', 0] and
 H = (2 lambda / N) I on the yhat block and zero elsewhere.  The
-splitting introduces Z = A(X) and alternates
+splitting introduces Z = A(X) and runs in scaled form, carrying the
+scaled dual U = Y / rho instead of Y (Boyd et al., "Distributed
+optimization and statistical learning via ADMM", 2011, sec. 3.1.1):
 
-    X      <- argmin  0.5 (X - a)^T H (X - a) + (rho/2) ||A(X) - Z + Y/rho||^2
-    Z      <- svt(A(X) + Y/rho, 1/rho)
-    Y      <- Y + rho (A(X) - Z)
+    X      <- argmin  0.5 (X - a)^T H (X - a) + (rho/2) ||A(X) - Z + U||^2
+    W       = A(X) + U
+    Z      <- svt(W, 1/rho)
+    U      <- U + A(X) - Z
 
 with residual-balanced penalty adaptation (rho from RHO0, stepped by
-TAU).  A solve starts from Z = A(a), Y = 0, or from a previous solve's Z
-and Y; a sweep warm-starts each lambda from the last successful one.
+TAU); a step from rho to rho' rescales U by rho / rho', so Y = rho U
+does not change with it.  A solve starts from Z = A(a), Y = 0, or from a
+previous solve's Z and Y (``SolveResult.y_dual`` is Y = rho U); a sweep
+warm-starts each lambda from the last successful one.
 The X step solves (H + rho M) X_i = H a_i + rho adj(Z)_i - adj(Y)_i for
 every output row i, where M is the shared coefficient matrix.  Its yhat
 block is diagonal, so for each (lambda, rho) pair the solve eliminates
@@ -25,10 +30,17 @@ built in O(s r^2) from the interior Gram held by the factorization.
 
 Each iteration applies the adjoint once, to the new Z, and carries no
 running adj(Y): the X step's optimality condition gives adj(Y_new) =
-H (a - X) + rho (adj(Z) - adj(Z_new)) (Boyd et al., "Distributed
-optimization and statistical learning via ADMM", 2011, sec. 3.3), so
-M X is never formed.  Z is (p*s) x (N-s+1), always wide, so svt works on
-the small p*s x p*s Gram (see svt).
+H (a - X) + rho (adj(Z) - adj(Z_new)) (ibid., sec. 3.3), so M X is
+never formed.  Z is (p*s) x (N-s+1), always wide, so svt works on the
+small p*s x p*s Gram (see svt).
+
+A solve allocates its Z-sized arrays once: A(X), W, the primal residual
+R = A(X) - Z, U and Z itself; the operator and svt write into them
+through ``out``.  One buffer holds every Z the solve makes: once svt has
+written the new Z, the step reads the old one only through adj(Z),
+which it carries.  A non-finite iterate shows in the norms of R, A(X)
+and Z, which the stopping rule takes anyway, so no separate finiteness
+pass over Z-sized arrays is made.
 """
 
 from __future__ import annotations
@@ -148,7 +160,7 @@ def nuclear_norm(X: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(X, compute_uv=False)))
 
 
-def svt(Y: np.ndarray, threshold: float) -> np.ndarray:
+def svt(Y: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
     """Singular value thresholding, the proximal map of the nuclear norm.
 
     Soft-shrinks every singular value of Y by ``threshold``; a zero
@@ -158,12 +170,21 @@ def svt(Y: np.ndarray, threshold: float) -> np.ndarray:
     Gram squares the condition number, so a kept sigma below
     GRAM_CUTOFF * sigma_max would lose accuracy; then an SVD of Y is used
     instead.  A non-finite Y raises SolverError before any factorization.
+
+    With ``out``, a float array of Y's shape, the result is written into
+    it and ``out`` is returned, on every path: a zero threshold copies Y
+    into it, and the SVD fallback writes its product into it (the SVD's
+    own factors are still allocated).  The values are those the call
+    without ``out`` returns, bit for bit.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     Y = np.asarray(Y, dtype=float)
+    if out is None:
+        out = np.empty(Y.shape)
     if threshold == 0.0:
-        return Y.copy()
+        np.copyto(out, Y)
+        return out
     W = Y.T if Y.shape[0] > Y.shape[1] else Y
     G = W @ W.T
     if not np.all(np.isfinite(G)):
@@ -173,11 +194,13 @@ def svt(Y: np.ndarray, threshold: float) -> np.ndarray:
     kept = sigma > threshold
     if kept.any() and sigma[kept].min() < GRAM_CUTOFF * sigma[-1]:
         U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
-        return (U * np.maximum(sv - threshold, 0.0)) @ Vt
+        return np.matmul(U * np.maximum(sv - threshold, 0.0), Vt, out=out)
     f = np.zeros_like(sigma)
     f[kept] = (sigma[kept] - threshold) / sigma[kept]
-    out = ((U * f) @ U.T) @ W
-    return out.T if W is not Y else out
+    if W is Y:
+        return np.matmul((U * f) @ U.T, W, out=out)
+    np.copyto(out, (((U * f) @ U.T) @ W).T)
+    return out
 
 
 def _measured(spec: OperatorSpec, y: np.ndarray, lam: float) -> np.ndarray:
@@ -210,11 +233,13 @@ def solve(
 
     The measured outputs y, (N, p) or (N,), and lam >= 0 fix the fit term.
     The iteration starts from Z = A(a) and Y = 0, or from the Z and Y of
-    ``warm``, a previous result on the same spec; X needs no start.
-    adj(Z) and adj(Y) are applied once at the start; then each iteration
-    applies the adjoint once, to the new Z, and svt once.  adj(Y) is not
-    carried but rebuilt in closed form (see above), exact as long as the X
-    step is, which _XSolver checks when it cuts a mode.
+    ``warm``, a previous result on the same spec; X needs no start, and
+    ``warm``'s arrays are only read.  adj(Z) and adj(Y) are applied once
+    at the start; then each iteration applies the adjoint once, to the
+    new Z, and svt once.  adj(Y) is not carried but rebuilt in closed
+    form (see above), exact as long as the X step is, which _XSolver
+    checks when it cuts a mode.  An iterate that turns non-finite raises
+    SolverError naming its iteration.
     """
     lam = float(lam)
     y = _measured(spec, y, lam)
@@ -229,14 +254,18 @@ def solve(
     a[:, :N] = y.T
     Ha = weight * a
 
+    # the Z-sized arrays of one solve: the iteration writes into these
+    # only, so the warm start and earlier results are never overwritten
+    AX, W, R, Zbuf = (np.empty((p * spec.s, spec.ncols)) for _ in range(4))
     if warm is None:
-        Z = apply_operator(a, spec)
+        Z = apply_operator(a, spec, out=Zbuf)
         Y = np.zeros_like(Z)
     else:
         Z, Y = warm.Z, warm.y_dual
     adjZ, adjY = apply_adjoint(Z, spec), apply_adjoint(Y, spec)
 
     rho = RHO0
+    U = Y / rho
     solver = _XSolver(fact, weight, rho)
     sqrt_pri = math.sqrt(Z.size)
     sqrt_dual = math.sqrt(p * d)
@@ -247,33 +276,33 @@ def solve(
 
     for it in range(1, params.max_iter + 1):
         iterations = it
-        RHS = (Ha + rho * adjZ - adjY).T
-        X = solver.solve(RHS).T
-        AX = apply_operator(X, spec)
-        Znew = svt(AX + Y / rho, 1.0 / rho)
-        adjZnew = apply_adjoint(Znew, spec)
-        Rmat = AX - Znew
-        Y = Y + rho * Rmat
+        X = solver.solve((Ha + rho * adjZ - adjY).T).T
+        apply_operator(X, spec, out=AX)
+        np.add(AX, U, out=W)
+        Z = svt(W, 1.0 / rho, out=Zbuf)
+        np.subtract(AX, Z, out=R)
+        U += R
+
+        # a non-finite entry of R, AX or Z shows in its norm
+        pri = float(np.linalg.norm(R))
+        norm_ax, norm_z = float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
+        if not (math.isfinite(pri + norm_ax + norm_z) and np.isfinite(X).all()):
+            raise SolverError(f"non-finite iterates at iteration {it}")
+
+        adjZnew = apply_adjoint(Z, spec)
         Sdual = rho * (adjZ - adjZnew)
         adjY = Sdual.copy()
         adjY[:, :N] += Ha[:, :N] - weight * X[:, :N]
-        Z, adjZ = Znew, adjZnew
-
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Z)) and np.all(np.isfinite(Y))):
-            raise SolverError(f"non-finite iterates at iteration {it}")
-
-        pri = float(np.linalg.norm(Rmat))
+        adjZ = adjZnew
         dual = float(np.linalg.norm(Sdual))
 
-        eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(
-            float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
-        )
+        eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(norm_ax, norm_z)
         eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(np.linalg.norm(adjY))
         if pri <= eps_pri and dual <= eps_dual:
             converged = True
             break
 
-        # at most one penalty step per iteration, clamped
+        # at most one penalty step per iteration, clamped; Y = rho U is kept
         if pri > params.mu * dual:
             rho_new = min(rho * TAU, RHO_MAX)
         elif dual > params.mu * pri:
@@ -281,9 +310,11 @@ def solve(
         else:
             rho_new = rho
         if rho_new != rho:
+            U *= rho / rho_new
             rho = rho_new
             solver = _XSolver(fact, weight, rho)
 
+    U *= rho  # the dual Y
     return SolveResult(
         x=X,
         Z=Z,
@@ -291,7 +322,7 @@ def solve(
         primal_res=pri,
         dual_res=dual,
         converged=converged,
-        y_dual=Y,
+        y_dual=U,
     )
 
 

@@ -162,20 +162,19 @@ def evaluate(identified, val: IoRecord, x0_policy: str = "ls_estimate") -> float
     return vaf(val.y, _predict(model, val, x0_policy))
 
 
-def _extract(result, spec: OperatorSpec, rec: IoRecord, cfg: PipelineConfig):
-    """The grid point's model at the selected order, and the singular values it was read from."""
-    svd = lowrank_svd(result.Z, spec)
+def _extract(svd, x: np.ndarray, spec: OperatorSpec, rec: IoRecord, cfg: PipelineConfig):
+    """The grid point's model at the selected order, from its low-rank SVD and its stack x."""
     if cfg.order == "auto":
         cap = min(cfg.max_order, (cfg.s - 1) * spec.p)
         order = select_order(svd.sigma, cap)
     else:
         order = cfg.order
-    blocks = toeplitz_estimates(result.x, spec)
+    blocks = toeplitz_estimates(x, spec)
     if cfg.variant == "m1":
-        return compute_m1(svd, blocks, rec, order), svd.sigma
+        return compute_m1(svd, blocks, rec, order)
     if cfg.variant == "m2":
-        return compute_m2(svd, rec, order), svd.sigma
-    return compute_m3(svd, blocks, rec, order), svd.sigma
+        return compute_m2(svd, rec, order)
+    return compute_m3(svd, blocks, rec, order)
 
 
 def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineReport:
@@ -189,8 +188,11 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     (solve, extract or score); only an entirely failed grid raises.  The
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
-    the program's scaled units.  A fixed order above (s-1)*p, more than
-    the window can hold, is rejected before the sweep.
+    the program's scaled units.  A point that fails after its SVD keeps
+    its singular values in ``sigma_per_lambda``.  A fixed order above
+    (s-1)*p, more than the window can hold, is rejected before the sweep.
+    ``timings`` holds factorization_s, sweep_s, extraction_s (SVD, order
+    and model), scoring_s (prediction and J) and total_s.
     """
     t_start = time.perf_counter()
     if cfg.order != "auto" and cfg.order > (cfg.s - 1) * rec.p:
@@ -214,6 +216,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     t_sweep = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    t_score = 0.0
     j_values = np.full(grid.shape, np.nan)
     orders = np.full(grid.shape, -1, dtype=int)
     sigma_per_lambda: list = [None] * grid.size
@@ -225,21 +228,27 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
             continue
         stage = "extract"
         try:
-            idm, sigma = _extract(res, spec, ide1, cfg)
+            svd = lowrank_svd(res.Z, spec)
+            # kept even if the point fails later: its order was read from them
+            sigma_per_lambda[i] = svd.sigma
+            idm = _extract(svd, res.x, spec, ide1, cfg)
             stage = "score"
+            t_point = time.perf_counter()
             yhat = _predict(idm.model, ide2, cfg.x0_policy)
+            # J in record units (peaks are ones unless scale_outputs); an
+            # unstable model may legitimately score an overflowing J, and
+            # then simply never wins the argmin
+            with np.errstate(over="ignore"):
+                j_values[i] = float(np.sum(((ide2.y - yhat) * peaks) ** 2))
         except (ValueError, N2sidError, np.linalg.LinAlgError) as exc:
             failures.append({"lambda": float(lam), "stage": stage, "message": str(exc)})
             continue
+        finally:
+            if stage == "score":
+                t_score += time.perf_counter() - t_point
         models[i] = idm
         orders[i] = idm.order
-        sigma_per_lambda[i] = sigma
-        # J in record units (peaks are ones unless scale_outputs); an
-        # unstable model may legitimately score an overflowing J, and then
-        # simply never wins the argmin
-        with np.errstate(over="ignore"):
-            j_values[i] = float(np.sum(((ide2.y - yhat) * peaks) ** 2))
-    t_extract = time.perf_counter() - t0
+    t_extract = time.perf_counter() - t0 - t_score
 
     if not np.any(np.isfinite(j_values)):
         raise SolverError("all lambda grid points failed")
@@ -264,6 +273,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
             "factorization_s": t_factor,
             "sweep_s": t_sweep,
             "extraction_s": t_extract,
+            "scoring_s": t_score,
             "total_s": time.perf_counter() - t_start,
         },
     )

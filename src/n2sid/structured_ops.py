@@ -169,15 +169,33 @@ def toeplitz_estimates(X: np.ndarray, spec: OperatorSpec) -> np.ndarray:
     return blocks.transpose(2, 0, 1)
 
 
-def apply_operator(X: np.ndarray, spec: OperatorSpec) -> np.ndarray:
+def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the data equation Yhat_s + T(X) data; result is (p*s) x ncols.
 
     Output rows are interleaved: block row r stacks all p outputs at
-    window offset r, matching the block-Hankel layout of the data.
+    window offset r, matching the block-Hankel layout of the data.  With
+    ``out``, a C-contiguous float array of that shape not overlapping X,
+    the result is written there and ``out`` is returned.  T(X) data is
+    formed in place and the Hankel part is added through a strided view
+    of yhat, so no other array of the result's size is made.
     """
     X = np.asarray(X, dtype=float)
     T = block_toeplitz(toeplitz_estimates(X, spec))
-    return block_hankel(X[:, : spec.N].T, spec.s) + T @ spec.data
+    shape = (spec.p * spec.s, spec.ncols)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
+    np.matmul(T, spec.data, out=out)
+    # entry [r, i, c] of the view is yhat_i at sample r + c; a view on a
+    # contiguous (p, N) copy, because as_strided's per-call Python objects
+    # left the process about 1 MB larger
+    yhat = np.ascontiguousarray(X[:, : spec.N])
+    step = yhat.itemsize
+    hankel = np.ndarray((spec.s, spec.p, spec.ncols), buffer=yhat, strides=(step, spec.N * step, step))
+    blocks = out.reshape(spec.s, spec.p, spec.ncols)
+    np.add(blocks, hankel, out=blocks)
+    return out
 
 
 def _antidiag_sums(Z: np.ndarray, p: int, N: int) -> np.ndarray:
@@ -264,7 +282,9 @@ def build_M(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cross /= N * kappa
 
     keep = _toeplitz_mask(m, spec.p, s)
-    cross = _real_part(cross[:, keep], "cross block of the coefficient matrix")
+    # a C-contiguous copy: the x-update reads it every iteration, and the
+    # complex buffer is freed
+    cross = np.array(_real_part(cross[:, keep], "cross block of the coefficient matrix"), order="C")
     small = small.transpose(0, 2, 1, 3)[keep][:, keep]
     small = _real_part(small, "Toeplitz block of the coefficient matrix")
     return diag, cross, (small + small.T) / 2.0

@@ -144,6 +144,19 @@ def test_svt_matches_svd_shrinkage(case):
         assert np.all(out == 0.0)
 
 
+def test_svt_out_matches_the_allocating_call():
+    rng = np.random.default_rng(32)
+    wide = rng.standard_normal((15, 136))
+    U, V = orthonormal_columns(rng, 15, 15), orthonormal_columns(rng, 136, 15)
+    graded = (U * np.logspace(0, -8, 15)) @ V.T
+    # Gram path (wide and tall), SVD fallback (a kept sigma below the cutoff), zero threshold
+    for Y, t in ((wide, 2.0), (wide.T, 2.0), (graded, 1e-7), (wide, 0.0)):
+        buf = np.full(Y.shape, np.nan)
+        got = svt(Y, t, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, svt(Y, t))
+
+
 def test_svt_rejects_non_finite_input():
     Y = np.random.default_rng(31).standard_normal((15, 136))
     for bad in (np.nan, np.inf):
@@ -248,6 +261,16 @@ def test_x_update_matches_dense_lstsq():
         assert gap <= 1e-8 * (1.0 + np.abs(ref).max())
         if spec is zero_input:
             assert np.abs(X[spec.N : spec.N + spec.s]).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_factorization_cross_block_is_contiguous_and_owns_its_memory():
+    rng = np.random.default_rng(23)
+    for u in (rng.standard_normal((300, 1)), rng.standard_normal((300, 2)), np.zeros((300, 0))):
+        spec = OperatorSpec.from_data(u, rng.standard_normal((300, 2)), 15)
+        cross = SweepFactorization.from_spec(spec).cross
+        assert cross.dtype == np.float64 and cross.flags.c_contiguous
+        # not the real part of the complex FFT product
+        assert cross.base is None and cross.flags.owndata
 
 
 def test_x_update_inconsistent_singular_system_raises():
@@ -399,6 +422,44 @@ def test_closed_form_dual_matches_reference_on_a_cut_schur_mode():
         assert warm.converged == ref_warm.converged
         gap = np.linalg.norm(warm.Z - ref_warm.Z) / np.linalg.norm(ref_warm.Z)
         assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_solve_names_the_iteration_of_a_non_finite_iterate(monkeypatch, bad):
+    spec, rec = small_problem(21)
+    real_svt, calls = n2sid.admm.svt, []
+
+    def svt_turning_bad(*args, **kwargs):
+        Z = real_svt(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            Z[0, 2] = bad
+        return Z
+
+    monkeypatch.setattr(n2sid.admm, "svt", svt_turning_bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="non-finite iterates at iteration 3$"):
+            solve(spec, rec.y, 2.0, AdmmParams(max_iter=10))
+
+
+def test_sweep_leaves_every_returned_result_as_it_was_returned(monkeypatch):
+    spec, y, _ = random_data_problem(22)
+    real_solve, returned = n2sid.admm.solve, []
+
+    def recording_solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        returned.append((res, {name: getattr(res, name).copy() for name in ("x", "Z", "y_dual")}))
+        return res
+
+    monkeypatch.setattr(n2sid.admm, "solve", recording_solve)
+    results = sweep(spec, y, spec.N * np.logspace(-1.5, 3, 6))
+    assert len(returned) == len(results)
+    assert all(res is got for (res, _), got in zip(returned, results))
+    # no warm start wrote into the result it started from
+    for res, copies in returned:
+        for name, want in copies.items():
+            assert np.array_equal(getattr(res, name), want)
 
 
 def test_params_validation():

@@ -134,9 +134,8 @@ def test_scale_outputs_reports_j_in_record_units(monkeypatch):
 
     def capturing_extract(*args):
         extracted.append(None)  # a failing extraction keeps its slot
-        out = real_extract(*args)
-        extracted[-1] = out[0]
-        return out
+        extracted[-1] = real_extract(*args)
+        return extracted[-1]
 
     monkeypatch.setattr(pipeline_mod, "_extract", capturing_extract)
     rep = identify(rec, cfg)
@@ -242,16 +241,16 @@ def test_identify_names_the_stage_that_failed(monkeypatch):
     real_extract = pipeline_mod._extract
     calls = []
 
-    def failing_extract(res, spec, rec_, cfg_):
+    def failing_extract(svd, x, spec, rec_, cfg_):
         # every grid point solves, so call i extracts grid point i
-        calls.append(res)
+        calls.append(x)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("forced extraction failure")
-        idm, sigma = real_extract(res, spec, rec_, cfg_)
+        idm = real_extract(svd, x, spec, rec_, cfg_)
         if len(calls) == 2:
             # an unstable model whose scored recursion overflows
-            return replace(idm, model=replace(idm.model, A=1e10 * idm.model.A)), sigma
-        return idm, sigma
+            return replace(idm, model=replace(idm.model, A=1e10 * idm.model.A))
+        return idm
 
     monkeypatch.setattr(pipeline_mod, "_extract", failing_extract)
     rep = identify(rec, cfg)
@@ -260,6 +259,41 @@ def test_identify_names_the_stage_that_failed(monkeypatch):
     assert stages[grid[1]][0] == "score"
     assert "overflow" in stages[grid[1]][1]
     assert np.all(np.isnan(rep.j_values[:2])) and np.all(np.isfinite(rep.j_values[2:]))
+
+
+def test_failed_points_keep_their_singular_values(monkeypatch):
+    _, rec = noise_free_record(N=60)
+    cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
+    real_m1 = pipeline_mod.compute_m1
+    calls = []
+
+    def failing_m1(*args):
+        # grid points 0 and 2 fail after their SVD succeeded
+        calls.append(None)
+        if len(calls) in (1, 3):
+            raise np.linalg.LinAlgError("forced failure after the SVD")
+        return real_m1(*args)
+
+    monkeypatch.setattr(pipeline_mod, "compute_m1", failing_m1)
+    rep = identify(rec, cfg)
+    monkeypatch.undo()
+    assert [f["stage"] for f in rep.failures] == ["extract", "extract"]
+    assert np.isnan(rep.j_values[[0, 2]]).all() and np.isfinite(rep.j_values[[1, 3]]).all()
+    # every point's singular values, failed or not, are those of an unpatched run
+    want = identify(rec, cfg).sigma_per_lambda
+    for got, ref in zip(rep.sigma_per_lambda, want):
+        assert got is not None
+        assert np.array_equal(got, ref)
+
+
+def test_timings_split_extraction_from_scoring():
+    _, rec = noise_free_record(N=60)
+    t = identify(rec, PipelineConfig(s=6, detrend=False, n_lambda=4)).timings
+    phases = ("factorization_s", "sweep_s", "extraction_s", "scoring_s")
+    assert set(t) == {*phases, "total_s"}
+    assert all(t[k] >= 0.0 for k in t)
+    assert t["scoring_s"] > 0.0
+    assert sum(t[k] for k in phases) <= t["total_s"]
 
 
 def test_identify_all_failed_raises(monkeypatch):

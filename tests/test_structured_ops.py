@@ -190,6 +190,31 @@ def test_operator_matches_dense_oracle():
             )
 
 
+def test_operator_out_matches_the_allocating_call():
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        spec = random_spec(rng)
+        x = random_decision(rng, spec)
+        # the Hankel part plus T(X) data, as two separate arrays
+        want = block_hankel(x[:, : spec.N].T, spec.s) + block_toeplitz(toeplitz_estimates(x, spec)) @ spec.data
+        # the solver's stacks are transposes of (d, p) solves, so test both layouts
+        for stack in (x, np.asfortranarray(x)):
+            buf = np.full((spec.p * spec.s, spec.ncols), np.nan)
+            assert apply_operator(stack, spec, out=buf) is buf
+            assert np.array_equal(buf, apply_operator(stack, spec))
+            assert np.array_equal(buf, want)
+
+
+def test_operator_rejects_an_unusable_out():
+    rng = np.random.default_rng(21)
+    spec = OperatorSpec.from_data(rng.standard_normal((12, 1)), rng.standard_normal((12, 2)), s=3)
+    x = random_decision(rng, spec)
+    shape = (spec.p * spec.s, spec.ncols)
+    for bad in (np.empty(shape[::-1]).T, np.empty((shape[0], shape[1] + 1)), np.empty(shape, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_operator(x, spec, out=bad)
+
+
 def test_operator_on_true_model_is_low_rank():
     model = make_siso_order2()
     obs = to_observer(model)
