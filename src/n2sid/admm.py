@@ -31,8 +31,10 @@ built in O(s r^2) from the interior Gram held by the factorization.
 Each iteration applies the adjoint once, to the new Z, and carries no
 running adj(Y): the X step's optimality condition gives adj(Y_new) =
 H (a - X) + rho (adj(Z) - adj(Z_new)) (ibid., sec. 3.3), so M X is
-never formed.  Z is (p*s) x (N-s+1), always wide, so svt works on the
-small p*s x p*s Gram (see svt).
+never formed.  Z is (p*s) x (N-s+1), wide on all but the shortest
+records, so svt works on the small p*s x p*s Gram; when N-s+1 < p*s
+(N = 20 at s = 15) Z is tall and svt uses the Gram of its N-s+1 columns
+instead (see svt).
 
 A solve allocates its Z-sized arrays once: A(X), W, the primal residual
 R = A(X) - Z, U and Z itself; the operator and svt write into them

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -212,11 +213,15 @@ def _report_json(args, cfg, report, vaf_agg, vaf_per_output, n_ide, n_val) -> di
     }
 
 
-def _per_output_vaf(model, val: IoRecord, x0_policy: str) -> list[float]:
+def _per_output_vaf(model, val: IoRecord, x0_policy: str) -> list[float | None]:
+    """VAF of each output channel; None for a channel that is identically zero."""
     from .pipeline import _predict
 
     yhat = _predict(model, val, x0_policy)
-    return [vaf(val.y[:, j : j + 1], yhat[:, j : j + 1]) for j in range(val.p)]
+    return [
+        vaf(val.y[:, j : j + 1], yhat[:, j : j + 1]) if np.any(val.y[:, j]) else None
+        for j in range(val.p)
+    ]
 
 
 def cmd_identify(args) -> int:
@@ -342,12 +347,18 @@ def cmd_validate(args) -> int:
     if "model" not in report:
         raise UsageError(f"{args.report}: no model section")
     model = _model_from_json(report["model"])
+    config = report.get("config", {})
+    if not isinstance(config, dict):
+        raise UsageError(f"{args.report}: config is not an object")
     val = read_csv(args.data, model.m, model.p)
+    # the offsets identify removed from its own validation slice
+    if config.get("detrend") is True:
+        val = val.detrended()
     policy = X0_POLICIES[args.x0]
     agg = evaluate(model, val, policy)
     per = _per_output_vaf(model, val, policy)
     for j, v in enumerate(per):
-        print(f"vaf y{j + 1}: {float(v)!r}")
+        print(f"vaf y{j + 1}: {math.nan if v is None else float(v)!r}")
     print(f"vaf aggregate: {float(agg)!r}")
     return EXIT_OK
 

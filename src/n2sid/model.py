@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationOverflowError
+from .structured_ops import block_toeplitz
 
 __all__ = [
     "StateSpaceModel",
@@ -229,10 +230,11 @@ def state_response(A, C, x0, steps: int, drive=None) -> np.ndarray:
 
     The record is cut into windows of L = min(WINDOW, steps) samples and
     each window is one data equation, y_b = O_L x_b + T_L d_b, with
-    O_L = [C A^j], j < L, and T_L strictly lower block-Toeplitz with
-    blocks C A^(j-1-i).  Window starts follow x_(b+1) = A^L x_b + R_L d_b,
-    R_L = [A^(L-1) ... A I], the only loop, of ceil(steps / L) steps; a
-    last window shorter than L uses the leading part of the same matrices.
+    O_L = [C A^j], j < L, and T_L = structured_ops.block_toeplitz of the
+    lags [0, C A^0, ..., C A^(L-2)], the operator's window-view builder.
+    Window starts follow x_(b+1) = A^L x_b + R_L d_b, R_L = [A^(L-1) ...
+    A I], the only loop, of ceil(steps / L) steps; a last window shorter
+    than L uses the leading part of the same matrices.
 
     Raises:
         SimulationOverflowError: if an output or the state after
@@ -270,14 +272,8 @@ def state_response(A, C, x0, steps: int, drive=None) -> np.ndarray:
                     out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
                     x = powers[tail] @ x
             else:
-                # block (j, i) of T_L is C A^(j-1-i) = rev[L-1-j+i], rev holding C A^(L-2),
-                # ..., C A^0 and then L zero blocks: row j is the window of rev from L-1-j.
-                # Built as one view and one copy; structured_ops.block_toeplitz caches an
-                # (L*L, L) selection matrix, 256 KiB at L = 32, which showed in peak RSS.
-                rev = np.concatenate([CA[-2::-1], np.zeros((L, p, n))])
-                T = np.lib.stride_tricks.sliding_window_view(rev, L, axis=0)[::-1]
-                T = T.transpose(0, 1, 3, 2).reshape(L * p, L * n)
-                R = powers[L - 1 :: -1].transpose(1, 0, 2).reshape(n, L * n)
+                T = block_toeplitz(np.concatenate([np.zeros((1, p, n)), CA[:-1]]))
+                R = np.concatenate(powers[L - 1 :: -1], axis=1)
                 d = np.asarray(drive, dtype=float).reshape(steps, n, q)
                 windows = d[:full].reshape(nb, L * n, q)
                 forced = R @ windows

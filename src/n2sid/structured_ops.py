@@ -13,10 +13,13 @@ with ``data`` the frozen negated block-Hankel matrix of [u, y], the only
 copy of the record that the operator spec holds, and T(X) built by the
 one block-Toeplitz builder (T_y has a zero lag-0 block).  Its adjoint
 takes yhat from the antidiagonal sums of Z and the Toeplitz blocks from
-the block-diagonal sums of Z data'.  The module also assembles the
-coefficient matrix M of adj(A(.)) o A(.) on one output block, columns in
-the order of the stack: its diagonal in closed form, and its cross and
-small pieces by FFT from the channel rows of the same ``data``.
+the block-diagonal sums of Z data'.  Each Hankel or Toeplitz builder
+returns a C-contiguous copy of one window view, entry [r, c] = seq[r + c],
+of the samples or of the lags reversed and then s - 1 zero blocks, and the
+Toeplitz adjoint sums a diagonal view of the zero-padded block grid.  The
+module also assembles the coefficient matrix M of adj(A(.)) o A(.) on one
+output block, columns in the order of the stack: its diagonal in closed
+form, and its cross and small pieces by FFT from the rows of ``data``.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -43,39 +46,45 @@ __all__ = [
 ]
 
 
+def _window_view(seq: np.ndarray, rows: int, cols: int, step: int = 1) -> np.ndarray:
+    """View of shape (rows, cols) + seq.shape[1:], entry [r, c] being seq[r*step + c].
+
+    Step 1 windows a C- or F-contiguous ``seq`` like a Hankel matrix; a step
+    one longer than the rows of a grid flattened into ``seq`` reads its
+    diagonals.  The rows overlap, so the view is only read.
+    """
+    shape, t = (rows, cols) + seq.shape[1:], seq.strides[0]
+    return np.ndarray(shape, seq.dtype, seq, strides=(step * t, t) + seq.strides[1:])
+
+
 def block_hankel(series: np.ndarray, s: int) -> np.ndarray:
     """Block-Hankel matrix with s block rows from an (N, q) sample array.
 
     Column c stacks samples c, c+1, ..., c+s-1 (one q-vector per block
     entry); the result has shape (q*s, N - s + 1).
     """
-    series = np.asarray(series, dtype=float)
+    series = np.ascontiguousarray(series, dtype=float)
     if series.ndim == 1:
         series = series[:, None]
     N, q = series.shape
     if N <= s:
         raise ValueError(f"need more than s={s} samples, got {N}")
     ncols = N - s + 1
-    # samples repeated cyclically in rows of N + 1: entry (r, c) is sample r + c
-    windows = np.resize(series, (s, N + 1, q))[:, :ncols]
-    return windows.transpose(0, 2, 1).reshape(q * s, ncols)
-
-
-@lru_cache(maxsize=None)
-def _lag_selection(s: int) -> np.ndarray:
-    """0/1 matrix of shape (s*s, s): row r*s + c selects lag r - c (none above the diagonal)."""
-    lag = np.subtract.outer(np.arange(s), np.arange(s)).reshape(-1)
-    sel = (lag[:, None] == np.arange(s)).astype(float)
-    sel.flags.writeable = False
-    return sel
+    H = np.empty((q * s, ncols))
+    H.reshape(s, q, ncols)[...] = _window_view(series, s, ncols).transpose(0, 2, 1)
+    return H
 
 
 def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     """Lower block-Toeplitz (p*s, q*s) matrix: block (r, c) is blocks[r - c] for r >= c, else 0."""
     blocks = np.asarray(blocks, dtype=float)
     s, p, q = blocks.shape
-    T = _lag_selection(s) @ blocks.reshape(s, p * q)
-    return T.reshape(s, s, p, q).transpose(0, 2, 1, 3).reshape(p * s, q * s)
+    # the lags reversed, then s - 1 zero blocks: block (r, c) is rev[(s - 1 - r) + c]
+    rev = np.zeros((2 * s - 1, p, q))
+    rev[:s] = blocks[::-1]
+    T = np.empty((p * s, q * s))
+    T.reshape(s, p, s, q)[...] = _window_view(rev, s, s)[::-1].transpose(0, 2, 1, 3)
+    return T
 
 
 def block_toeplitz_adjoint(T: np.ndarray, p: int) -> np.ndarray:
@@ -83,8 +92,11 @@ def block_toeplitz_adjoint(T: np.ndarray, p: int) -> np.ndarray:
     T = np.asarray(T, dtype=float)
     s = T.shape[0] // p
     q = T.shape[1] // s
-    blocks = T.reshape(s, p, s, q).transpose(0, 2, 1, 3).reshape(s * s, p * q)
-    return (_lag_selection(s).T @ blocks).reshape(s, p, q)
+    # row r: s - 1 zero blocks, then block row r of T; a step one block longer than
+    # a row shifts view row r by r, so view column s - 1 - k holds block (r, r - k)
+    grid = np.zeros((s, 2 * s - 1, p, q))
+    grid[:, s - 1 :] = T.reshape(s, p, s, q).transpose(0, 2, 1, 3)
+    return _window_view(grid.reshape(s * (2 * s - 1), p, q), s, s, step=2 * s).sum(axis=0)[::-1]
 
 
 @dataclass(frozen=True)
@@ -176,10 +188,10 @@ def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = N
     window offset r, matching the block-Hankel layout of the data.  With
     ``out``, a C-contiguous float array of that shape not overlapping X,
     the result is written there and ``out`` is returned.  T(X) data is
-    formed in place and the Hankel part is added through a strided view
-    of yhat, so no other array of the result's size is made.
+    formed in place and the Hankel part is added through a window view
+    of X's yhat part, so no other array of the result's size is made.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     T = block_toeplitz(toeplitz_estimates(X, spec))
     shape = (spec.p * spec.s, spec.ncols)
     if out is None:
@@ -187,14 +199,9 @@ def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = N
     elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
     np.matmul(T, spec.data, out=out)
-    # entry [r, i, c] of the view is yhat_i at sample r + c; a view on a
-    # contiguous (p, N) copy, because as_strided's per-call Python objects
-    # left the process about 1 MB larger
-    yhat = np.ascontiguousarray(X[:, : spec.N])
-    step = yhat.itemsize
-    hankel = np.ndarray((spec.s, spec.p, spec.ncols), buffer=yhat, strides=(step, spec.N * step, step))
+    # entry [r, i, c] of the view is yhat_i at sample r + c
     blocks = out.reshape(spec.s, spec.p, spec.ncols)
-    np.add(blocks, hankel, out=blocks)
+    blocks += _window_view(X.T, spec.s, spec.ncols).transpose(0, 2, 1)
     return out
 
 

@@ -326,6 +326,24 @@ def test_solve_matches_long_reference_run():
         assert res_obj <= ref_obj + 1e-4 * (1.0 + abs(ref_obj))
 
 
+def test_solve_on_a_tall_record_matches_strict_references():
+    # N - s + 1 = 6 columns against p*s = 15 rows: Z is tall, so svt thresholds
+    # through the Gram of its columns
+    rec = make_record(make_siso_order2(), 20, seed=42, noise_std=0.2)
+    spec = OperatorSpec.from_data(rec.u, rec.y, 15)
+    assert spec.ncols < spec.p * spec.s
+    fact = SweepFactorization.from_spec(spec)
+    for lam in (200.0, 2000.0):
+        res = solve(spec, rec.y, lam, fact=fact)
+        assert res.converged
+        loop = reference_solve(spec, rec.y, lam, AdmmParams(), fact)
+        assert res.iterations == loop.iterations
+        assert np.linalg.norm(res.Z - loop.Z) <= 1e-10 * np.linalg.norm(loop.Z)
+        ref = solve(spec, rec.y, lam, reference_params(2000), fact)
+        res_obj, ref_obj = (objective_value(spec, rec.y, lam, r.x) for r in (res, ref))
+        assert abs(res_obj - ref_obj) <= 1e-4 * (1.0 + abs(ref_obj))
+
+
 def test_solve_converged_residual_contract():
     spec, rec = small_problem(12)
     params = AdmmParams()

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from n2sid.cli import example_model, main, read_csv, write_csv
+from n2sid.cli import _model_to_json, example_model, main, read_csv, write_csv
 from n2sid.model import IoRecord, simulate
 from n2sid.pipeline import evaluate
 
@@ -184,6 +184,9 @@ def _validate(tmp, report_text):
         lambda tmp: _identify(tmp, data=str(tmp)),
         lambda tmp: ["validate", "--report", str(tmp), "--data", make_data_file(tmp / "d.csv")],
         lambda tmp: _identify(tmp, "--s", "5", "--order", "7"),
+        lambda tmp: _validate(tmp, json.dumps(
+            {"model": _model_to_json(example_model("order2"), np.zeros(2)), "config": [1]}
+        )),
     ],
     ids=[
         "negative-n", "s-beyond-record", "nan-cell", "lambda-max-inf", "lambda-max-overflow",
@@ -193,7 +196,7 @@ def _validate(tmp, report_text):
         "n-ide-list-not-integers", "unknown-example", "report-without-model", "invalid-json",
         "report-dir-missing", "sv-csv-dir-missing", "vaf-csv-dir-missing",
         "simulate-out-dir-missing", "data-is-directory", "report-is-directory",
-        "order-beyond-window",
+        "order-beyond-window", "report-config-not-object",
     ],
 )
 def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -398,3 +401,54 @@ def test_validate_aggregate_matches_library(tmp_path, capsys):
     model = _model_from_json(json.loads(report_path.read_text())["model"])
     val = read_csv(str(val_path), 1, 1)
     assert agg == pytest.approx(evaluate(model, val, "ls_estimate"), abs=1e-12)
+
+
+def _printed_vaf(out, label):
+    return float([l for l in out.splitlines() if l.startswith(label)][0].split(":")[1])
+
+
+def test_validate_detrends_like_identify_n_val(tmp_path, capsys):
+    # an output offset that identify's detrending removes from both slices
+    rec = read_csv(make_data_file(tmp_path / "raw.csv", n=700, seed=4, noise=0.1), 1, 1)
+    data = tmp_path / "offset.csv"
+    write_csv(str(data), rec.u, rec.y + 2.0)
+    report_path = tmp_path / "r.json"
+    code = run_cli(
+        "identify", "--data", str(data), "--inputs", "1", "--outputs", "1",
+        "--s", "8", "--grid", "4", "--n-ide", "400", "--n-val", "300",
+        "--report", str(report_path),
+    )
+    assert code == 0
+    val_path = tmp_path / "val.csv"
+    write_csv(str(val_path), rec.u[400:], rec.y[400:] + 2.0)
+    capsys.readouterr()
+    assert run_cli("validate", "--report", str(report_path), "--data", str(val_path)) == 0
+    out = capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert _printed_vaf(out, "vaf aggregate") == pytest.approx(report["vaf_validation"], abs=1e-9)
+    assert _printed_vaf(out, "vaf y1") == pytest.approx(report["vaf_validation_per_output"][0], abs=1e-9)
+
+
+def test_constant_output_channel_has_no_per_output_vaf(tmp_path, capsys):
+    rec = read_csv(make_data_file(tmp_path / "raw.csv", n=260, seed=6, noise=0.1), 1, 1)
+    y = np.hstack([rec.y, np.full((rec.N, 1), 3.0)])  # y2 is zero once detrended
+    data, val_path = tmp_path / "d.csv", tmp_path / "val.csv"
+    write_csv(str(data), rec.u, y)
+    write_csv(str(val_path), rec.u[180:], y[180:])
+    report_path = tmp_path / "r.json"
+    with pytest.warns(UserWarning, match="rank-deficient"):
+        code = run_cli(
+            "identify", "--data", str(data), "--inputs", "1", "--outputs", "2",
+            "--s", "6", "--grid", "3", "--n-ide", "180", "--n-val", "80",
+            "--report", str(report_path),
+        )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    per = report["vaf_validation_per_output"]
+    assert per[1] is None and np.isfinite(per[0])
+    capsys.readouterr()
+    assert run_cli("validate", "--report", str(report_path), "--data", str(val_path)) == 0
+    out = capsys.readouterr().out
+    assert "vaf y2: nan" in out.splitlines()
+    assert _printed_vaf(out, "vaf y1") == pytest.approx(per[0], abs=1e-9)
+    assert _printed_vaf(out, "vaf aggregate") == pytest.approx(report["vaf_validation"], abs=1e-9)

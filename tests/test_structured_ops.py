@@ -115,6 +115,34 @@ def test_block_toeplitz_block_layout():
     np.testing.assert_array_equal(T[:2, 3:], np.zeros((2, 3)))
 
 
+def _owns_c_array(a):
+    return a.flags.c_contiguous and a.flags.owndata
+
+
+@pytest.mark.parametrize("s, p, q", [(1, 1, 1), (1, 2, 3), (4, 1, 1), (4, 1, 3), (4, 2, 1), (3, 2, 2)])
+def test_block_toeplitz_returns_its_own_c_contiguous_array(s, p, q):
+    blocks = np.random.default_rng(s * 100 + p * 10 + q).standard_normal((s, p, q))
+    assert _owns_c_array(block_toeplitz(blocks))
+    # lags not in C order, like the transposed view toeplitz_estimates returns
+    assert _owns_c_array(block_toeplitz(np.asfortranarray(blocks)))
+
+
+@pytest.mark.parametrize("N, q, s", [(2, 1, 1), (9, 1, 1), (9, 3, 1), (9, 1, 3), (9, 2, 4)])
+def test_block_hankel_returns_its_own_c_contiguous_array(N, q, s):
+    series = np.random.default_rng(N * 100 + q * 10 + s).standard_normal((N, q))
+    for layout in (series, np.asfortranarray(series), series[:, ::-1], series[:, 0]):
+        H = block_hankel(layout, s)
+        assert _owns_c_array(H)
+        np.testing.assert_array_equal(H, block_hankel(np.array(layout, order="C"), s))
+
+
+@pytest.mark.parametrize("m, p", [(0, 1), (1, 1), (2, 2)])
+def test_spec_data_is_its_own_c_contiguous_array(m, p):
+    rng = np.random.default_rng(m + 10 * p)
+    spec = OperatorSpec.from_data(rng.standard_normal((20, m)), rng.standard_normal((20, p)), s=4)
+    assert _owns_c_array(spec.data)
+
+
 def test_block_hankel_scalar():
     np.testing.assert_array_equal(
         block_hankel(np.array([1.0, 2.0, 3.0, 4.0]), 2), [[1, 2, 3], [2, 3, 4]]
