@@ -15,7 +15,7 @@ optimization and statistical learning via ADMM", 2011, sec. 3.1.1):
     X      <- argmin  0.5 (X - a)^T H (X - a) + (rho/2) ||A(X) - Z + U||^2
     W       = A(X) + U
     Z      <- svt(W, 1/rho)
-    U      <- U + A(X) - Z
+    U      <- W - Z
 
 with residual-balanced penalty adaptation (rho from RHO0, stepped by
 TAU); a step from rho to rho' rescales U by rho / rho', so Y = rho U
@@ -28,27 +28,48 @@ block is diagonal, so for each (lambda, rho) pair the solve eliminates
 that block and works with a Schur complement of side r = m*s + p*(s-1),
 built in O(s r^2) from the interior Gram held by the factorization.
 
-Each iteration applies the adjoint once, to the new Z, and carries no
-running adj(Y): the X step's optimality condition gives adj(Y_new) =
-H (a - X) + rho (adj(Z) - adj(Z_new)) (ibid., sec. 3.3), so M X is
-never formed.  Z is (p*s) x (N-s+1), wide on all but the shortest
-records, so svt works on the small p*s x p*s Gram; when N-s+1 < p*s
-(N = 20 at s = 15) Z is tall and svt uses the Gram of its N-s+1 columns
-instead (see svt).
+The iteration is a fixed-point map on the Douglas-Rachford state W: with
+Z = svt(W, 1/rho) and U = W - Z, one step gives T(W) = A(X) + U, whose
+residual T(W) - W is g = A(X) - Z.  Once rho settles, plain steps shrink
+g at a slow linear rate, so the W that goes to svt is taken from type-II
+Anderson acceleration instead (Zhang, O'Donoghue & Boyd, "Globally
+convergent type-I Anderson acceleration for nonsmooth optimization",
+SIAM J. Optim. 30(4), 2020): with dT and dG the last AA_MEMORY
+differences of T(W) and g, gamma minimises ||g - dG gamma|| through the
+normal equations (Tikhonov weight AA_REG relative to the trace of their
+Gram, which one product per step updates), and W <- T(W) - dT gamma.
+The memory is cleared when ||g|| grows, and on every penalty step,
+since T depends on rho; without memory the step is the plain one,
+W = T(W).
 
-A solve allocates its Z-sized arrays once: A(X), W, the primal residual
-R = A(X) - Z, U and Z itself; the operator and svt write into them
-through ``out``.  One buffer holds every Z the solve makes: once svt has
-written the new Z, the step reads the old one only through adj(Z),
-which it carries.  A non-finite iterate shows in the norms of R, A(X)
-and Z, which the stopping rule takes anyway, so no separate finiteness
-pass over Z-sized arrays is made.
+Each iteration applies the adjoint once, to the new Z, and carries no
+running adj(Y): the X step's optimality condition gives adj(T(W)) =
+adj(Z) + H (a - X) / rho, so
+adj(Y_new) = rho (adj(T(W)) - adj(dT) gamma - adj(Z_new)) (Boyd et al.,
+sec. 3.3), with adj(dT) kept as the p x d differences of adj(T(W)); M X
+is never formed.  The dual residual
+||H (X - a) + adj(Y_new)|| is then rho (adj(Z) - adj(Z_new)) less the
+extrapolation's rho adj(dT) gamma, and the primal one ||A(X) - Z_new||,
+both exact as long as the X step is.  Z is (p*s) x (N-s+1), wide on all
+but the shortest records, so svt works on the small p*s x p*s Gram; when
+N-s+1 < p*s (N = 20 at s = 15) Z is tall and svt uses the Gram of its
+N-s+1 columns instead (see svt).
+
+A solve allocates its arrays once: A(X), the primal residual R, U (whose
+buffer also takes the extrapolated W), one buffer for every Z, the rings
+of dT and dG, each AA_MEMORY differences plus this and the last step's
+T(W) or g (2 AA_MEMORY + 8 Z-sized arrays in all), and the ring of
+adj(dT), p x d arrays.  The operator, svt and the ring updates write
+into them through ``out``, so an iteration makes no fresh Z-sized array
+beyond the adjoint's padded scratch and svt's own.  A non-finite iterate
+shows in the norms of R, A(X) and Z, which the stopping rule takes
+anyway, so no separate finiteness pass over Z-sized arrays is made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +91,10 @@ RHO0 = 1.0
 RHO_MIN = 1e-6
 RHO_MAX = 1e6
 TAU = 2.0
+# Anderson acceleration: the differences it keeps, and its Tikhonov weight
+# relative to the trace of their Gram
+AA_MEMORY = 3
+AA_REG = 1e-10
 # svt falls back from the Gram to an SVD below this sigma / sigma_max
 GRAM_CUTOFF = 1e-4
 
@@ -155,6 +180,9 @@ class SolveResult:
     dual_res: float
     converged: bool
     y_dual: np.ndarray
+    # (Z, adj(Z)) as the solve left them: a warm start from this result reads
+    # adj(Z) here instead of applying the adjoint, while Z is still that array
+    _adj_z: tuple = field(default=(None, None), repr=False, compare=False)
 
 
 def nuclear_norm(X: np.ndarray) -> float:
@@ -231,16 +259,24 @@ def solve(
     fact: SweepFactorization | None = None,
     warm: SolveResult | None = None,
 ) -> SolveResult:
-    """Run the splitting iteration to (approximate) optimality.
+    """Run the accelerated splitting iteration to (approximate) optimality.
 
     The measured outputs y, (N, p) or (N,), and lam >= 0 fix the fit term.
     The iteration starts from Z = A(a) and Y = 0, or from the Z and Y of
     ``warm``, a previous result on the same spec; X needs no start, and
-    ``warm``'s arrays are only read.  adj(Z) and adj(Y) are applied once
-    at the start; then each iteration applies the adjoint once, to the
-    new Z, and svt once.  adj(Y) is not carried but rebuilt in closed
-    form (see above), exact as long as the X step is, which _XSolver
-    checks when it cuts a mode.  An iterate that turns non-finite raises
+    ``warm``'s arrays are only read.  The start applies the adjoint once:
+    to A(a) from a cold start, and to Y from a warm one, whose adj(Z) the
+    result that made it holds (recomputed if its Z was replaced).  Then
+    each iteration applies the adjoint once, to the new Z, and svt once,
+    to the state W = T(W) - dT gamma that Anderson acceleration over the
+    last AA_MEMORY steps extrapolates (see above).  The memory is cleared
+    when the residual ||g|| = ||A(X) - Z|| grows and on every penalty
+    step.  adj(Y) is not carried but rebuilt in closed form, exact as long
+    as the X step is, which _XSolver checks when it cuts a mode; so
+    ``primal_res`` and ``dual_res`` are ||A(x) - Z|| and
+    ||H (x - a) + adj(y_dual)|| of the result, the dual one including the
+    extrapolation's term -rho adj(dT) gamma.  The stopping rule is the
+    residual rule of ``params``.  An iterate that turns non-finite raises
     SolverError naming its iteration.
     """
     lam = float(lam)
@@ -256,18 +292,26 @@ def solve(
     a[:, :N] = y.T
     Ha = weight * a
 
-    # the Z-sized arrays of one solve: the iteration writes into these
-    # only, so the warm start and earlier results are never overwritten
-    AX, W, R, Zbuf = (np.empty((p * spec.s, spec.ncols)) for _ in range(4))
+    # the arrays of one solve: the iteration writes into these only, so the
+    # warm start and earlier results are never overwritten.  Rows [:count] of
+    # each ring hold differences; rows mem and mem + 1 take turns holding this
+    # iteration's T(W), g or adj(T(W)) and the last one's.
+    mem, shape = AA_MEMORY, (p * spec.s, spec.ncols)
+    AX, R, Zbuf = (np.empty(shape) for _ in range(3))
+    dT, dG = (np.empty((mem + 2,) + shape) for _ in range(2))
+    dadj = np.empty((mem + 2, p, d))
+    flat_T, flat_G, flat_adj = (ring.reshape(mem + 2, -1) for ring in (dT, dG, dadj))
+    gram = np.empty((mem, mem))
+    rho = RHO0
     if warm is None:
         Z = apply_operator(a, spec, out=Zbuf)
-        Y = np.zeros_like(Z)
+        U, adjZ, adjY = np.zeros(shape), apply_adjoint(Z, spec), np.zeros((p, d))
     else:
-        Z, Y = warm.Z, warm.y_dual
-    adjZ, adjY = apply_adjoint(Z, spec), apply_adjoint(Y, spec)
-
-    rho = RHO0
-    U = Y / rho
+        Z, U = warm.Z, warm.y_dual / rho
+        source, adjZ = warm._adj_z
+        if source is not Z:
+            adjZ = apply_adjoint(Z, spec)
+        adjY = apply_adjoint(warm.y_dual, spec)
     solver = _XSolver(fact, weight, rho)
     sqrt_pri = math.sqrt(Z.size)
     sqrt_dual = math.sqrt(p * d)
@@ -275,15 +319,50 @@ def solve(
     converged = False
     iterations = 0
     pri = dual = math.inf
+    # count < 0: no T(W) at this rho to difference against yet
+    count, slot, last_norm = -1, 0, math.inf
 
     for it in range(1, params.max_iter + 1):
         iterations = it
         X = solver.solve((Ha + rho * adjZ - adjY).T).T
         apply_operator(X, spec, out=AX)
-        np.add(AX, U, out=W)
+        fit = Ha[:, :N] - weight * X[:, :N]
+        now, before = (mem, mem + 1) if it % 2 else (mem + 1, mem)
+        T, g, adjT = dT[now], dG[now], dadj[now]
+        np.add(AX, U, out=T)
+        np.subtract(AX, Z, out=g)
+        np.copyto(adjT, adjZ)
+        adjT[:, :N] += fit / rho
+        g_norm = float(np.linalg.norm(g))
+        if count < 0 or g_norm > last_norm:
+            count = slot = 0
+        else:
+            np.subtract(T, dT[before], out=dT[slot])
+            np.subtract(g, dG[before], out=dG[slot])
+            np.subtract(adjT, dadj[before], out=dadj[slot])
+            count = min(count + 1, mem)
+            # one product: rows slot and now, the new difference and g, against the ring
+            cross = flat_G[slot : now + 1 : now - slot] @ flat_G[:count].T
+            gram[slot, :count] = gram[:count, slot] = cross[0]
+            slot = (slot + 1) % mem
+            G = gram[:count, :count]
+            reg = AA_REG * G.trace()
+            if reg > 0.0:
+                gamma = np.linalg.solve(G + reg * np.eye(count), cross[1])
+            else:
+                count = slot = 0
+        last_norm = g_norm
+
+        if count > 0:
+            # U is spent: its buffer takes the extrapolated state
+            W = U
+            np.matmul(gamma, flat_T[:count], out=W.reshape(-1))
+            np.subtract(T, W, out=W)
+        else:
+            W = T
         Z = svt(W, 1.0 / rho, out=Zbuf)
+        np.subtract(W, Z, out=U)
         np.subtract(AX, Z, out=R)
-        U += R
 
         # a non-finite entry of R, AX or Z shows in its norm
         pri = float(np.linalg.norm(R))
@@ -293,8 +372,10 @@ def solve(
 
         adjZnew = apply_adjoint(Z, spec)
         Sdual = rho * (adjZ - adjZnew)
+        if count > 0:
+            Sdual -= rho * (gamma @ flat_adj[:count]).reshape(p, d)
         adjY = Sdual.copy()
-        adjY[:, :N] += Ha[:, :N] - weight * X[:, :N]
+        adjY[:, :N] += fit
         adjZ = adjZnew
         dual = float(np.linalg.norm(Sdual))
 
@@ -315,6 +396,7 @@ def solve(
             U *= rho / rho_new
             rho = rho_new
             solver = _XSolver(fact, weight, rho)
+            count = -1
 
     U *= rho  # the dual Y
     return SolveResult(
@@ -325,6 +407,7 @@ def solve(
         dual_res=dual,
         converged=converged,
         y_dual=U,
+        _adj_z=(Z, adjZ),
     )
 
 

@@ -6,7 +6,8 @@ Subcommands:
              optional plot-ready CSVs (per-lambda singular values,
              VAF vs identification length)
   simulate   generate a CSV record from a model file or built-in example
-  validate   score a report's model against a held-out CSV record
+  validate   score a report's model against a held-out CSV record in the
+             column layout identify read
 
 Exit codes: 0 success, 1 solver/numerical failure, 2 usage, file, data or
 configuration error.
@@ -195,6 +196,7 @@ def _report_json(args, cfg, report, vaf_agg, vaf_per_output, n_ide, n_val) -> di
         "config": {
             **asdict(cfg),
             "discard": args.discard,
+            "inputs": args.inputs,
             "output_only": bool(args.output_only),
             "n_ide": n_ide,
             "n_val": n_val,
@@ -205,6 +207,8 @@ def _report_json(args, cfg, report, vaf_agg, vaf_per_output, n_ide, n_val) -> di
         "lambda_grid": report.lambdas.tolist(),
         "j_curve": [None if not np.isfinite(v) else float(v) for v in report.j_values],
         "orders": report.orders.tolist(),
+        "iterations": report.iterations.tolist(),
+        "converged": report.converged.tolist(),
         "singular_values": [None if s is None else s.tolist() for s in report.sigma_per_lambda],
         "failures": report.failures,
         "vaf_validation": vaf_agg,
@@ -350,7 +354,13 @@ def cmd_validate(args) -> int:
     config = report.get("config", {})
     if not isinstance(config, dict):
         raise UsageError(f"{args.report}: config is not an object")
-    val = read_csv(args.data, model.m, model.p)
+    # the column layout identify read; an output-only model ignores the inputs
+    inputs = config.get("inputs", model.m)
+    if type(inputs) is not int or inputs < 0:
+        raise UsageError(f"{args.report}: config inputs must be a nonnegative integer, got {inputs!r}")
+    val = read_csv(args.data, inputs, model.p)
+    if config.get("output_only") is True:
+        val = IoRecord(u=np.zeros((val.N, 0)), y=val.y)
     # the offsets identify removed from its own validation slice
     if config.get("detrend") is True:
         val = val.detrended()

@@ -90,13 +90,19 @@ class PipelineConfig:
 
 @dataclass
 class PipelineReport:
-    """Everything a run produced: winning model, score curve, diagnostics."""
+    """Everything a run produced: winning model, score curve, diagnostics.
+
+    ``iterations`` and ``converged`` hold each grid point's solver count and
+    flag, -1 and False where the solve failed.
+    """
 
     best: IdentifiedModel
     lambda_opt: float
     lambdas: np.ndarray
     j_values: np.ndarray
     orders: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
     sigma_per_lambda: list
     failures: list
     timings: dict
@@ -267,6 +273,8 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         lambdas=grid,
         j_values=j_values,
         orders=orders,
+        iterations=np.array([-1 if res is None else res.iterations for res in results]),
+        converged=np.array([res is not None and res.converged for res in results]),
         sigma_per_lambda=sigma_per_lambda,
         failures=failures,
         timings={

@@ -52,12 +52,13 @@ def svd_svt(Y: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
-    """The splitting iteration with three adjoint applications per iteration.
+    """The plain splitting iteration, with three adjoint applications per iteration.
 
     adj(Z - Y/rho) for the right-hand side, adj(Z - Z_new) for the dual
     residual and adj(Y) for its tolerance are applied afresh every
     iteration, and svt is an SVD of the full Z.  Same start, penalty
-    steps and stopping rule as n2sid.admm.solve.
+    steps and residual rule as n2sid.admm.solve, but no Anderson
+    acceleration: it takes more iterations than solve, along other iterates.
     """
     N, p, d = spec.N, spec.p, spec.block_dim
     y = np.asarray(y, dtype=float).reshape(N, p)
@@ -103,6 +104,20 @@ def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
         x=X, Z=Z, iterations=it, primal_res=pri, dual_res=dual,
         converged=converged, y_dual=Y,
     )
+
+
+def recomputed_residuals(spec, y, lam, res: SolveResult) -> tuple[float, float, float]:
+    """||A(x) - Z|| and ||H (x - a) + adj(y_dual)|| of a result, from fresh operator
+    and adjoint applications, and the largest of the terms they cancel."""
+    N = spec.N
+    weight = 2.0 * lam / N
+    y = np.asarray(y, dtype=float).reshape(N, spec.p)
+    AX = apply_operator(res.x, spec)
+    stationarity = apply_adjoint(res.y_dual, spec)
+    terms = (AX, res.Z, stationarity, weight * res.x[:, :N], weight * y)
+    scale = max(float(np.linalg.norm(t)) for t in terms)
+    stationarity[:, :N] += weight * (res.x[:, :N] - y.T)
+    return float(np.linalg.norm(AX - res.Z)), float(np.linalg.norm(stationarity)), scale
 
 
 def naive_simulate(A, B, C, D, u, x0):

@@ -6,7 +6,7 @@ import pytest
 
 from n2sid.cli import _model_to_json, example_model, main, read_csv, write_csv
 from n2sid.model import IoRecord, simulate
-from n2sid.pipeline import evaluate
+from n2sid.pipeline import PipelineConfig, evaluate, identify
 
 
 def run_cli(*argv):
@@ -276,16 +276,31 @@ def test_identify_report_schema(tmp_path):
     report = json.loads(report_path.read_text())
     assert set(report.keys()) == {
         "tool", "version", "config", "model", "order", "lambda_opt", "lambda_grid",
-        "j_curve", "orders", "singular_values", "failures", "vaf_validation",
-        "vaf_validation_per_output", "timings",
+        "j_curve", "orders", "iterations", "converged", "singular_values", "failures",
+        "vaf_validation", "vaf_validation_per_output", "timings",
     }
     assert set(report["model"].keys()) == {"A", "B", "C", "D", "K", "n", "m", "p", "x0_ide"}
     assert set(report["config"].keys()) == {
         "s", "lambda_min", "lambda_max", "n_lambda", "variant", "order", "max_order",
-        "split", "discard", "detrend", "scale_outputs", "x0_policy", "output_only",
+        "split", "discard", "detrend", "scale_outputs", "x0_policy", "inputs", "output_only",
         "n_ide", "n_val",
     }
     assert len(report["lambda_grid"]) == len(report["j_curve"]) == 4
+
+
+def test_identify_report_has_each_grid_points_iterations_and_convergence(tmp_path):
+    data = make_data_file(tmp_path / "d.csv", n=90, noise=0.2)
+    report_path = tmp_path / "r.json"
+    code = run_cli(
+        "identify", "--data", data, "--inputs", "1", "--outputs", "1",
+        "--s", "6", "--grid", "4", "--no-detrend", "--report", str(report_path),
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    run = identify(read_csv(data, 1, 1), PipelineConfig(s=6, n_lambda=4, detrend=False))
+    assert report["iterations"] == run.iterations.tolist()
+    assert report["converged"] == run.converged.tolist()
+    assert all(type(n) is int and n > 0 for n in report["iterations"])
 
 
 def test_identify_reported_vaf_reproducible(tmp_path):
@@ -365,6 +380,36 @@ def test_validate_self_consistency(tmp_path, capsys):
     assert code == 0
     agg = float([l for l in out.splitlines() if l.startswith("vaf aggregate")][0].split(":")[1])
     assert agg == pytest.approx(100.0, abs=1e-6)
+
+
+def test_validate_scores_an_output_only_report_on_the_layout_identify_read(tmp_path, capsys):
+    data = make_data_file(tmp_path / "d.csv", n=400, noise=0.3, seed=7)
+    report_path = tmp_path / "r.json"
+    code = run_cli(
+        "identify", "--data", data, "--inputs", "1", "--outputs", "1", "--s", "8",
+        "--grid", "4", "--n-ide", "250", "--n-val", "150", "--output-only",
+        "--report", str(report_path),
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert report["config"]["inputs"] == 1 and report["model"]["m"] == 0
+    # the held-out slice in the u1,y1 layout identify read, inputs included
+    rec = read_csv(data, 1, 1)
+    val_path = tmp_path / "val.csv"
+    write_csv(str(val_path), rec.u[250:], rec.y[250:])
+    capsys.readouterr()
+    assert run_cli("validate", "--report", str(report_path), "--data", str(val_path)) == 0
+    out = capsys.readouterr().out
+    assert _printed_vaf(out, "vaf aggregate") == pytest.approx(report["vaf_validation"], abs=1e-9)
+    assert _printed_vaf(out, "vaf y1") == pytest.approx(report["vaf_validation_per_output"][0], abs=1e-9)
+
+
+@pytest.mark.parametrize("inputs", [-1, 1.5, "1", True])
+def test_validate_rejects_a_bad_input_count_in_the_report(tmp_path, capsys, inputs):
+    report = {"model": _model_to_json(example_model("order2"), np.zeros(2)), "config": {"inputs": inputs}}
+    capsys.readouterr()
+    assert run_cli(*_validate(tmp_path, json.dumps(report))) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_validate_dimension_mismatch(tmp_path, capsys):

@@ -234,6 +234,26 @@ def test_identify_records_failures_and_continues(monkeypatch):
     assert np.isfinite(rep.lambda_opt)
 
 
+def test_report_carries_each_grid_points_iterations_and_convergence(monkeypatch):
+    _, rec = noise_free_record(N=60)
+    cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
+    real_sweep = pipeline_mod.sweep
+    swept = []
+
+    def sweep_with_a_failed_and_an_unconverged_point(spec, y, grid, fact=None):
+        out = real_sweep(spec, y, grid, fact=fact)
+        out[1] = None
+        out[2] = replace(out[2], converged=False)
+        swept.extend(out)
+        return out
+
+    monkeypatch.setattr(pipeline_mod, "sweep", sweep_with_a_failed_and_an_unconverged_point)
+    rep = identify(rec, cfg)
+    assert rep.iterations.tolist() == [swept[0].iterations, -1, swept[2].iterations, swept[3].iterations]
+    assert rep.converged.tolist() == [swept[0].converged, False, False, swept[3].converged]
+    assert rep.iterations.dtype.kind == "i" and rep.converged.dtype == bool
+
+
 def test_identify_names_the_stage_that_failed(monkeypatch):
     _, rec = noise_free_record(N=60)
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
