@@ -55,6 +55,22 @@ but the shortest records, so svt works on the small p*s x p*s Gram; when
 N-s+1 < p*s (N = 20 at s = 15) Z is tall and svt uses the Gram of its
 N-s+1 columns instead (see svt).
 
+Every iterate also certifies itself.  The program's Lagrange dual
+(Boyd & Vandenberghe, "Convex Optimization", sec. 5.5) is finite at a Y
+with ||Y||_2 <= 1 whose adjoint has no Toeplitz part, and Y = rho U
+already has the first property.  The Toeplitz part D theta is projected
+out with the pseudo-inverse of small = D*D that the factorization holds,
+and the result is scaled back into the unit ball, so adj(Y), A(X) and
+the factorization give a lower bound g on the optimum and the primal
+value P at X, with no array of Z's size formed (see _relative_gap).
+Once both residuals are within GAP_GATE times their thresholds, a solve
+stops with converged=True also when P - g <= GAP_TOL * eps_rel *
+max(1, |P|), as Liu & Vandenberghe ("Interior-point method for nuclear
+norm approximation with application to system identification", SIAM J.
+Matrix Anal. Appl. 31(3), 2009) stop on the duality gap.  The residual
+rule is unchanged and still stops a solve on its own; the gap of every
+result, whichever rule stopped it, is ``SolveResult.gap``.
+
 A solve allocates its arrays once: A(X), the primal residual R, U (whose
 buffer also takes the extrapolated W), one buffer for every Z, the rings
 of dT and dG, each AA_MEMORY differences plus this and the last step's
@@ -95,13 +111,21 @@ TAU = 2.0
 # relative to the trace of their Gram
 AA_MEMORY = 3
 AA_REG = 1e-10
+# the duality gap is evaluated once both residuals are within GAP_GATE times
+# their thresholds, and stops the solve at GAP_TOL * eps_rel
+GAP_GATE = 10.0
+GAP_TOL = 0.3
 # svt falls back from the Gram to an SVD below this sigma / sigma_max
 GRAM_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
 class AdmmParams:
-    """Solver settings; defaults follow the standard short-data protocol."""
+    """Solver settings; defaults follow the standard short-data protocol.
+
+    eps_abs and eps_rel set the residual rule's thresholds; eps_rel also sets
+    the duality-gap stop, GAP_TOL * eps_rel relative to max(1, |objective|).
+    """
 
     max_iter: int = 200
     eps_abs: float = 1e-6
@@ -115,22 +139,30 @@ class AdmmParams:
 
 @dataclass(frozen=True)
 class SweepFactorization:
-    """Pieces of M (see build_M), reused across lambdas, and the Gram ``inner`` of
-    the cross rows whose diag is min(s, ncols): all but the 2 (k - 1) ``edge`` rows."""
+    """Pieces of M (see build_M), reused across lambdas: the Gram ``inner`` of the
+    cross rows whose diag is min(s, ncols), the other 2 (k - 1) rows ``edge_rows``
+    with their indices ``edge``, and ``small_pinv``, the pseudo-inverse of small
+    that the duality gap projects with."""
 
     spec: OperatorSpec
     diag: np.ndarray
     cross: np.ndarray
     small: np.ndarray
     edge: np.ndarray
+    edge_rows: np.ndarray
     inner: np.ndarray
+    small_pinv: np.ndarray
 
     @classmethod
     def from_spec(cls, spec: OperatorSpec) -> "SweepFactorization":
         diag, cross, small = build_M(spec)
         k = min(spec.s, spec.ncols)
         interior = cross[diag == k]
-        return cls(spec, diag, cross, small, edge=np.flatnonzero(diag < k), inner=interior.T @ interior)
+        edge = np.flatnonzero(diag < k)
+        return cls(
+            spec, diag, cross, small, edge=edge, edge_rows=cross[edge],
+            inner=interior.T @ interior, small_pinv=np.linalg.pinv(small, hermitian=True),
+        )
 
     def matches(self, spec: OperatorSpec) -> bool:
         """Same dimensions and the same record: M depends on the data, not only on its size."""
@@ -151,7 +183,7 @@ class _XSolver:
         self.cross, self.rho = fact.cross, rho
         self.dinv = 1.0 / (weight + rho * fact.diag)
         dinv_inner = 1.0 / (weight + rho * min(fact.spec.s, fact.spec.ncols))
-        rows = fact.cross[fact.edge]
+        rows = fact.edge_rows
         gram = dinv_inner * fact.inner + (rows.T * self.dinv[fact.edge]) @ rows
         self.S = rho * fact.small - rho**2 * gram
         evals, evecs = np.linalg.eigh(self.S)
@@ -180,6 +212,8 @@ class SolveResult:
     dual_res: float
     converged: bool
     y_dual: np.ndarray
+    # the certified duality gap at x, relative to max(1, |objective|); inf at lambda = 0
+    gap: float = math.inf
     # (Z, adj(Z)) as the solve left them: a warm start from this result reads
     # adj(Z) here instead of applying the adjoint, while Z is still that array
     _adj_z: tuple = field(default=(None, None), repr=False, compare=False)
@@ -251,6 +285,34 @@ def objective_value(spec: OperatorSpec, y: np.ndarray, lam: float, X: np.ndarray
     return nuclear_norm(apply_operator(X, spec)) + 0.5 * (2.0 * lam / spec.N) * float(np.sum(diff * diff))
 
 
+def _relative_gap(
+    fact: SweepFactorization, y_t: np.ndarray, weight: float, X: np.ndarray, AX: np.ndarray, adjY: np.ndarray
+) -> float:
+    """(P - g) / max(1, |P|): P the objective at X, g a dual bound built from adj(Y).
+
+    Y is the dual iterate with ||Y||_2 <= 1, known only through adjY.  Its
+    Toeplitz part is projected out, Y' = Y - D theta with theta = adj(Y)[:, N:]
+    small^+ (D the operator's Toeplitz part, small = D*D), and Y' / c with
+    c = 1 + ||D theta||_F is dual feasible, so g = <V, y> - ||V||^2 / (2 w),
+    V its yhat part, bounds the optimum from below.  P takes the nuclear norm
+    of A(X) from the eigenvalues of the Gram of its short side.  No array of
+    Z's size is made.  Infinite at weight 0, where g is finite only for V = 0.
+    """
+    if weight == 0.0:
+        return math.inf
+    N = fact.spec.N
+    theta = adjY[:, N:] @ fact.small_pinv
+    c = 1.0 + math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
+    V = adjY[:, :N] - theta @ fact.cross.T
+    V /= c
+    dual = float(np.sum(V * y_t)) - float(np.sum(V * V)) / (2.0 * weight)
+    short = AX if AX.shape[0] <= AX.shape[1] else AX.T
+    nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(short @ short.T), 0.0)).sum())
+    diff = X[:, :N] - y_t
+    primal = nuclear + 0.5 * weight * float(np.sum(diff * diff))
+    return (primal - dual) / max(1.0, abs(primal))
+
+
 def solve(
     spec: OperatorSpec,
     y: np.ndarray,
@@ -275,9 +337,14 @@ def solve(
     as the X step is, which _XSolver checks when it cuts a mode; so
     ``primal_res`` and ``dual_res`` are ||A(x) - Z|| and
     ||H (x - a) + adj(y_dual)|| of the result, the dual one including the
-    extrapolation's term -rho adj(dT) gamma.  The stopping rule is the
-    residual rule of ``params``.  An iterate that turns non-finite raises
-    SolverError naming its iteration.
+    extrapolation's term -rho adj(dT) gamma.  The solve stops converged
+    on the residual rule of ``params``, or once both residuals are within
+    GAP_GATE times its thresholds and the certified duality gap is at most
+    GAP_TOL * eps_rel relative to max(1, |objective|); ``gap`` of the
+    result is that certificate at x, evaluated once more at the end when
+    the last iteration did not evaluate it, and inf at lam = 0, where the
+    dual bound is finite only at a point the iterates do not reach.  An
+    iterate that turns non-finite raises SolverError naming its iteration.
     """
     lam = float(lam)
     y = _measured(spec, y, lam)
@@ -321,6 +388,7 @@ def solve(
     pri = dual = math.inf
     # count < 0: no T(W) at this rho to difference against yet
     count, slot, last_norm = -1, 0, math.inf
+    gap, gap_at = math.inf, 0
 
     for it in range(1, params.max_iter + 1):
         iterations = it
@@ -384,6 +452,11 @@ def solve(
         if pri <= eps_pri and dual <= eps_dual:
             converged = True
             break
+        if pri <= GAP_GATE * eps_pri and dual <= GAP_GATE * eps_dual:
+            gap, gap_at = _relative_gap(fact, a[:, :N], weight, X, AX, adjY), it
+            if gap <= GAP_TOL * params.eps_rel:
+                converged = True
+                break
 
         # at most one penalty step per iteration, clamped; Y = rho U is kept
         if pri > params.mu * dual:
@@ -398,6 +471,8 @@ def solve(
             solver = _XSolver(fact, weight, rho)
             count = -1
 
+    if gap_at != iterations:
+        gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY)
     U *= rho  # the dual Y
     return SolveResult(
         x=X,
@@ -407,6 +482,7 @@ def solve(
         dual_res=dual,
         converged=converged,
         y_dual=U,
+        gap=gap,
         _adj_z=(Z, adjZ),
     )
 

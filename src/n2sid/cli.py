@@ -209,6 +209,7 @@ def _report_json(args, cfg, report, vaf_agg, vaf_per_output, n_ide, n_val) -> di
         "orders": report.orders.tolist(),
         "iterations": report.iterations.tolist(),
         "converged": report.converged.tolist(),
+        "gap": [None if not np.isfinite(v) else float(v) for v in report.gaps],
         "singular_values": [None if s is None else s.tolist() for s in report.sigma_per_lambda],
         "failures": report.failures,
         "vaf_validation": vaf_agg,
@@ -285,7 +286,8 @@ def cmd_identify(args) -> int:
             vaf_per = _per_output_vaf(run.best.model, val_rec, x0_policy)
             vaf_rows.append((n_ide, vaf_agg))
         report = run
-        order_msg = f"order={run.best.order} lambda_opt={run.lambda_opt:.6g}"
+        gap = run.gaps[int(np.nanargmin(run.j_values))]
+        order_msg = f"order={run.best.order} lambda_opt={run.lambda_opt:.6g} gap={gap:.2e}"
         vaf_msg = "" if vaf_agg is None else f" vaf={vaf_agg:.4f}"
         print(f"n_ide={n_ide}: {order_msg}{vaf_msg} ({elapsed:.2f}s)")
 

@@ -92,8 +92,9 @@ class PipelineConfig:
 class PipelineReport:
     """Everything a run produced: winning model, score curve, diagnostics.
 
-    ``iterations`` and ``converged`` hold each grid point's solver count and
-    flag, -1 and False where the solve failed.
+    ``iterations``, ``converged`` and ``gaps`` hold each grid point's solver
+    count, flag and certified duality gap relative to max(1, |objective|)
+    (see admm.solve), -1, False and nan where the solve failed.
     """
 
     best: IdentifiedModel
@@ -103,6 +104,7 @@ class PipelineReport:
     orders: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    gaps: np.ndarray
     sigma_per_lambda: list
     failures: list
     timings: dict
@@ -275,6 +277,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         orders=orders,
         iterations=np.array([-1 if res is None else res.iterations for res in results]),
         converged=np.array([res is not None and res.converged for res in results]),
+        gaps=np.array([np.nan if res is None else res.gap for res in results]),
         sigma_per_lambda=sigma_per_lambda,
         failures=failures,
         timings={

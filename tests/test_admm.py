@@ -21,7 +21,7 @@ from n2sid.admm import (
 from n2sid.errors import SolverError
 from n2sid.model import generate_innovation_data
 from n2sid.pipeline import PipelineConfig
-from n2sid.structured_ops import OperatorSpec, apply_operator
+from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator
 
 from helpers import (
     dense_M,
@@ -497,6 +497,13 @@ def test_sweep_converges_everywhere_in_under_0_6_of_the_plain_iterations(N):
     assert sum(res.iterations for res in results) <= 0.6 * plain
 
 
+def kept_condition(S):
+    """Condition number of the modes of a Schur complement that _XSolver keeps."""
+    ev = np.abs(np.linalg.eigvalsh(S))
+    kept = ev[ev > 1e-12 * ev.max()]
+    return kept.max() / kept.min()
+
+
 class LastXSolver(_XSolver):
     """_XSolver that keeps the last instance made: the X step of a solve's final penalty."""
 
@@ -521,9 +528,56 @@ def test_solve_reports_the_exact_residuals(seed, log_lam, max_iter, warm_start):
         res = solve(spec, y, lam, params, warm=warm)
     # the closed-form dual is as exact as the X step; a near-singular Schur
     # complement on a record a few columns wide loses digits to its condition
-    ev = np.abs(np.linalg.eigvalsh(LastXSolver.last.S))
-    kept = ev[ev > 1e-12 * ev.max()]
-    assert_exact_residuals(spec, y, lam, res, cond=kept.max() / kept.min())
+    assert_exact_residuals(spec, y, lam, res, cond=kept_condition(LastXSolver.last.S))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-1.5, 3.0))
+def test_certified_gap_bounds_the_objective_excess(seed, log_lam):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng)
+    y = rng.standard_normal((spec.N, spec.p))
+    lam = spec.N * 10.0**log_lam
+    fact = SweepFactorization.from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(n2sid.admm, "_XSolver", LastXSolver)
+        res = solve(spec, y, lam, fact=fact)
+    tight = solve(spec, y, lam, tight_params(), fact)
+    obj = objective_value(spec, y, lam, res.x)
+    scale = max(1.0, abs(obj))
+    # adj(Y) is as exact as the X step (see test_solve_reports_the_exact_residuals)
+    tol = (1e-10 + 1e-12 * kept_condition(LastXSolver.last.S)) * scale
+    assert math.isfinite(res.gap)
+    assert res.gap * scale >= -tol
+    assert obj - objective_value(spec, y, lam, tight.x) <= res.gap * scale + tol
+
+
+def test_long_record_stops_on_the_certificate_before_the_residual_rule():
+    rec = make_record(make_siso_order2(), 2000, seed=43, noise_std=0.2)
+    spec = OperatorSpec.from_data(rec.u, rec.y, 15)
+    params = AdmmParams()
+    results = sweep(spec, rec.y, spec.N * PipelineConfig().lambda_grid(), params)
+    certified = 0
+    for res in results:
+        assert res is not None and res.converged
+        ax = apply_operator(res.x, spec)
+        eps_pri = math.sqrt(res.Z.size) * params.eps_abs + params.eps_rel * max(
+            np.linalg.norm(ax), np.linalg.norm(res.Z)
+        )
+        eps_dual = math.sqrt(res.x.size) * params.eps_abs + params.eps_rel * np.linalg.norm(
+            apply_adjoint(res.y_dual, spec)
+        )
+        if res.primal_res > eps_pri or res.dual_res > eps_dual:
+            # a certificate stop
+            assert res.gap <= n2sid.admm.GAP_TOL * params.eps_rel
+            certified += 1
+    assert certified >= 1
+
+
+def test_zero_lambda_has_no_finite_certificate():
+    spec, rec = small_problem(6)
+    assert solve(spec, rec.y, 0.0).gap == math.inf
+    assert solve(spec, rec.y, 1.0).gap < math.inf
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

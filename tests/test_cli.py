@@ -276,7 +276,7 @@ def test_identify_report_schema(tmp_path):
     report = json.loads(report_path.read_text())
     assert set(report.keys()) == {
         "tool", "version", "config", "model", "order", "lambda_opt", "lambda_grid",
-        "j_curve", "orders", "iterations", "converged", "singular_values", "failures",
+        "j_curve", "orders", "iterations", "converged", "gap", "singular_values", "failures",
         "vaf_validation", "vaf_validation_per_output", "timings",
     }
     assert set(report["model"].keys()) == {"A", "B", "C", "D", "K", "n", "m", "p", "x0_ide"}
@@ -301,6 +301,21 @@ def test_identify_report_has_each_grid_points_iterations_and_convergence(tmp_pat
     assert report["iterations"] == run.iterations.tolist()
     assert report["converged"] == run.converged.tolist()
     assert all(type(n) is int and n > 0 for n in report["iterations"])
+
+
+def test_identify_reports_each_grid_points_gap_and_prints_the_selected_one(tmp_path, capsys):
+    data = make_data_file(tmp_path / "d.csv", n=90, noise=0.2)
+    report_path = tmp_path / "r.json"
+    code = run_cli(
+        "identify", "--data", data, "--inputs", "1", "--outputs", "1",
+        "--s", "6", "--grid", "4", "--no-detrend", "--report", str(report_path),
+    )
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    run = identify(read_csv(data, 1, 1), PipelineConfig(s=6, n_lambda=4, detrend=False))
+    assert report["gap"] == run.gaps.tolist()
+    selected = report["gap"][report["lambda_grid"].index(report["lambda_opt"])]
+    assert f"gap={selected:.2e}" in capsys.readouterr().out
 
 
 def test_identify_reported_vaf_reproducible(tmp_path):

@@ -254,6 +254,24 @@ def test_report_carries_each_grid_points_iterations_and_convergence(monkeypatch)
     assert rep.iterations.dtype.kind == "i" and rep.converged.dtype == bool
 
 
+def test_report_carries_each_grid_points_gap_and_nan_where_the_solve_failed(monkeypatch):
+    _, rec = noise_free_record(N=60)
+    cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
+    real_sweep = pipeline_mod.sweep
+    swept = []
+
+    def sweep_with_a_failed_point(spec, y, grid, fact=None):
+        out = real_sweep(spec, y, grid, fact=fact)
+        out[1] = None
+        swept.extend(out)
+        return out
+
+    monkeypatch.setattr(pipeline_mod, "sweep", sweep_with_a_failed_point)
+    rep = identify(rec, cfg)
+    assert np.isnan(rep.gaps[1])
+    assert rep.gaps[[0, 2, 3]].tolist() == [swept[i].gap for i in (0, 2, 3)]
+
+
 def test_identify_names_the_stage_that_failed(monkeypatch):
     _, rec = noise_free_record(N=60)
     cfg = PipelineConfig(s=6, detrend=False, n_lambda=4)
