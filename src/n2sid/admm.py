@@ -69,7 +69,9 @@ max(1, |P|), as Liu & Vandenberghe ("Interior-point method for nuclear
 norm approximation with application to system identification", SIAM J.
 Matrix Anal. Appl. 31(3), 2009) stop on the duality gap.  The residual
 rule is unchanged and still stops a solve on its own; the gap of every
-result, whichever rule stopped it, is ``SolveResult.gap``.
+result, whichever rule stopped it, is ``SolveResult.gap``.  Where the fit
+weight dominates, the closed-form adj(Y) loses its digits and the bound
+can pass the optimum: a gap below -GAP_TOL * eps_rel or not finite is nan.
 
 A solve allocates its arrays once: A(X), the primal residual R, U (whose
 buffer also takes the extrapolated W), one buffer for every Z, the rings
@@ -212,7 +214,7 @@ class SolveResult:
     dual_res: float
     converged: bool
     y_dual: np.ndarray
-    # the certified duality gap at x, relative to max(1, |objective|); inf at lambda = 0
+    # the certified gap at x relative to max(1, |objective|); inf at lambda = 0, nan if void
     gap: float = math.inf
     # (Z, adj(Z)) as the solve left them: a warm start from this result reads
     # adj(Z) here instead of applying the adjoint, while Z is still that array
@@ -286,7 +288,8 @@ def objective_value(spec: OperatorSpec, y: np.ndarray, lam: float, X: np.ndarray
 
 
 def _relative_gap(
-    fact: SweepFactorization, y_t: np.ndarray, weight: float, X: np.ndarray, AX: np.ndarray, adjY: np.ndarray
+    fact: SweepFactorization, y_t: np.ndarray, weight: float, X: np.ndarray, AX: np.ndarray,
+    adjY: np.ndarray, eps_rel: float,
 ) -> float:
     """(P - g) / max(1, |P|): P the objective at X, g a dual bound built from adj(Y).
 
@@ -296,21 +299,24 @@ def _relative_gap(
     c = 1 + ||D theta||_F is dual feasible, so g = <V, y> - ||V||^2 / (2 w),
     V its yhat part, bounds the optimum from below.  P takes the nuclear norm
     of A(X) from the eigenvalues of the Gram of its short side.  No array of
-    Z's size is made.  Infinite at weight 0, where g is finite only for V = 0.
+    Z's size is made.  Infinite at weight 0, where g is finite only for V = 0;
+    nan, also from an overflowing adj(Y), when not finite or below -GAP_TOL * eps_rel.
     """
     if weight == 0.0:
         return math.inf
     N = fact.spec.N
-    theta = adjY[:, N:] @ fact.small_pinv
-    c = 1.0 + math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
-    V = adjY[:, :N] - theta @ fact.cross.T
-    V /= c
-    dual = float(np.sum(V * y_t)) - float(np.sum(V * V)) / (2.0 * weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = adjY[:, N:] @ fact.small_pinv
+        c = 1.0 + math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
+        V = adjY[:, :N] - theta @ fact.cross.T
+        V /= c
+        dual = float(np.sum(V * y_t)) - float(np.sum(V * V)) / (2.0 * weight)
     short = AX if AX.shape[0] <= AX.shape[1] else AX.T
     nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(short @ short.T), 0.0)).sum())
     diff = X[:, :N] - y_t
     primal = nuclear + 0.5 * weight * float(np.sum(diff * diff))
-    return (primal - dual) / max(1.0, abs(primal))
+    gap = (primal - dual) / max(1.0, abs(primal))
+    return gap if -GAP_TOL * eps_rel <= gap < math.inf else math.nan
 
 
 def solve(
@@ -342,9 +348,9 @@ def solve(
     GAP_GATE times its thresholds and the certified duality gap is at most
     GAP_TOL * eps_rel relative to max(1, |objective|); ``gap`` of the
     result is that certificate at x, evaluated once more at the end when
-    the last iteration did not evaluate it, and inf at lam = 0, where the
-    dual bound is finite only at a point the iterates do not reach.  An
-    iterate that turns non-finite raises SolverError naming its iteration.
+    the last iteration did not evaluate it, inf at lam = 0, where the dual
+    bound is finite only at a point the iterates do not reach, and nan where
+    void (see above).  A non-finite iterate raises SolverError naming its iteration.
     """
     lam = float(lam)
     y = _measured(spec, y, lam)
@@ -448,15 +454,18 @@ def solve(
         dual = float(np.linalg.norm(Sdual))
 
         eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(norm_ax, norm_z)
-        eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(np.linalg.norm(adjY))
-        if pri <= eps_pri and dual <= eps_dual:
-            converged = True
-            break
-        if pri <= GAP_GATE * eps_pri and dual <= GAP_GATE * eps_dual:
-            gap, gap_at = _relative_gap(fact, a[:, :N], weight, X, AX, adjY), it
-            if gap <= GAP_TOL * params.eps_rel:
+        # both stops need the primal residual within GAP_GATE of its threshold
+        if pri <= GAP_GATE * eps_pri:
+            with np.errstate(over="ignore"):  # inf once the fit weight overflows adj(Y)'s norm
+                eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(np.linalg.norm(adjY))
+            if pri <= eps_pri and dual <= eps_dual:
                 converged = True
                 break
+            if dual <= GAP_GATE * eps_dual:
+                gap, gap_at = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, params.eps_rel), it
+                if gap <= GAP_TOL * params.eps_rel:
+                    converged = True
+                    break
 
         # at most one penalty step per iteration, clamped; Y = rho U is kept
         if pri > params.mu * dual:
@@ -472,7 +481,7 @@ def solve(
             count = -1
 
     if gap_at != iterations:
-        gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY)
+        gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, params.eps_rel)
     U *= rho  # the dual Y
     return SolveResult(
         x=X,

@@ -6,8 +6,8 @@ Subcommands:
              optional plot-ready CSVs (per-lambda singular values,
              VAF vs identification length)
   simulate   generate a CSV record from a model file or built-in example
-  validate   score a report's model against a held-out CSV record in the
-             column layout identify read
+  validate   score a report's model on a held-out CSV record in the column
+             layout identify read, as identify scored its own held-out rows
 
 Exit codes: 0 success, 1 solver/numerical failure, 2 usage, file, data or
 configuration error.
@@ -26,14 +26,14 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import __version__
 from .errors import N2sidError
 from .model import IoRecord, StateSpaceModel, generate_innovation_data, vaf
-from .pipeline import PipelineConfig, evaluate, identify, identify_output_only
+from .pipeline import CHOICES, PipelineConfig, evaluate, identify, identify_output_only
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -165,26 +165,16 @@ def load_model_file(path: str) -> StateSpaceModel:
 
 
 def _build_config(args) -> PipelineConfig:
-    order = args.order
-    if order != "auto":
+    """The config of identify's flags, each stored under its PipelineConfig field's name."""
+    values = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
+    if values["order"] != "auto":
         try:
-            order = int(order)
+            values["order"] = int(values["order"])
         except ValueError:
-            raise UsageError(f"--order must be 'auto' or an integer, got {order!r}") from None
+            raise UsageError(f"--order must be 'auto' or an integer, got {args.order!r}") from None
+    values["x0_policy"] = X0_POLICIES[values["x0_policy"]]
     try:
-        return PipelineConfig(
-            s=args.s,
-            lambda_min=args.lambda_min,
-            lambda_max=args.lambda_max,
-            n_lambda=args.grid,
-            variant=args.variant,
-            order=order,
-            max_order=args.max_order,
-            split=args.split,
-            detrend=args.detrend,
-            scale_outputs=args.scale_outputs,
-            x0_policy=X0_POLICIES[args.x0],
-        )
+        return PipelineConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -218,15 +208,24 @@ def _report_json(args, cfg, report, vaf_agg, vaf_per_output, n_ide, n_val) -> di
     }
 
 
-def _per_output_vaf(model, val: IoRecord, x0_policy: str) -> list[float | None]:
-    """VAF of each output channel; None for a channel that is identically zero."""
+def _held_out(val: IoRecord, output_only: bool, detrend: bool) -> IoRecord:
+    """A held-out record as the run saw its data: inputs dropped if output-only, offsets if detrended."""
+    if output_only:
+        val = IoRecord(u=np.zeros((val.N, 0)), y=val.y)
+    return val.detrended() if detrend else val
+
+
+def _score(model, val: IoRecord, x0_policy: str) -> tuple[float, list[float | None]]:
+    """Aggregate VAF and each output channel's VAF, None for a channel that is identically zero."""
     from .pipeline import _predict
 
+    agg = evaluate(model, val, x0_policy)
     yhat = _predict(model, val, x0_policy)
-    return [
+    per = [
         vaf(val.y[:, j : j + 1], yhat[:, j : j + 1]) if np.any(val.y[:, j]) else None
         for j in range(val.p)
     ]
+    return agg, per
 
 
 def cmd_identify(args) -> int:
@@ -238,13 +237,11 @@ def cmd_identify(args) -> int:
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise UsageError(f"output directory not found: {path}")
     rec = read_csv(args.data, args.inputs, args.outputs)
-    if args.n_ide_list:
+    if args.n_ide is not None:
         try:
-            n_ide_list = [int(v) for v in args.n_ide_list.split(",")]
+            n_ide_list = [int(v) for v in args.n_ide.split(",")]
         except ValueError:
-            raise UsageError("--n-ide-list must be comma-separated integers") from None
-    elif args.n_ide is not None:
-        n_ide_list = [args.n_ide]
+            raise UsageError("--n-ide must be comma-separated integers") from None
     else:
         n_ide_list = [rec.N - args.discard if args.n_val is None else rec.N - args.discard - args.n_val]
     if any(v < 1 for v in n_ide_list):
@@ -257,37 +254,25 @@ def cmd_identify(args) -> int:
         raise UsageError(
             f"n_ide={n_max} exceeds the {data_u.shape[0]} samples available after --del {args.discard}"
         )
+    cfg = _build_config(args)
     val = None
     if args.n_val is not None:
         stop = n_max + args.n_val
         if stop > data_u.shape[0]:
             raise UsageError(f"validation slice [{n_max}:{stop}] exceeds the data")
         val = IoRecord(u=data_u[n_max:stop], y=data_y[n_max:stop])
-        if args.detrend:
-            val = val.detrended()
+        val = _held_out(val, args.output_only, cfg.detrend)
 
-    cfg = _build_config(args)
-    x0_policy = cfg.x0_policy
     vaf_rows = []
-    report = None
-    vaf_agg = vaf_per = None
     for n_ide in n_ide_list:
         ide = IoRecord(u=data_u[:n_ide], y=data_y[:n_ide])
         t0 = time.perf_counter()
-        if args.output_only:
-            run = identify_output_only(ide.y, cfg)
-        else:
-            run = identify(ide, cfg)
+        report = identify_output_only(ide.y, cfg) if args.output_only else identify(ide, cfg)
         elapsed = time.perf_counter() - t0
-        vaf_agg = vaf_per = None
-        if val is not None:
-            val_rec = IoRecord(u=np.zeros((val.N, 0)), y=val.y) if args.output_only else val
-            vaf_agg = evaluate(run.best, val_rec, x0_policy)
-            vaf_per = _per_output_vaf(run.best.model, val_rec, x0_policy)
-            vaf_rows.append((n_ide, vaf_agg))
-        report = run
-        gap = run.gaps[int(np.nanargmin(run.j_values))]
-        order_msg = f"order={run.best.order} lambda_opt={run.lambda_opt:.6g} gap={gap:.2e}"
+        vaf_agg, vaf_per = (None, None) if val is None else _score(report.best.model, val, cfg.x0_policy)
+        vaf_rows.append((n_ide, vaf_agg))
+        gap = report.gaps[report.best_index]
+        order_msg = f"order={report.best.order} lambda_opt={report.lambda_opt:.6g} gap={gap:.2e}"
         vaf_msg = "" if vaf_agg is None else f" vaf={vaf_agg:.4f}"
         print(f"n_ide={n_ide}: {order_msg}{vaf_msg} ({elapsed:.2f}s)")
 
@@ -296,9 +281,8 @@ def cmd_identify(args) -> int:
         _atomic_write(args.report, json.dumps(out, indent=2) + "\n")
         print(f"report written to {args.report}")
     if args.sv_csv:
-        lines = []
         width = max((0 if s is None else len(s)) for s in report.sigma_per_lambda)
-        lines.append(",".join(["lambda"] + [f"sv{i + 1}" for i in range(width)]))
+        lines = [",".join(["lambda"] + [f"sv{i + 1}" for i in range(width)])]
         for lam, sg in zip(report.lambdas, report.sigma_per_lambda):
             vals = ["" for _ in range(width)] if sg is None else [repr(float(v)) for v in sg]
             lines.append(",".join([repr(float(lam))] + vals))
@@ -361,14 +345,10 @@ def cmd_validate(args) -> int:
     if type(inputs) is not int or inputs < 0:
         raise UsageError(f"{args.report}: config inputs must be a nonnegative integer, got {inputs!r}")
     val = read_csv(args.data, inputs, model.p)
-    if config.get("output_only") is True:
-        val = IoRecord(u=np.zeros((val.N, 0)), y=val.y)
-    # the offsets identify removed from its own validation slice
-    if config.get("detrend") is True:
-        val = val.detrended()
-    policy = X0_POLICIES[args.x0]
-    agg = evaluate(model, val, policy)
-    per = _per_output_vaf(model, val, policy)
+    val = _held_out(val, config.get("output_only") is True, config.get("detrend") is True)
+    # the report's policy, which evaluate checks, unless --x0 names one
+    policy = X0_POLICIES[args.x0] if args.x0 else config.get("x0_policy", PipelineConfig.x0_policy)
+    agg, per = _score(model, val, policy)
     for j, v in enumerate(per):
         print(f"vaf y{j + 1}: {math.nan if v is None else float(v)!r}")
     print(f"vaf aggregate: {float(agg)!r}")
@@ -387,34 +367,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"n2sid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the pipeline's flags store under PipelineConfig's field names and take its defaults
+    cfg = PipelineConfig()
     ident = sub.add_parser("identify", help="identify a model from a CSV record")
     ident.add_argument("--data", required=True, help="CSV file with columns u1..um,y1..yp")
     ident.add_argument("--inputs", type=int, required=True, help="number of input columns m")
     ident.add_argument("--outputs", type=int, required=True, help="number of output columns p")
-    ident.add_argument("--s", type=int, default=15, help="block-row window (default 15)")
-    ident.add_argument("--lambda-min", type=float, default=10.0**-1.5,
-                       help="lower grid bound for lambda/N (default 10^-1.5)")
-    ident.add_argument("--lambda-max", type=float, default=1e3,
-                       help="upper grid bound for lambda/N (default 10^3)")
-    ident.add_argument("--grid", type=int, default=20, help="number of grid points (default 20)")
-    ident.add_argument("--variant", choices=("m1", "m2", "m3"), default="m1")
-    ident.add_argument("--order", default="auto", help="'auto' or a fixed integer order")
-    ident.add_argument("--max-order", type=int, default=10)
-    ident.add_argument("--split", choices=("none", "half"), default="none")
+    ident.add_argument("--s", type=int, default=cfg.s, help="block-row window (default %(default)s)")
+    ident.add_argument("--lambda-min", type=float, default=cfg.lambda_min,
+                       help="lower grid bound for lambda/N (default %(default).4g)")
+    ident.add_argument("--lambda-max", type=float, default=cfg.lambda_max,
+                       help="upper grid bound for lambda/N (default %(default)g)")
+    ident.add_argument("--grid", dest="n_lambda", metavar="GRID", type=int, default=cfg.n_lambda,
+                       help="number of grid points (default %(default)s)")
+    ident.add_argument("--variant", choices=CHOICES["variant"], default=cfg.variant)
+    ident.add_argument("--order", default=cfg.order, help="'auto' or a fixed integer order")
+    ident.add_argument("--max-order", type=int, default=cfg.max_order)
+    ident.add_argument("--split", choices=CHOICES["split"], default=cfg.split)
     ident.add_argument("--del", dest="discard", type=int, default=0,
                        help="leading samples to discard")
-    ident.add_argument("--detrend", action=argparse.BooleanOptionalAction, default=True,
-                       help="remove per-channel offsets (default on)")
-    ident.add_argument("--scale-outputs", action="store_true",
+    ident.add_argument("--detrend", action=argparse.BooleanOptionalAction, default=cfg.detrend,
+                       help="remove per-channel offsets (default %(default)s)")
+    ident.add_argument("--scale-outputs", action="store_true", default=cfg.scale_outputs,
                        help="scale detrended outputs to unit peak")
-    ident.add_argument("--n-ide", type=int, default=None,
-                       help="identification length (after --del)")
-    ident.add_argument("--n-ide-list", default=None,
-                       help="comma-separated identification lengths to sweep")
+    ident.add_argument("--n-ide", "--n-ide-list", dest="n_ide", default=None,
+                       help="identification length after --del, or comma-separated lengths to sweep")
     ident.add_argument("--n-val", type=int, default=None,
                        help="validation length, taken after the longest identification slice")
-    ident.add_argument("--x0", choices=tuple(X0_POLICIES), default="ls",
-                       help="initial state policy for scoring (default ls)")
+    ident.add_argument("--x0", dest="x0_policy", choices=tuple(X0_POLICIES),
+                       default=next(w for w, p in X0_POLICIES.items() if p == cfg.x0_policy),
+                       help="initial state policy for scoring (default %(default)s)")
     ident.add_argument("--report", default=None, help="write a JSON report here")
     ident.add_argument("--sv-csv", default=None, help="write per-lambda singular values here")
     ident.add_argument("--vaf-csv", default=None, help="write (n_ide, VAF) rows here")
@@ -435,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     valp = sub.add_parser("validate", help="score a reported model on a held-out record")
     valp.add_argument("--report", required=True, help="report JSON from identify")
     valp.add_argument("--data", required=True, help="validation CSV")
-    valp.add_argument("--x0", choices=tuple(X0_POLICIES), default="ls")
+    valp.add_argument("--x0", choices=tuple(X0_POLICIES), default=None,
+                      help="initial state policy (default: the report's)")
     valp.set_defaults(func=cmd_validate)
     return parser
 

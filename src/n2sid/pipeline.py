@@ -35,6 +35,7 @@ from .model import IoRecord, simulate, predict_observer, to_observer, vaf
 from .structured_ops import OperatorSpec, toeplitz_estimates
 
 __all__ = [
+    "CHOICES",
     "PipelineConfig",
     "PipelineReport",
     "preprocess",
@@ -42,6 +43,10 @@ __all__ = [
     "identify_output_only",
     "evaluate",
 ]
+
+
+# the values each string-valued PipelineConfig field accepts
+CHOICES = {"variant": ("m1", "m2", "m3"), "split": ("none", "half"), "x0_policy": ("zero", "ls_estimate")}
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,9 @@ class PipelineConfig:
             raise ValueError("grid must have at least one point")
         if not (0 < self.lambda_min <= self.lambda_max < np.inf):
             raise ValueError("need 0 < lambda_min <= lambda_max < inf")
-        if self.variant not in ("m1", "m2", "m3"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.split not in ("none", "half"):
-            raise ValueError(f"unknown split {self.split!r}")
-        if self.x0_policy not in ("zero", "ls_estimate"):
-            raise ValueError(f"unknown x0 policy {self.x0_policy!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if self.order != "auto" and (not isinstance(self.order, int) or self.order < 1):
             raise ValueError("order must be 'auto' or a positive integer")
         if self.max_order < 1:
@@ -92,13 +94,15 @@ class PipelineConfig:
 class PipelineReport:
     """Everything a run produced: winning model, score curve, diagnostics.
 
-    ``iterations``, ``converged`` and ``gaps`` hold each grid point's solver
-    count, flag and certified duality gap relative to max(1, |objective|)
-    (see admm.solve), -1, False and nan where the solve failed.
+    ``best_index`` is the selected grid point, ``best`` its model and
+    ``lambda_opt`` its lambda.  ``iterations``, ``converged`` and ``gaps``
+    hold each grid point's solver count, flag and certified duality gap
+    relative to max(1, |objective|) (see admm.solve), -1, False and nan
+    where the solve failed; a void certificate is a nan gap too.
     """
 
     best: IdentifiedModel
-    lambda_opt: float
+    best_index: int
     lambdas: np.ndarray
     j_values: np.ndarray
     orders: np.ndarray
@@ -108,6 +112,10 @@ class PipelineReport:
     sigma_per_lambda: list
     failures: list
     timings: dict
+
+    @property
+    def lambda_opt(self) -> float:
+        return float(self.lambdas[self.best_index])
 
 
 def preprocess(rec: IoRecord, cfg: PipelineConfig) -> tuple[IoRecord, np.ndarray]:
@@ -165,8 +173,8 @@ def evaluate(identified, val: IoRecord, x0_policy: str = "ls_estimate") -> float
         raise ValueError(
             f"record has (m={val.m}, p={val.p}), model expects (m={model.m}, p={model.p})"
         )
-    if x0_policy not in ("zero", "ls_estimate"):
-        raise ValueError(f"unknown x0 policy {x0_policy!r}")
+    if x0_policy not in CHOICES["x0_policy"]:
+        raise ValueError(f"unknown x0_policy {x0_policy!r}")
     return vaf(val.y, _predict(model, val, x0_policy))
 
 
@@ -271,7 +279,7 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     )
     return PipelineReport(
         best=replace(best, model=model),
-        lambda_opt=float(grid[best_idx]),
+        best_index=best_idx,
         lambdas=grid,
         j_values=j_values,
         orders=orders,
@@ -297,7 +305,4 @@ def identify_output_only(y: np.ndarray, cfg: PipelineConfig = PipelineConfig()) 
     use the observer predictor driven by the measured output.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    rec = IoRecord(u=np.zeros((y.shape[0], 0)), y=y)
-    return identify(rec, cfg)
+    return identify(IoRecord(u=np.zeros((y.shape[0], 0)), y=y), cfg)

@@ -1,10 +1,13 @@
 import json
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from n2sid.cli import _model_to_json, example_model, main, read_csv, write_csv
+from n2sid.admm import GAP_TOL, AdmmParams
+from n2sid.cli import _build_config, _model_to_json, build_parser, example_model, main, read_csv, write_csv
 from n2sid.model import IoRecord, simulate
 from n2sid.pipeline import PipelineConfig, evaluate, identify
 
@@ -512,3 +515,132 @@ def test_constant_output_channel_has_no_per_output_vaf(tmp_path, capsys):
     assert "vaf y2: nan" in out.splitlines()
     assert _printed_vaf(out, "vaf y1") == pytest.approx(per[0], abs=1e-9)
     assert _printed_vaf(out, "vaf aggregate") == pytest.approx(report["vaf_validation"], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one owner for each decision: the pipeline's config, selection and scoring
+
+
+def test_identify_flags_default_to_the_pipeline_config():
+    args = build_parser().parse_args(["identify", "--data", "d.csv", "--inputs", "1", "--outputs", "1"])
+    defaults = PipelineConfig()
+    built = _build_config(args)
+    for f in fields(PipelineConfig):
+        assert getattr(built, f.name) == getattr(defaults, f.name), f.name
+
+
+def _held_out_record(tmp_path):
+    """The first 700 samples of a noisy order-2 record, and its rows 400..699 as their own file."""
+    data = make_data_file(tmp_path / "d.csv", n=700, seed=3, noise=0.2)
+    rec = read_csv(data, 1, 1)
+    val_path = tmp_path / "val.csv"
+    write_csv(str(val_path), rec.u[400:], rec.y[400:])
+    return data, str(val_path)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--x0", "zero"), ("--x0", "ls"), ("--x0", "zero", "--output-only"), ("--no-detrend",)]
+)
+def test_validate_scores_as_identify_did_without_being_told_the_policy(tmp_path, capsys, flags):
+    data, val_path = _held_out_record(tmp_path)
+    report_path = tmp_path / "r.json"
+    capsys.readouterr()
+    code = run_cli(
+        "identify", "--data", data, "--inputs", "1", "--outputs", "1", "--s", "8", "--grid", "4",
+        "--n-ide", "400", "--n-val", "300", "--report", str(report_path), *flags,
+    )
+    assert code == 0
+    printed = float(re.search(r" vaf=(\S+) ", capsys.readouterr().out).group(1))
+    assert run_cli("validate", "--report", str(report_path), "--data", val_path) == 0
+    out = capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert _printed_vaf(out, "vaf aggregate") == pytest.approx(report["vaf_validation"], abs=1e-9)
+    assert _printed_vaf(out, "vaf y1") == pytest.approx(report["vaf_validation_per_output"][0], abs=1e-9)
+    assert f"{_printed_vaf(out, 'vaf aggregate'):.4f}" == f"{printed:.4f}"
+
+
+def test_validate_x0_flag_overrides_the_reports_policy(tmp_path, capsys):
+    data, val_path = _held_out_record(tmp_path)
+    report_path = tmp_path / "r.json"
+    code = run_cli(
+        "identify", "--data", data, "--inputs", "1", "--outputs", "1", "--s", "8", "--grid", "4",
+        "--n-ide", "400", "--n-val", "300", "--x0", "zero", "--report", str(report_path),
+    )
+    assert code == 0
+    model = json.loads(report_path.read_text())["model"]
+    capsys.readouterr()
+    assert run_cli("validate", "--report", str(report_path), "--data", val_path, "--x0", "ls") == 0
+    from n2sid.cli import _model_from_json
+
+    expected = evaluate(_model_from_json(model), read_csv(val_path, 1, 1).detrended(), "ls_estimate")
+    assert _printed_vaf(capsys.readouterr().out, "vaf aggregate") == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["ls", "bogus", None, 5, ["zero"]])
+def test_validate_rejects_a_malformed_x0_policy_in_the_report(tmp_path, capsys, policy):
+    report = {"model": _model_to_json(example_model("order2"), np.zeros(2)), "config": {"x0_policy": policy}}
+    argv = _validate(tmp_path, json.dumps(report))
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # an explicit --x0 replaces the report's policy
+    assert run_cli(*argv, "--x0", "ls") == 0
+
+
+def test_n_ide_list_is_a_spelling_of_n_ide(tmp_path, capsys):
+    data = make_data_file(tmp_path / "d.csv", n=260, noise=0.1)
+    outputs = []
+    for spelling in ("--n-ide", "--n-ide-list"):
+        report, vaf_csv = tmp_path / f"{spelling}.json", tmp_path / f"{spelling}.csv"
+        capsys.readouterr()
+        code = run_cli(
+            "identify", "--data", data, "--inputs", "1", "--outputs", "1", "--s", "6", "--grid", "3",
+            spelling, "80,120", "--n-val", "100", "--report", str(report), "--vaf-csv", str(vaf_csv),
+        )
+        assert code == 0
+        stdout = re.sub(r"\(\d+\.\d+s\)", "", capsys.readouterr().out).replace(spelling, "")
+        body = json.loads(report.read_text())
+        del body["timings"]
+        outputs.append((stdout, body, vaf_csv.read_text()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["config"]["n_ide"] == 120
+    assert [line.split(",")[0] for line in outputs[0][2].splitlines()] == ["n_ide", "80", "120"]
+
+
+# ---------------------------------------------------------------------------
+# certificates at extreme lambda
+
+
+def _first_60_rows(tmp_path):
+    rec = read_csv(make_data_file(tmp_path / "raw.csv", n=700, seed=3, noise=0.2), 1, 1)
+    path = tmp_path / "d60.csv"
+    write_csv(str(path), rec.u[:60], rec.y[:60])
+    return str(path)
+
+
+def test_a_void_certificate_is_reported_as_null(tmp_path):
+    # at lambda/N up to 1e20 the fit weight swamps the closed-form adj(Y), and
+    # the bound at the top of the grid lands far below the optimum
+    report_path = tmp_path / "r.json"
+    code = run_cli(
+        "identify", "--data", _first_60_rows(tmp_path), "--inputs", "1", "--outputs", "1",
+        "--s", "5", "--grid", "5", "--lambda-max", "1e20", "--report", str(report_path),
+    )
+    assert code == 0
+    gaps = json.loads(report_path.read_text())["gap"]
+    assert None in gaps
+    assert all(g is None or g >= -GAP_TOL * AdmmParams().eps_rel for g in gaps)
+
+
+def test_an_overflowing_certificate_emits_no_warning(tmp_path, capsys):
+    data = _first_60_rows(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(
+            "identify", "--data", data, "--inputs", "1", "--outputs", "1",
+            "--s", "5", "--grid", "5", "--lambda-max", "1e200",
+        )
+    assert code == 0
+    assert "gap=nan" in capsys.readouterr().out

@@ -185,6 +185,14 @@ def test_lambda_opt_attains_minimum():
     assert np.any(finite)
 
 
+def test_the_selected_point_is_named_once():
+    _, rec = noise_free_record(N=80)
+    rep = identify(rec, PipelineConfig(s=8, detrend=False, n_lambda=8))
+    assert rep.best_index == int(np.nanargmin(rep.j_values))
+    assert rep.lambda_opt == rep.lambdas[rep.best_index]
+    assert rep.best.order == rep.orders[rep.best_index]
+
+
 def test_grid_endpoints_exact_powers():
     cfg = PipelineConfig()
     grid = cfg.lambda_grid()
