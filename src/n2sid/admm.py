@@ -26,7 +26,9 @@ The X step solves (H + rho M) X_i = H a_i + rho adj(Z)_i - adj(Y)_i for
 every output row i, where M is the shared coefficient matrix.  Its yhat
 block is diagonal, so for each (lambda, rho) pair the solve eliminates
 that block and works with a Schur complement of side r = m*s + p*(s-1),
-built in O(s r^2) from the interior Gram held by the factorization.
+built in O(s r^2) from the interior Gram held by the factorization and
+inverted through its Cholesky factor, or pseudo-inverted when it is
+singular or nearly so (see _XSolver).
 
 The iteration is a fixed-point map on the Douglas-Rachford state W: with
 Z = svt(W, 1/rho) and U = W - Z, one step gives T(W) = A(X) + U, whose
@@ -60,9 +62,13 @@ Every iterate also certifies itself.  The program's Lagrange dual
 with ||Y||_2 <= 1 whose adjoint has no Toeplitz part, and Y = rho U
 already has the first property.  The Toeplitz part D theta is projected
 out with the pseudo-inverse of small = D*D that the factorization holds,
-and the result is scaled back into the unit ball, so adj(Y), A(X) and
-the factorization give a lower bound g on the optimum and the primal
-value P at X, with no array of Z's size formed (see _relative_gap).
+and the result Y' is scaled back into the unit ball, so a lower bound g
+on the optimum and the primal value P at X follow.  The scale is first
+1 + ||D theta||_F, which adj(Y), A(X) and the factorization give with no
+array of Z's size formed.  When that gap misses the stop below but the
+gap at 1 - ||D theta||_F would meet it, Y' is formed in the residual's
+buffer by one operator application and scaled by its exact ||Y'||_2,
+which is much closer to 1 (see _relative_gap).
 Once both residuals are within GAP_GATE times their thresholds, a solve
 stops with converged=True also when P - g <= GAP_TOL * eps_rel *
 max(1, |P|), as Liu & Vandenberghe ("Interior-point method for nuclear
@@ -79,7 +85,8 @@ of dT and dG, each AA_MEMORY differences plus this and the last step's
 T(W) or g (2 AA_MEMORY + 8 Z-sized arrays in all), and the ring of
 adj(dT), p x d arrays.  The operator, svt and the ring updates write
 into them through ``out``, so an iteration makes no fresh Z-sized array
-beyond the adjoint's padded scratch and svt's own.  A non-finite iterate
+beyond the adjoint's padded scratch and svt's own; the gap's exact scale
+reuses R once the residual test has read it.  A non-finite iterate
 shows in the norms of R, A(X) and Z, which the stopping rule takes
 anyway, so no separate finiteness pass over Z-sized arrays is made.
 """
@@ -119,6 +126,8 @@ GAP_GATE = 10.0
 GAP_TOL = 0.3
 # svt falls back from the Gram to an SVD below this sigma / sigma_max
 GRAM_CUTOFF = 1e-4
+# the X step inverts its Schur complement by Cholesky below this bound on its condition
+CHOLESKY_COND = 1e10
 
 
 @dataclass(frozen=True)
@@ -171,12 +180,32 @@ class SweepFactorization:
         return self.spec == spec and np.array_equal(self.spec.data, spec.data)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Frobenius norm: for a contiguous array, bit for bit np.linalg.norm's, without its dispatch."""
+    v = v.reshape(-1)
+    return math.sqrt(v.dot(v))
+
+
+def _eigh_pinv(S: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Pseudo-inverse of the symmetric S by eigendecomposition, and whether a mode was cut.
+
+    Modes with |eigenvalue| at most 1e-12 of the largest are cut.
+    """
+    evals, evecs = np.linalg.eigh(S)
+    keep = np.abs(evals) > 1e-12 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
+    return (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T, not keep.all()
+
+
 class _XSolver:
     """Solves (H + rho M) X = RHS, RHS being (d, k), for one (weight, rho) pair.
 
     Eliminates the yhat block, diagonal and positive since diag >= 1, and
-    pseudo-inverts the r x r Schur complement S by eigendecomposition; if a mode
-    is cut (1e-12 relative), solves raise when their residual shows inconsistency.
+    inverts the r x r Schur complement S, positive semidefinite as a Schur
+    complement of H + rho M.  S^-1 comes from a Cholesky factor L, as
+    L^-T L^-1.  When the factorization fails or ||S||_F ||S^-1||_F >=
+    CHOLESKY_COND, which bounds cond(S) from above, S is pseudo-inverted by
+    eigendecomposition instead (see _eigh_pinv); if that cuts a mode, solves
+    raise when their residual shows inconsistency.
     S = rho small - rho^2 cross' diag(dinv) cross is built from the interior
     rows' Gram, which share one dinv, plus the edge rows: O(s r^2), not O(N r^2).
     """
@@ -188,10 +217,15 @@ class _XSolver:
         rows = fact.edge_rows
         gram = dinv_inner * fact.inner + (rows.T * self.dinv[fact.edge]) @ rows
         self.S = rho * fact.small - rho**2 * gram
-        evals, evecs = np.linalg.eigh(self.S)
-        keep = np.abs(evals) > 1e-12 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
-        self.cut = not keep.all()
-        self.S_pinv = (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T
+        try:
+            L_inv = np.linalg.inv(np.linalg.cholesky(self.S))
+            self.S_pinv = L_inv.T @ L_inv
+            factored = _norm(self.S) * _norm(self.S_pinv) < CHOLESKY_COND
+        except np.linalg.LinAlgError:
+            factored = False
+        self.cut = False
+        if not factored:
+            self.S_pinv, self.cut = _eigh_pinv(self.S)
 
     def solve(self, RHS: np.ndarray) -> np.ndarray:
         N = self.dinv.shape[0]
@@ -289,34 +323,59 @@ def objective_value(spec: OperatorSpec, y: np.ndarray, lam: float, X: np.ndarray
 
 def _relative_gap(
     fact: SweepFactorization, y_t: np.ndarray, weight: float, X: np.ndarray, AX: np.ndarray,
-    adjY: np.ndarray, eps_rel: float,
+    adjY: np.ndarray, U: np.ndarray, rho: float, out: np.ndarray, eps_rel: float,
 ) -> float:
     """(P - g) / max(1, |P|): P the objective at X, g a dual bound built from adj(Y).
 
-    Y is the dual iterate with ||Y||_2 <= 1, known only through adjY.  Its
-    Toeplitz part is projected out, Y' = Y - D theta with theta = adj(Y)[:, N:]
-    small^+ (D the operator's Toeplitz part, small = D*D), and Y' / c with
-    c = 1 + ||D theta||_F is dual feasible, so g = <V, y> - ||V||^2 / (2 w),
-    V its yhat part, bounds the optimum from below.  P takes the nuclear norm
-    of A(X) from the eigenvalues of the Gram of its short side.  No array of
-    Z's size is made.  Infinite at weight 0, where g is finite only for V = 0;
-    nan, also from an overflowing adj(Y), when not finite or below -GAP_TOL * eps_rel.
+    Y = rho U is the dual iterate, with ||Y||_2 <= 1, and adjY its adjoint.
+    Its Toeplitz part is projected out, Y' = Y - D theta with theta =
+    adj(Y)[:, N:] small^+ (D the operator's Toeplitz part, small = D*D), and
+    Y' / c is dual feasible for every c >= ||Y'||_2, so g(c) = <V, y> / c -
+    ||V||^2 / (2 w c^2), V the yhat part of adj(Y'), bounds the optimum from
+    below.  P takes the nuclear norm of A(X) from the eigenvalues of the Gram
+    of its short side.  The bound first takes c = 1 + ||D theta||_F, known
+    from adjY alone.  When that gap is above the stop tolerance GAP_TOL *
+    eps_rel but the gap at c = 1 - ||D theta||_F would not be, Y' is formed
+    in ``out``, a Z-sized array that is overwritten, from one Toeplitz-only
+    operator application, c = ||Y'||_2 (1 + 1e-12) is taken from the
+    eigenvalues of the Gram of its short side, and the smaller of the two
+    gaps is returned.  Infinite at weight 0, where g is finite only for
+    V = 0; nan, also from an overflowing adj(Y), when not finite or below
+    -GAP_TOL * eps_rel.
     """
     if weight == 0.0:
         return math.inf
-    N = fact.spec.N
+    spec = fact.spec
+    N, tol = spec.N, GAP_TOL * eps_rel
     with np.errstate(over="ignore", invalid="ignore"):
         theta = adjY[:, N:] @ fact.small_pinv
-        c = 1.0 + math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
+        d_theta = math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
         V = adjY[:, :N] - theta @ fact.cross.T
-        V /= c
-        dual = float(np.sum(V * y_t)) - float(np.sum(V * V)) / (2.0 * weight)
-    short = AX if AX.shape[0] <= AX.shape[1] else AX.T
-    nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(short @ short.T), 0.0)).sum())
+        Vy, VV = float(np.sum(V * y_t)), float(np.sum(V * V))
+    nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(_short_gram(AX)), 0.0)).sum())
     diff = X[:, :N] - y_t
     primal = nuclear + 0.5 * weight * float(np.sum(diff * diff))
-    gap = (primal - dual) / max(1.0, abs(primal))
-    return gap if -GAP_TOL * eps_rel <= gap < math.inf else math.nan
+    scale = max(1.0, abs(primal))
+
+    def gap_at(c: float) -> float:
+        return (primal - (Vy / c - VV / (2.0 * weight * c * c))) / scale
+
+    gap = gap_at(1.0 + d_theta)
+    if gap > tol and d_theta < 1.0 and gap_at(1.0 - d_theta) <= tol:
+        stack = np.zeros_like(X)
+        stack[:, N:] = theta / rho
+        np.subtract(U, apply_operator(stack, spec, out=out), out=out)  # Y' / rho
+        top = float(np.linalg.eigvalsh(_short_gram(out))[-1])
+        c = rho * math.sqrt(max(top, 0.0)) * (1.0 + 1e-12)
+        if c > 0.0:
+            gap = min(gap, gap_at(c))
+    return gap if -tol <= gap < math.inf else math.nan
+
+
+def _short_gram(A: np.ndarray) -> np.ndarray:
+    """Gram of the short side of A, whose eigenvalues are A's squared singular values."""
+    short = A if A.shape[0] <= A.shape[1] else A.T
+    return short @ short.T
 
 
 def solve(
@@ -407,7 +466,7 @@ def solve(
         np.subtract(AX, Z, out=g)
         np.copyto(adjT, adjZ)
         adjT[:, :N] += fit / rho
-        g_norm = float(np.linalg.norm(g))
+        g_norm = _norm(g)
         if count < 0 or g_norm > last_norm:
             count = slot = 0
         else:
@@ -439,8 +498,8 @@ def solve(
         np.subtract(AX, Z, out=R)
 
         # a non-finite entry of R, AX or Z shows in its norm
-        pri = float(np.linalg.norm(R))
-        norm_ax, norm_z = float(np.linalg.norm(AX)), float(np.linalg.norm(Z))
+        pri = _norm(R)
+        norm_ax, norm_z = _norm(AX), _norm(Z)
         if not (math.isfinite(pri + norm_ax + norm_z) and np.isfinite(X).all()):
             raise SolverError(f"non-finite iterates at iteration {it}")
 
@@ -451,18 +510,19 @@ def solve(
         adjY = Sdual.copy()
         adjY[:, :N] += fit
         adjZ = adjZnew
-        dual = float(np.linalg.norm(Sdual))
+        dual = _norm(Sdual)
 
         eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(norm_ax, norm_z)
         # both stops need the primal residual within GAP_GATE of its threshold
         if pri <= GAP_GATE * eps_pri:
             with np.errstate(over="ignore"):  # inf once the fit weight overflows adj(Y)'s norm
-                eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * float(np.linalg.norm(adjY))
+                eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * _norm(adjY)
             if pri <= eps_pri and dual <= eps_dual:
                 converged = True
                 break
             if dual <= GAP_GATE * eps_dual:
-                gap, gap_at = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, params.eps_rel), it
+                gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, U, rho, R, params.eps_rel)
+                gap_at = it
                 if gap <= GAP_TOL * params.eps_rel:
                     converged = True
                     break
@@ -481,7 +541,7 @@ def solve(
             count = -1
 
     if gap_at != iterations:
-        gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, params.eps_rel)
+        gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, U, rho, R, params.eps_rel)
     U *= rho  # the dual Y
     return SolveResult(
         x=X,

@@ -233,6 +233,8 @@ def cmd_identify(args) -> int:
         raise UsageError(f"--del must be nonnegative, got {args.discard}")
     if args.vaf_csv and args.n_val is None:
         raise UsageError("--vaf-csv requires --n-val")
+    if args.n_val is not None and args.n_val < 1:
+        raise UsageError(f"--n-val must be positive, got {args.n_val}")
     for path in (args.report, args.sv_csv, args.vaf_csv):
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise UsageError(f"output directory not found: {path}")
@@ -262,6 +264,10 @@ def cmd_identify(args) -> int:
             raise UsageError(f"validation slice [{n_max}:{stop}] exceeds the data")
         val = IoRecord(u=data_u[n_max:stop], y=data_y[n_max:stop])
         val = _held_out(val, args.output_only, cfg.detrend)
+        # the denominator of the validation VAF
+        if float(np.sum(val.y * val.y)) == 0.0:
+            zero = "identically zero once detrended" if cfg.detrend else "identically zero"
+            raise UsageError(f"--n-val {args.n_val}: the held-out outputs are {zero}")
 
     vaf_rows = []
     for n_ide in n_ide_list:

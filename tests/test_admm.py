@@ -21,7 +21,7 @@ from n2sid.admm import (
 from n2sid.errors import SolverError
 from n2sid.model import generate_innovation_data
 from n2sid.pipeline import PipelineConfig
-from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator
+from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
 
 from helpers import (
     dense_M,
@@ -301,6 +301,36 @@ def test_factorization_cross_block_is_contiguous_and_owns_its_memory():
         assert cross.base is None and cross.flags.owndata
 
 
+@pytest.mark.parametrize(
+    "model, N, output_only",
+    [(make_siso_order2(), 80, False), (make_siso_order2(), 400, False),
+     (make_mimo_order4(), 400, False), (make_mimo_order4(), 400, True)],
+    ids=["siso2-N80", "siso2-N400", "mimo4-N400", "mimo4-output-only-N400"],
+)
+def test_x_update_cholesky_inverse_matches_the_eigendecomposition_pseudo_inverse(
+    monkeypatch, model, N, output_only
+):
+    rec = make_record(model, N, seed=40, noise_std=0.2)
+    spec = OperatorSpec.from_data(np.zeros((N, 0)) if output_only else rec.u, rec.y, 15)
+    fact = SweepFactorization.from_spec(spec)
+    rng = np.random.default_rng(N)
+    eigh_pinv = n2sid.admm._eigh_pinv
+
+    def not_taken(S):
+        raise AssertionError("the eigendecomposition fallback was taken")
+
+    for lam_per_sample in (0.1, 10.0, 1000.0):
+        for rho in (1e-3, 1.0, 1e3):
+            with monkeypatch.context() as mp:
+                mp.setattr(n2sid.admm, "_eigh_pinv", not_taken)
+                solver = _XSolver(fact, 2.0 * lam_per_sample, rho)
+            RHS = rng.standard_normal((spec.block_dim, spec.p))
+            got = solver.solve(RHS)
+            solver.S_pinv, solver.cut = eigh_pinv(solver.S)
+            want = solver.solve(RHS)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_x_update_inconsistent_singular_system_raises():
     y = np.random.default_rng(6).standard_normal((40, 1))
     spec = OperatorSpec.from_data(np.zeros((40, 1)), y, 6)
@@ -552,6 +582,18 @@ def test_certified_gap_bounds_the_objective_excess(seed, log_lam):
     assert obj - objective_value(spec, y, lam, tight.x) <= res.gap * scale + tol
 
 
+def meets_the_residual_rule(spec, params, res) -> bool:
+    """Whether the residuals of res are within the thresholds of the residual rule."""
+    ax = apply_operator(res.x, spec)
+    eps_pri = math.sqrt(res.Z.size) * params.eps_abs + params.eps_rel * max(
+        np.linalg.norm(ax), np.linalg.norm(res.Z)
+    )
+    eps_dual = math.sqrt(res.x.size) * params.eps_abs + params.eps_rel * np.linalg.norm(
+        apply_adjoint(res.y_dual, spec)
+    )
+    return res.primal_res <= eps_pri and res.dual_res <= eps_dual
+
+
 def test_long_record_stops_on_the_certificate_before_the_residual_rule():
     rec = make_record(make_siso_order2(), 2000, seed=43, noise_std=0.2)
     spec = OperatorSpec.from_data(rec.u, rec.y, 15)
@@ -560,18 +602,54 @@ def test_long_record_stops_on_the_certificate_before_the_residual_rule():
     certified = 0
     for res in results:
         assert res is not None and res.converged
-        ax = apply_operator(res.x, spec)
-        eps_pri = math.sqrt(res.Z.size) * params.eps_abs + params.eps_rel * max(
-            np.linalg.norm(ax), np.linalg.norm(res.Z)
-        )
-        eps_dual = math.sqrt(res.x.size) * params.eps_abs + params.eps_rel * np.linalg.norm(
-            apply_adjoint(res.y_dual, spec)
-        )
-        if res.primal_res > eps_pri or res.dual_res > eps_dual:
+        if not meets_the_residual_rule(spec, params, res):
             # a certificate stop
             assert res.gap <= n2sid.admm.GAP_TOL * params.eps_rel
             certified += 1
     assert certified >= 1
+
+
+def frobenius_scaled_gap(spec, y, lam, res) -> float:
+    """The certificate at res with the projected dual Y' = Y - D theta scaled by
+    1 + ||D theta||_F, from fresh operator and adjoint applications and a dense
+    pseudo-inverse of small = D*D."""
+    N = spec.N
+    small = build_M(spec)[2]
+    stack = np.zeros_like(res.x)
+    stack[:, N:] = apply_adjoint(res.y_dual, spec)[:, N:] @ np.linalg.pinv(small, hermitian=True)
+    D_theta = apply_operator(stack, spec)
+    V = apply_adjoint(res.y_dual - D_theta, spec)[:, :N] / (1.0 + np.linalg.norm(D_theta))
+    y_t = np.asarray(y, dtype=float).reshape(N, spec.p).T
+    dual = float(np.sum(V * y_t)) - float(np.sum(V * V)) / (4.0 * lam / N)
+    primal = objective_value(spec, y, lam, res.x)
+    return (primal - dual) / max(1.0, abs(primal))
+
+
+def test_exact_dual_scaling_certifies_stops_the_frobenius_scaling_cannot():
+    rec = make_record(make_mimo_order4(), 400, seed=40, noise_std=0.2)
+    spec = OperatorSpec.from_data(rec.u, rec.y, 15)
+    fact = SweepFactorization.from_spec(spec)
+    params = AdmmParams()
+    stop = n2sid.admm.GAP_TOL * params.eps_rel
+    warm = tight = None
+    exact_only = 0
+    for lam in spec.N * PipelineConfig().lambda_grid():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(n2sid.admm, "_XSolver", LastXSolver)
+            warm = solve(spec, rec.y, lam, params, fact, warm=warm)
+        tight = solve(spec, rec.y, lam, tight_params(), fact, warm=tight)
+        assert warm.converged
+        if meets_the_residual_rule(spec, params, warm):
+            continue
+        assert warm.gap <= stop
+        if frobenius_scaled_gap(spec, rec.y, lam, warm) > stop:
+            # only ||Y'||_2 certifies this stop, and it bounds the excess objective
+            exact_only += 1
+            obj = objective_value(spec, rec.y, lam, warm.x)
+            scale = max(1.0, abs(obj))
+            tol = (1e-10 + 1e-12 * kept_condition(LastXSolver.last.S)) * scale
+            assert obj - objective_value(spec, rec.y, lam, tight.x) <= warm.gap * scale + tol
+    assert exact_only >= 1
 
 
 def test_zero_lambda_has_no_finite_certificate():

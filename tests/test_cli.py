@@ -237,6 +237,20 @@ def test_output_path_and_order_errors_stop_before_the_sweep(tmp_path, monkeypatc
     assert run_cli(*_identify(tmp_path, *flags)) == 2
 
 
+@pytest.mark.parametrize("n_val", ["0", "-5", "1"])
+def test_unusable_n_val_exits_2_naming_the_flag_before_the_sweep(tmp_path, monkeypatch, capsys, n_val):
+    import n2sid.pipeline as pipeline_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(pipeline_mod, "sweep", no_sweep)
+    # one held-out row is identically zero once detrended
+    assert run_cli(*_identify(tmp_path, "--n-ide", "100", "--n-val", n_val)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--n-val" in err and err.count("\n") == 1
+
+
 def test_identify_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     import n2sid.cli as cli_mod
     from n2sid.errors import SolverError
