@@ -55,7 +55,10 @@ extrapolation's rho adj(dT) gamma, and the primal one ||A(X) - Z_new||,
 both exact as long as the X step is.  Z is (p*s) x (N-s+1), wide on all
 but the shortest records, so svt works on the small p*s x p*s Gram; when
 N-s+1 < p*s (N = 20 at s = 15) Z is tall and svt uses the Gram of its
-N-s+1 columns instead (see svt).
+N-s+1 columns instead (see svt).  On a wide Z that Gram's eigenvectors,
+with the shrunk spectrum, are already Z's thin SVD: svt hands them on,
+and a result keeps the last iteration's as ``SolveResult.z_svd`` for the
+extraction, which then needs no SVD of Z.
 
 Every iterate also certifies itself.  The program's Lagrange dual
 (Boyd & Vandenberghe, "Convex Optimization", sec. 5.5) is finite at a Y
@@ -239,7 +242,11 @@ class _XSolver:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Solver output: optimizer (a (p, d) output stack), low-rank iterate and diagnostics."""
+    """Solver output: optimizer (a (p, d) output stack), low-rank iterate and diagnostics.
+
+    Z is the last svt's result, and ``z_svd`` the factors of Z that svt computed
+    on the way, which the extraction reads instead of an SVD of Z.
+    """
 
     x: np.ndarray
     Z: np.ndarray
@@ -250,6 +257,10 @@ class SolveResult:
     y_dual: np.ndarray
     # the certified gap at x relative to max(1, |objective|); inf at lambda = 0, nan if void
     gap: float = math.inf
+    # (U, sigma): Z's left singular vectors and its singular values, descending and
+    # exactly 0 past its rank, as the svt that made Z computed them; None where that
+    # call had none (see svt)
+    z_svd: tuple | None = field(default=None, repr=False, compare=False)
     # (Z, adj(Z)) as the solve left them: a warm start from this result reads
     # adj(Z) here instead of applying the adjoint, while Z is still that array
     _adj_z: tuple = field(default=(None, None), repr=False, compare=False)
@@ -260,7 +271,9 @@ def nuclear_norm(X: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(X, compute_uv=False)))
 
 
-def svt(Y: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.ndarray:
+def svt(
+    Y: np.ndarray, threshold: float, out: np.ndarray | None = None, factors: list | None = None
+) -> np.ndarray:
     """Singular value thresholding, the proximal map of the nuclear norm.
 
     Soft-shrinks every singular value of Y by ``threshold``; a zero
@@ -276,12 +289,22 @@ def svt(Y: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.nd
     into it, and the SVD fallback writes its product into it (the SVD's
     own factors are still allocated).  The values are those the call
     without ``out`` returns, bit for bit.
+
+    With ``factors``, a list, its contents are replaced by the result's
+    thin SVD as far as this call computed it: the left singular vectors,
+    orthonormal columns, and the shrunk spectrum max(sigma - threshold, 0),
+    descending and exactly 0 past the result's rank: the Gram's
+    eigenvectors for a wide or square Y, or the fallback SVD's left
+    vectors.  A tall Y on the Gram path, whose eigenvectors are the right
+    vectors, and a zero threshold leave the list empty.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     Y = np.asarray(Y, dtype=float)
     if out is None:
         out = np.empty(Y.shape)
+    if factors is not None:
+        factors.clear()
     if threshold == 0.0:
         np.copyto(out, Y)
         return out
@@ -294,10 +317,17 @@ def svt(Y: np.ndarray, threshold: float, out: np.ndarray | None = None) -> np.nd
     kept = sigma > threshold
     if kept.any() and sigma[kept].min() < GRAM_CUTOFF * sigma[-1]:
         U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
-        return np.matmul(U * np.maximum(sv - threshold, 0.0), Vt, out=out)
+        shrunk = np.maximum(sv - threshold, 0.0)
+        if factors is not None:
+            factors.extend((U, shrunk))
+        return np.matmul(U * shrunk, Vt, out=out)
+    shrunk = np.zeros_like(sigma)
+    shrunk[kept] = sigma[kept] - threshold
     f = np.zeros_like(sigma)
-    f[kept] = (sigma[kept] - threshold) / sigma[kept]
+    f[kept] = shrunk[kept] / sigma[kept]
     if W is Y:
+        if factors is not None:
+            factors.extend((U[:, ::-1], shrunk[::-1]))
         return np.matmul((U * f) @ U.T, W, out=out)
     np.copyto(out, (((U * f) @ U.T) @ W).T)
     return out
@@ -454,6 +484,7 @@ def solve(
     # count < 0: no T(W) at this rho to difference against yet
     count, slot, last_norm = -1, 0, math.inf
     gap, gap_at = math.inf, 0
+    z_factors: list = []
 
     for it in range(1, params.max_iter + 1):
         iterations = it
@@ -493,7 +524,7 @@ def solve(
             np.subtract(T, W, out=W)
         else:
             W = T
-        Z = svt(W, 1.0 / rho, out=Zbuf)
+        Z = svt(W, 1.0 / rho, out=Zbuf, factors=z_factors)
         np.subtract(W, Z, out=U)
         np.subtract(AX, Z, out=R)
 
@@ -552,6 +583,7 @@ def solve(
         converged=converged,
         y_dual=U,
         gap=gap,
+        z_svd=tuple(z_factors) or None,
         _adj_z=(Z, adjZ),
     )
 

@@ -1,8 +1,12 @@
 """State-space model extraction from the convex-program solution.
 
-Given the low-rank matrix produced by the solver, extraction runs an
-SVD, picks the model order from the singular-value spectrum, and builds
-the quintuple (A, B, C, D, K) by one of three procedures:
+Given the low-rank matrix Z produced by the solver, extraction reads
+Z's thin SVD, picks the model order from the singular-value spectrum,
+and builds the quintuple (A, B, C, D, K) by one of three procedures.
+The solver's last singular value thresholding already factored Z, and
+``lowrank_svd`` builds the SVD from those factors with one product, so
+Z is not decomposed a second time (a tall Z, on the shortest records,
+gets a LAPACK SVD).
 
 * m3: shift-invariance of the left singular vectors gives (Aobs, C);
   one fit of C Aobs^(k-1) [Bobs, K] to the solved Markov blocks gives
@@ -21,11 +25,15 @@ A, B are recovered from the observer quantities as A = Aobs + K C and
 B = Bobs + K D.
 
 Every regressor of the data fits is a response of the observer to a
-fixed drive, computed by ``model.state_response``: the observability
-rows C Aobs^k are its free response from the identity, and the
-sensitivities to K y, to each entry of Bobs and to x0 are stacked
-responses of one loop.  ``fit_x0``, the initial-state fit shared with
-the pipeline's scoring, also returns the fitted free response.
+fixed drive, computed by ``model.state_response``.  The Markov-block fit
+reads the observability rows C Aobs^k, k < s - 1, a short free response.
+m1 and m3 read everything else from one recursion over the record, of
+the transposed observer (see ``_observer_responses``): the free response
+C Aobs^k, which the x0 columns are, and the observer prediction's
+sensitivities to each entry of [Bobs, K], which give the Bobs columns,
+the K y response and m3's prediction.  ``fit_x0``, the initial-state
+fit shared with the pipeline's scoring, takes a free response already
+computed and also returns the fitted one.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SimulationOverflowError
-from .model import IoRecord, ObserverModel, StateSpaceModel, predict_observer, state_response
+from .model import IoRecord, ObserverModel, StateSpaceModel, state_response
 from .structured_ops import OperatorSpec
 
 __all__ = [
@@ -71,7 +79,12 @@ def _lstsq(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceSvd:
-    """Thin SVD of the solver's low-rank matrix (descending singular values)."""
+    """Thin SVD of the solver's low-rank matrix (descending singular values).
+
+    U holds an orthonormal set of left singular vectors, one per entry of
+    sigma; Vt holds the right singular vectors of the positive entries
+    only, one row each.
+    """
 
     U: np.ndarray
     sigma: np.ndarray
@@ -87,13 +100,34 @@ class IdentifiedModel:
     x0_ide: np.ndarray
 
 
-def lowrank_svd(Z: np.ndarray, spec: OperatorSpec) -> SubspaceSvd:
-    """SVD of the solver's low-rank iterate Z (the thresholded matrix)."""
+def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple | None = None) -> SubspaceSvd:
+    """Thin SVD of the solver's low-rank iterate Z (the thresholded matrix).
+
+    ``factors`` are the (U, sigma) that the thresholding handed on with Z
+    (``SolveResult.z_svd``): Z's left singular vectors, and its spectrum,
+    exactly 0 past Z's rank.  From them the SVD costs one product
+    P = U_r' Z with the r vectors of the positive entries: the singular
+    values are the row norms of P, sorted descending, and Vt the rows of P
+    divided by them, so U diag(sigma) Vt reproduces Z to rounding and the
+    spectrum past Z's rank stays exactly 0.  Without factors (a bare Z,
+    or a tall one that svt thresholded through its right vectors) Z gets
+    a LAPACK SVD.
+    """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (spec.p * spec.s, spec.ncols):
         raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
-    U, sigma, Vt = np.linalg.svd(Z, full_matrices=False)
-    return SubspaceSvd(U=U, sigma=sigma, Vt=Vt)
+    if factors is None:
+        U, sigma, Vt = np.linalg.svd(Z, full_matrices=False)
+        return SubspaceSvd(U=U, sigma=sigma, Vt=Vt[: np.count_nonzero(sigma)])
+    U, handed = factors
+    rank = int(np.count_nonzero(handed))
+    P = U[:, :rank].T @ Z
+    sigma = np.zeros(handed.shape)
+    sigma[:rank] = np.linalg.norm(P, axis=1)
+    order = np.argsort(-sigma, kind="stable")
+    sigma = sigma[order]
+    rank = int(np.count_nonzero(sigma))
+    return SubspaceSvd(U=U[:, order], sigma=sigma, Vt=P[order[:rank]] / sigma[:rank, None])
 
 
 def select_order(sigma: np.ndarray, max_order: int = 10) -> int:
@@ -138,20 +172,46 @@ def estimate_AC(U_nhat: np.ndarray, s: int, p: int) -> tuple[np.ndarray, np.ndar
     return Aobs, C
 
 
-def _observability(A: np.ndarray, C: np.ndarray, rows: int) -> np.ndarray:
-    """Stacked blocks C A^k for k < rows, shape (rows * p, n)."""
-    n = np.atleast_2d(A).shape[0]
-    return state_response(A, C, np.eye(n), rows).reshape(-1, n)
+def _observer_responses(
+    Aobs: np.ndarray, C: np.ndarray, rec: IoRecord
+) -> tuple[np.ndarray, np.ndarray]:
+    """The free response of (Aobs, C) over the record and its sensitivities, from one recursion.
+
+    Returns ``free``, (N, p, n), the blocks C Aobs^k, and ``sens``,
+    (N, p, n, m + p), whose [k, :, i, j] is sum_(l<k) C Aobs^(k-1-l) e_i
+    v_j(l) with v = [u, y]: the observer prediction's sensitivity to entry
+    (i, j) of [Bobs, K].  Both come from the transposed recursion
+    z(k+1) = Aobs' z(k) + C' w(k), observed through the identity: from
+    z(0) = C'[:, r] its states are row r of C Aobs^k, and driven by
+    w = e_r v_j row r of the sensitivities.  Its drive enters through C',
+    so the windows cost grows with p, not with the n (m + p) sensitivities.
+    """
+    n, p = Aobs.shape[0], C.shape[0]
+    v = np.hstack([rec.u, rec.y])
+    N, c = v.shape
+    # columns r*c + j are driven by e_r v_j, the last p start from C' (their
+    # zero drive keeps every column driven, which the windows run faster)
+    drive = np.zeros((N, p, p * c + p))
+    for r in range(p):
+        drive[:, r, r * c : (r + 1) * c] = v
+    x0 = np.zeros((n, p * c + p))
+    x0[:, p * c :] = C.T
+    states = state_response(Aobs.T, np.eye(n), x0, N, drive, B=C.T)
+    free = states[:, :, p * c :].transpose(0, 2, 1)
+    sens = states[:, :, : p * c].reshape(N, n, p, c).transpose(0, 2, 1, 3)
+    return free, sens
 
 
-def fit_x0(A: np.ndarray, C: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def fit_x0(free: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x0 whose free response C A^k x0 best fits ``residual`` (N x p), and that response.
 
-    Rank deficiency is not reported: the minimum-norm solution is used,
-    and a direction the outputs cannot see does not change the fit.
+    ``free`` is the (N, p, n) free response of (A, C) from the identity,
+    the blocks C A^k, k < N.  Rank deficiency is not reported: the
+    minimum-norm solution is used, and a direction the outputs cannot
+    see does not change the fit.
     """
     residual = np.asarray(residual, dtype=float)
-    rows = _observability(A, C, residual.shape[0])
+    rows = free.reshape(residual.size, -1)
     _require_finite("initial-state fit", residual)
     x0 = np.linalg.lstsq(rows, residual.reshape(-1), rcond=_LSTSQ_RCOND)[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -167,20 +227,19 @@ def estimate_BDx0(
 
     With (Aobs, C, K) fixed the prediction is linear in the unknowns: the
     response to K y(k), plus one response per entry of Bobs (drive
-    u_j(k) e_i), per entry of D and per entry of x0.
+    u_j(k) e_i), per entry of D and per entry of x0.  The K y response
+    and the Bobs and x0 columns all come from one recursion (see
+    _observer_responses).
     """
     Aobs, C, K = np.atleast_2d(Aobs), np.atleast_2d(C), np.atleast_2d(K)
     n, p, m, N = Aobs.shape[0], C.shape[0], rec.m, rec.N
-    # column 0 is driven by K y(k), column 1 + j*n + i by u_j(k) e_i (entry Bobs[i, j])
-    drive = np.zeros((N, n, 1 + n * m))
-    drive[:, :, 0] = rec.y @ K.T
-    for i in range(n):
-        drive[:, i, 1 + i :: n] = rec.u
-    forced = state_response(Aobs, C, np.zeros((n, 1 + n * m)), N, drive)
+    free, sens = _observer_responses(Aobs, C, rec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = rec.y - sens[..., m:].reshape(N, p, n * p) @ K.reshape(-1)
+    # column j*n + i is the response to u_j(k) e_i (entry Bobs[i, j])
+    b_cols = sens[..., :m].transpose(0, 1, 3, 2).reshape(N, p, m * n)
     d_cols = np.kron(rec.u, np.eye(p)).reshape(N, p, p * m)
-    x0_cols = _observability(Aobs, C, N).reshape(N, p, n)
-    regressor = np.concatenate([forced[:, :, 1:], d_cols, x0_cols], axis=2)
-    target = rec.y - forced[:, :, 0]
+    regressor = np.concatenate([b_cols, d_cols, free], axis=2)
     theta = _lstsq(
         regressor.reshape(N * p, -1), target.reshape(-1), "input/feed-through/initial-state fit"
     )
@@ -197,7 +256,8 @@ def _markov_fit(svd: SubspaceSvd, blocks: np.ndarray, nhat: int) -> ObserverMode
     m = width - p
     Aobs, C = estimate_AC(svd.U[:, :nhat], s, p)
     target = blocks[1:].reshape(-1, width)
-    BK = _lstsq(_observability(Aobs, C, s - 1), target, "gain and input-Toeplitz fit")
+    rows = state_response(Aobs, C, np.eye(nhat), s - 1).reshape(-1, nhat)  # C Aobs^k, k < s - 1
+    BK = _lstsq(rows, target, "gain and input-Toeplitz fit")
     return ObserverModel(Aobs, BK[:, :m], C, blocks[0, :, :m].copy(), BK[:, m:])
 
 
@@ -212,9 +272,11 @@ def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """State-sequence route: right singular vectors as states, then two regressions."""
     if nhat < 1:
         raise ValueError("order must be >= 1")
-    ncols = svd.Vt.shape[1]
+    rank, ncols = svd.Vt.shape
     if ncols < nhat:
         raise ValueError(f"too few state samples: {ncols} < order {nhat}")
+    if rank < nhat:
+        raise ValueError(f"order {nhat} exceeds the rank {rank} of the low-rank matrix")
     X = svd.Vt[:nhat]
     U_d = rec.u[:ncols].T
     Y_d = rec.y[:ncols].T
@@ -235,7 +297,15 @@ def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
 
 
 def compute_m3(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -> IdentifiedModel:
-    """The Markov-block fit's observer, with x0 fit to its prediction error."""
+    """The Markov-block fit's observer, with x0 fit to its prediction error.
+
+    The prediction is the observer's sensitivities to [Bobs, K] times
+    those matrices, plus D u, from the same recursion as the free response.
+    """
     obs = _markov_fit(svd, blocks, nhat)
-    x0, _ = fit_x0(obs.Aobs, obs.C, rec.y - predict_observer(obs, rec))
+    free, sens = _observer_responses(obs.Aobs, obs.C, rec)
+    N, p = rec.N, obs.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        predicted = sens.reshape(N, p, -1) @ np.hstack([obs.Bobs, obs.K]).reshape(-1)
+    x0, _ = fit_x0(free, rec.y - predicted - rec.u @ obs.D.T)
     return IdentifiedModel(obs.to_state_space(), nhat, x0)

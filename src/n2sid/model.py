@@ -14,10 +14,13 @@ Every recursion in the package runs through one kernel,
 for one or several stacked responses at once.  Simulation, observer
 prediction, data generation and Markov parameters are that kernel with
 their own drive plus the feed-through D u(k); extraction builds its
-regressors from it too.  The kernel does not step sample by sample: it
-cuts the record into windows of WINDOW samples and evaluates each one
-through the data equation y_window = O_L x(k0) + T_L d_window, all
-windows in batched matrix products, so Python steps once per window.
+regressors from it too.  A drive may enter through an input matrix B,
+which makes the windows' cost grow with the number of inputs instead of
+the state dimension, and may drive only the leading responses of a
+stack while the others run free.  The kernel does not step sample by
+sample: it cuts the record into windows of WINDOW samples and evaluates
+each one through the data equation y_window = O_L x(k0) + T_L d_window,
+all windows in batched matrix products, so Python steps once per window.
 Whatever leaves float range, an output, the final state or the
 window's matrix powers, raises SimulationOverflowError without a numpy
 warning.
@@ -220,21 +223,25 @@ def _check_x0(x0, n: int) -> np.ndarray:
     return x0
 
 
-def state_response(A, C, x0, steps: int, drive=None) -> np.ndarray:
-    """Outputs C x(k), k < steps, of the recursion x(k+1) = A x(k) + drive[k].
+def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
+    """Outputs C x(k), k < steps, of the recursion x(k+1) = A x(k) + B drive[k].
 
     x0 has shape (n,) or (n, q); the q columns are independent responses
     run together, and ``drive`` (omitted for a free response) has shape
-    (steps, n) or (steps, n, q) to match.  Only the outputs are kept:
-    the result has shape (steps, p) or (steps, p, q).
+    (steps, m) or (steps, m, qd), qd <= q: it drives the leading qd
+    responses, and the others run free.  B, of shape (n, m), defaults to
+    the identity (m = n), so that the drive enters the state directly.
+    Only the outputs are kept: the result has shape (steps, p) or
+    (steps, p, q).
 
     The record is cut into windows of L = min(WINDOW, steps) samples and
     each window is one data equation, y_b = O_L x_b + T_L d_b, with
     O_L = [C A^j], j < L, and T_L = structured_ops.block_toeplitz of the
-    lags [0, C A^0, ..., C A^(L-2)], the operator's window-view builder.
-    Window starts follow x_(b+1) = A^L x_b + R_L d_b, R_L = [A^(L-1) ...
-    A I], the only loop, of ceil(steps / L) steps; a last window shorter
-    than L uses the leading part of the same matrices.
+    lags [0, C A^0 B, ..., C A^(L-2) B], the operator's window-view
+    builder.  Window starts follow x_(b+1) = A^L x_b + R_L d_b, R_L =
+    [A^(L-1) B ... A B B], the only loop, of ceil(steps / L) steps; a last
+    window shorter than L uses the leading part of the same matrices.
+    Given B, the windows' cost grows with m instead of n.
 
     Raises:
         SimulationOverflowError: if an output or the state after
@@ -250,6 +257,16 @@ def state_response(A, C, x0, steps: int, drive=None) -> np.ndarray:
     cols = x.shape[1:]
     q = x.shape[1] if cols else 1
     x = x.reshape(n, q)
+    if drive is not None:
+        if B is not None:
+            B = np.atleast_2d(np.asarray(B, dtype=float))
+        m = n if B is None else B.shape[1]
+        # the drive's qd columns drive the leading qd responses
+        d = np.asarray(drive, dtype=float)
+        qd = d.shape[2] if d.ndim == 3 else 1
+        d = d.reshape(steps, m, qd)
+        if qd > q:
+            raise ValueError(f"drive has {qd} columns for {q} responses")
     out = np.empty((steps, p, q))
     with np.errstate(over="ignore", invalid="ignore"):
         if steps:
@@ -272,24 +289,46 @@ def state_response(A, C, x0, steps: int, drive=None) -> np.ndarray:
                     out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
                     x = powers[tail] @ x
             else:
-                T = block_toeplitz(np.concatenate([np.zeros((1, p, n)), CA[:-1]]))
-                R = np.concatenate(powers[L - 1 :: -1], axis=1)
-                d = np.asarray(drive, dtype=float).reshape(steps, n, q)
-                windows = d[:full].reshape(nb, L * n, q)
+                lags, steers = CA[:-1], powers[L - 1 :: -1]
+                if B is not None:
+                    lags, steers = lags @ B, steers @ B
+                T = block_toeplitz(np.concatenate([np.zeros((1, p, m)), lags]))
+                R = np.concatenate(steers, axis=1)
+                windows = d[:full].reshape(nb, L * m, qd)
                 forced = R @ windows
                 for b in range(nb):
                     starts[b] = x
-                    x = powers[L] @ x + forced[b]
+                    x = powers[L] @ x
+                    x[:, :qd] += forced[b]
                 view = out[:full].reshape(nb, L * p, q)
                 np.matmul(O, starts, out=view)
-                view += T @ windows
+                view[:, :, :qd] += T @ windows
                 if tail:
-                    d = d[full:].reshape(tail * n, q)
-                    out[full:] = (O[: tail * p] @ x + T[: tail * p, : tail * n] @ d).reshape(tail, p, q)
-                    x = powers[tail] @ x + R[:, (L - tail) * n :] @ d
+                    d = d[full:].reshape(tail * m, qd)
+                    out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
+                    out[full:, :, :qd] += (T[: tail * p, : tail * m] @ d).reshape(tail, p, qd)
+                    x = powers[tail] @ x
+                    x[:, :qd] += R[:, (L - tail) * m :] @ d
     if not (np.all(np.isfinite(out)) and np.all(np.isfinite(x))):
         raise SimulationOverflowError(f"state recursion overflow within {steps} samples")
     return out.reshape((steps, p) + cols)
+
+
+def _response_from(A, C, x0, drive: np.ndarray, feedthrough: np.ndarray) -> np.ndarray:
+    """state_response under ``drive`` plus ``feedthrough``, from x0 of shape (n,) or (n, q).
+
+    For (n, q), q >= 1, column 0 is the driven response from x0[:, 0] and
+    column j >= 1 the free response from x0[:, j], in one recursion.
+    """
+    n = A.shape[0]
+    if np.ndim(x0) != 2:
+        return state_response(A, C, _check_x0(x0, n), drive.shape[0], drive) + feedthrough
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape[0] != n or x0.shape[1] < 1:
+        raise ValueError(f"x0 has shape {x0.shape}, expected ({n}, q) with q >= 1")
+    out = state_response(A, C, x0, drive.shape[0], drive)
+    out[:, :, 0] += feedthrough
+    return out
 
 
 def simulate(model: StateSpaceModel, u: np.ndarray, x0=None) -> np.ndarray:
@@ -299,28 +338,32 @@ def simulate(model: StateSpaceModel, u: np.ndarray, x0=None) -> np.ndarray:
     from x(0) = x0 (zeros when omitted).  The gain K plays no role here:
     this is a simulation, not a filter.
 
+    x0 may also have shape (n, q), q >= 1, and the result then has shape
+    (N, p, q): column 0 is the simulation from x0[:, 0], and column j >= 1
+    the free response C A^k x0[:, j], by which the simulation moves when
+    x0[:, j] is added to its initial state.  One recursion gives all q.
+
     Raises:
         SimulationOverflowError: if the recursion leaves float range
             (unstable A over a long horizon).
     """
     u = _check_input(u, model.m)
-    x0 = _check_x0(x0, model.n)
-    return state_response(model.A, model.C, x0, u.shape[0], u @ model.B.T) + u @ model.D.T
+    return _response_from(model.A, model.C, x0, u @ model.B.T, u @ model.D.T)
 
 
 def predict_observer(obs: ObserverModel, rec: IoRecord, x0=None) -> np.ndarray:
     """One-step-ahead prediction with the observer driven by measured data.
 
     Runs xhat(k+1) = Aobs xhat(k) + Bobs u(k) + K y(k) and returns
-    yhat(k) = C xhat(k) + D u(k).
+    yhat(k) = C xhat(k) + D u(k).  An x0 of shape (n, q) stacks the free
+    responses C Aobs^k x0[:, j], j >= 1, after the prediction, as in simulate.
     """
     if rec.m != obs.m or rec.p != obs.p:
         raise ValueError(
             f"record has (m={rec.m}, p={rec.p}), observer expects (m={obs.m}, p={obs.p})"
         )
-    x0 = _check_x0(x0, obs.n)
     drive = rec.u @ obs.Bobs.T + rec.y @ obs.K.T
-    return state_response(obs.Aobs, obs.C, x0, rec.N, drive) + rec.u @ obs.D.T
+    return _response_from(obs.Aobs, obs.C, x0, drive, rec.u @ obs.D.T)
 
 
 def markov_parameters(obs: ObserverModel, count: int) -> np.ndarray:

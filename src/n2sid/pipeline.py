@@ -154,16 +154,20 @@ def _has_excitation(rec: IoRecord) -> bool:
 def _predict(model, rec: IoRecord, x0_policy: str) -> np.ndarray:
     """Deterministic prediction used for both J scoring and validation VAF.
 
-    It is linear in x0: a fitted x0 adds its free response to the zero-state prediction.
+    It is linear in x0: a fitted x0 adds its free response to the
+    zero-state prediction.  Under "ls_estimate" one recursion from the
+    initial states [0 | I] gives both (see model.simulate).
     """
+    n = model.n
+    x0 = np.zeros(n) if x0_policy == "zero" else np.eye(n, 1 + n, 1)
     if _has_excitation(rec):
-        A, yhat = model.A, simulate(model, rec.u)
+        response = simulate(model, rec.u, x0)
     else:
-        obs = to_observer(model)
-        A, yhat = obs.Aobs, predict_observer(obs, rec)
+        response = predict_observer(to_observer(model), rec, x0)
     if x0_policy == "zero":
-        return yhat
-    return yhat + fit_x0(A, model.C, rec.y - yhat)[1]
+        return response
+    yhat = response[:, :, 0]
+    return yhat + fit_x0(response[:, :, 1:], rec.y - yhat)[1]
 
 
 def evaluate(identified, val: IoRecord, x0_policy: str = "ls_estimate") -> float:
@@ -204,11 +208,14 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     (solve, extract or score); only an entirely failed grid raises.  The
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
-    the program's scaled units.  A point that fails after its SVD keeps
-    its singular values in ``sigma_per_lambda``.  A fixed order above
+    the program's scaled units; past the rank of a point's Z they are
+    exactly 0.  A point that fails after its SVD keeps its singular values
+    in ``sigma_per_lambda``.  A fixed order above a point's rank takes the
+    vectors past the rank from a LAPACK SVD of Z.  A fixed order above
     (s-1)*p, more than the window can hold, is rejected before the sweep.
-    ``timings`` holds factorization_s, sweep_s, extraction_s (SVD, order
-    and model), scoring_s (prediction and J) and total_s.
+    ``timings`` holds factorization_s, sweep_s, extraction_s (Z's SVD from
+    the factors the solve handed on, order and model), scoring_s
+    (prediction and J) and total_s.
     """
     t_start = time.perf_counter()
     if cfg.order != "auto" and cfg.order > (cfg.s - 1) * rec.p:
@@ -244,7 +251,11 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
             continue
         stage = "extract"
         try:
-            svd = lowrank_svd(res.Z, spec)
+            svd = lowrank_svd(res.Z, spec, res.z_svd)
+            if cfg.order != "auto" and cfg.order > np.count_nonzero(svd.sigma):
+                # Z fixes no singular vectors past its rank; a LAPACK SVD of Z
+                # takes them from its rounding
+                svd = lowrank_svd(res.Z, spec)
             # kept even if the point fails later: its order was read from them
             sigma_per_lambda[i] = svd.sigma
             idm = _extract(svd, res.x, spec, ide1, cfg)

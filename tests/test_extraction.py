@@ -1,8 +1,10 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from n2sid.admm import GRAM_CUTOFF, solve, svt, sweep
 from n2sid.extraction import (
     SubspaceSvd,
     _markov_fit,
@@ -11,12 +13,14 @@ from n2sid.extraction import (
     compute_m3,
     estimate_AC,
     estimate_BDx0,
+    fit_x0,
     lowrank_svd,
     select_order,
 )
 from n2sid.model import (
     IoRecord,
     ObserverModel,
+    StateSpaceModel,
     generate_innovation_data,
     markov_parameters,
     predict_observer,
@@ -26,7 +30,20 @@ from n2sid.model import (
 )
 from n2sid.structured_ops import OperatorSpec, block_toeplitz, toeplitz_estimates
 
-from helpers import make_siso_order2, markov_stack, naive_states, observability, prbs
+from helpers import (
+    make_mimo_order4,
+    make_record,
+    make_siso_order2,
+    markov_stack,
+    naive_states,
+    observability,
+    prbs,
+    random_spec,
+)
+
+
+def orthonormal_columns(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)))[0]
 
 
 def select_order_reference(sigma, max_order=10):
@@ -112,6 +129,112 @@ def test_lowrank_svd_shape_check():
     spec = OperatorSpec.from_data(np.ones((8, 1)), np.ones((8, 1)) * 2, s=3)
     with pytest.raises(ValueError):
         lowrank_svd(np.zeros((4, 6)), spec)
+
+
+def assert_thin_svd(Z, svd):
+    """svd is Z's thin SVD: orthonormal U, U diag(sigma) Vt = Z within 1e-12, and sigma
+    that of a LAPACK SVD on Z's rank and exactly 0 past it."""
+    rank = svd.Vt.shape[0]
+    np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(svd.sigma.size), rtol=0, atol=1e-12)
+    rebuilt = (svd.U[:, :rank] * svd.sigma[:rank]) @ svd.Vt
+    assert np.linalg.norm(rebuilt - Z) <= 1e-12 * np.linalg.norm(Z)
+    ref = np.linalg.svd(Z, compute_uv=False)
+    assert np.all(svd.sigma[:rank] > 0.0) and np.all(svd.sigma[rank:] == 0.0)
+    np.testing.assert_allclose(svd.sigma[:rank], ref[:rank], rtol=0, atol=1e-12 * ref[0])
+
+
+def record_spec(N, s=15):
+    """A SISO spec whose Z is (s, N - s + 1)."""
+    rng = np.random.default_rng(N)
+    return OperatorSpec.from_data(rng.standard_normal((N, 1)), rng.standard_normal((N, 1)), s)
+
+
+def thresholded(Y, t, spec):
+    """svt of Y, and the SVD lowrank_svd builds from the factors svt handed on."""
+    factors = []
+    Z = svt(Y, t, factors=factors)
+    return Z, lowrank_svd(Z, spec, tuple(factors) or None)
+
+
+def test_handed_factors_from_the_gram_branch_are_the_thin_svd(monkeypatch):
+    rng = np.random.default_rng(31)
+    U, V = orthonormal_columns(rng, 15, 15), orthonormal_columns(rng, 200, 15)
+    Y = (U * np.geomspace(3.0, 1e-2, 15)) @ V.T
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("svt took an SVD"))
+    Z, svd = thresholded(Y, 0.05, record_spec(214))
+    monkeypatch.undo()
+    assert 0 < svd.Vt.shape[0] < 15
+    assert_thin_svd(Z, svd)
+
+
+def test_handed_factors_from_the_svd_fallback_are_the_thin_svd(monkeypatch):
+    # a kept singular value at 1e-6 sigma_max, below GRAM_CUTOFF: svt takes an SVD of Y
+    rng = np.random.default_rng(30)
+    U, V = orthonormal_columns(rng, 15, 15), orthonormal_columns(rng, 1986, 15)
+    sigma = np.concatenate([[1.0, 0.5, 0.2, 1e-6], np.full(11, 1e-8)])
+    assert sigma[3] < GRAM_CUTOFF * sigma[0]
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    Z, svd = thresholded((U * sigma) @ V.T, 5e-7, record_spec(2000))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert svd.Vt.shape[0] == 4
+    assert_thin_svd(Z, svd)
+
+
+def test_a_tall_z_gets_a_lapack_svd():
+    # N - s + 1 = 6 columns against p*s = 15 rows: svt thresholds through the
+    # Gram of Z's columns, whose eigenvectors are right vectors, and hands on none
+    rec = make_record(make_siso_order2(), 20, seed=42, noise_std=0.2)
+    spec = OperatorSpec.from_data(rec.u, rec.y, 15)
+    res = solve(spec, rec.y, 200.0)
+    assert res.z_svd is None
+    assert_thin_svd(res.Z, lowrank_svd(res.Z, spec, res.z_svd))
+
+
+def chain_results(model, N, output_only=False):
+    """Every grid point of a warm-started sweep on a make_record record, with its spec."""
+    rec = make_record(model, N, seed=40, noise_std=0.2)
+    u = np.zeros((N, 0)) if output_only else rec.u
+    spec = OperatorSpec.from_data(u, rec.y, 15)
+    return spec, [res for res in sweep(spec, rec.y, N * np.logspace(-1.5, 3, 8)) if res is not None]
+
+
+CHAINS = [
+    (make_siso_order2(), 80, False), (make_siso_order2(), 400, False), (make_mimo_order4(), 400, True)
+]
+CHAIN_IDS = ["siso2-N80", "siso2-N400", "mimo4-output-only-N400"]
+
+
+@pytest.mark.parametrize("model, N, output_only", CHAINS, ids=CHAIN_IDS)
+def test_handed_factors_on_sweep_chains_are_the_thin_svd(model, N, output_only):
+    spec, results = chain_results(model, N, output_only)
+    assert len(results) == 8
+    for res in results:
+        assert res.z_svd is not None
+        assert_thin_svd(res.Z, lowrank_svd(res.Z, spec, res.z_svd))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_handed_factors_on_random_specs_are_the_thin_svd(seed):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng)
+    y = rng.standard_normal((spec.N, spec.p))
+    for lam in (0.5, 50.0):
+        res = solve(spec, y, lam)
+        if np.any(res.Z):
+            assert_thin_svd(res.Z, lowrank_svd(res.Z, spec, res.z_svd))
+
+
+@pytest.mark.parametrize("model, N, output_only", CHAINS, ids=CHAIN_IDS)
+def test_the_handed_spectrum_selects_the_order_a_fresh_svd_selects(model, N, output_only):
+    spec, results = chain_results(model, N, output_only)
+    cap = min(10, 14 * spec.p)
+    for res in results:
+        handed = lowrank_svd(res.Z, spec, res.z_svd).sigma
+        fresh = np.linalg.svd(res.Z, compute_uv=False)
+        assert select_order(handed, cap) == select_order(fresh, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +433,14 @@ def test_compute_m2_too_few_state_samples():
         compute_m2(short, rec, 2)
 
 
+def test_compute_m2_rejects_an_order_above_the_rank():
+    _, _, rec, _, svd, _ = exact_solution_inputs()
+    sigma = np.concatenate([svd.sigma[:1], np.zeros(svd.sigma.size - 1)])
+    rank_one = SubspaceSvd(U=svd.U, sigma=sigma, Vt=svd.Vt[:1])
+    with pytest.raises(ValueError, match="exceeds the rank 1"):
+        compute_m2(rank_one, rec, 2)
+
+
 def test_compute_m3_exact_inputs_and_variant_agreement():
     model, obs, rec, spec, svd, est = exact_solution_inputs()
     m3 = compute_m3(svd, est, rec, 2)
@@ -318,6 +449,60 @@ def test_compute_m3_exact_inputs_and_variant_agreement():
     np.testing.assert_allclose(
         np.sort(np.linalg.eigvals(m3.model.A)), np.sort(np.linalg.eigvals(m1.model.A)), atol=1e-6
     )
+
+
+def separate_m1(svd, blocks, rec, nhat):
+    """compute_m1 with one recursion per regressor: the K y response, one simulation per
+    entry of Bobs and the observability rows, then the same least-squares fit."""
+    obs = _markov_fit(svd, blocks, nhat)
+    n, p, m, N = nhat, rec.p, rec.m, rec.N
+    ky = predict_observer(replace(obs, Bobs=np.zeros((n, m)), D=np.zeros((p, m))), rec)
+    b_cols = []
+    for j in range(m):
+        for i in range(n):
+            entry = np.zeros((n, m))
+            entry[i, j] = 1.0
+            b_cols.append(simulate(StateSpaceModel(obs.Aobs, entry, obs.C, np.zeros((p, m)), obs.K), rec.u))
+    regressor = np.concatenate(
+        [np.stack(b_cols, axis=2), np.kron(rec.u, np.eye(p)).reshape(N, p, p * m),
+         observability(obs.Aobs, obs.C, N).reshape(N, p, n)],
+        axis=2,
+    )
+    theta = np.linalg.lstsq(regressor.reshape(N * p, -1), (rec.y - ky).reshape(-1), rcond=1e-10)[0]
+    Bobs, D = theta[: n * m].reshape(m, n).T, theta[n * m : (n + p) * m].reshape(m, p).T
+    return replace(obs, Bobs=Bobs, D=D).to_state_space(), theta[(n + p) * m :]
+
+
+def separate_m3(svd, blocks, rec, nhat):
+    """compute_m3 with the observer prediction and the observability rows computed apart."""
+    obs = _markov_fit(svd, blocks, nhat)
+    free = observability(obs.Aobs, obs.C, rec.N).reshape(rec.N, rec.p, nhat)
+    return obs.to_state_space(), fit_x0(free, rec.y - predict_observer(obs, rec))[0]
+
+
+def assert_close_models(got, want, rtol):
+    for name in ("A", "B", "C", "D", "K"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.linalg.norm(a - b) <= rtol * max(np.linalg.norm(b), 1e-300), name
+
+
+@pytest.mark.parametrize(
+    "model, N, nhat", [(make_siso_order2(), 400, 2), (make_mimo_order4(), 400, 4)],
+    ids=["siso2-N400", "mimo4-N400"],
+)
+def test_shared_responses_give_the_models_of_separate_recursions(model, N, nhat):
+    spec, results = chain_results(model, N)
+    rec = make_record(model, N, seed=40, noise_std=0.2)
+    for res in results[2:6]:
+        svd = lowrank_svd(res.Z, spec, res.z_svd)
+        blocks = toeplitz_estimates(res.x, spec)
+        m1, m3 = compute_m1(svd, blocks, rec, nhat), compute_m3(svd, blocks, rec, nhat)
+        separate = (separate_m1(svd, blocks, rec, nhat), separate_m3(svd, blocks, rec, nhat))
+        for got, (want, x0) in zip((m1, m3), separate):
+            # a stable observer keeps every response within a few orders of the data
+            assert np.abs(np.linalg.eigvals(want.A - want.K @ want.C)).max() < 1.0
+            assert_close_models(got.model, want, 1e-13)
+            assert np.linalg.norm(got.x0_ide - x0) <= 1e-13 * np.linalg.norm(x0)
 
 
 def _impulse_chain(model, count):

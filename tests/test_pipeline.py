@@ -24,7 +24,7 @@ from n2sid.pipeline import (
     preprocess,
 )
 
-from helpers import make_siso_order2, prbs
+from helpers import make_mimo_order4, make_record, make_siso_order2, observability, prbs
 
 
 def noise_free_record(N=120, seed=0):
@@ -450,7 +450,8 @@ def test_ls_prediction_is_the_recursion_from_the_fitted_x0():
     rec = generate_innovation_data(
         model, prbs(rng, 90, 1), x0=rng.standard_normal(2), noise_std=0.1, seed=17
     )
-    x0, fitted = fit_x0(model.A, model.C, rec.y - simulate(model, rec.u))
+    free = observability(model.A, model.C, 90).reshape(90, 1, 2)
+    x0, fitted = fit_x0(free, rec.y - simulate(model, rec.u))
     assert fitted.shape == rec.y.shape
     got = pipeline_mod._predict(model, rec, "ls_estimate")
     np.testing.assert_allclose(got, simulate(model, rec.u, x0), rtol=1e-12, atol=1e-12)
@@ -460,9 +461,27 @@ def test_ls_prediction_is_the_recursion_from_the_fitted_x0():
     )
     y_only = IoRecord(u=np.zeros((90, 0)), y=rec.y)
     obs = to_observer(out_only)
-    x0, _ = fit_x0(obs.Aobs, obs.C, rec.y - predict_observer(obs, y_only))
+    free = observability(obs.Aobs, obs.C, 90).reshape(90, 1, 2)
+    x0, _ = fit_x0(free, rec.y - predict_observer(obs, y_only))
     got = pipeline_mod._predict(out_only, y_only, "ls_estimate")
     np.testing.assert_allclose(got, predict_observer(obs, y_only, x0), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("x0_policy", ["ls_estimate", "zero"])
+def test_one_recursion_predicts_as_the_separate_simulation_and_x0_fit(x0_policy):
+    # the scored models of a MIMO record with inputs, against simulate plus a fit
+    # of x0 to the observability rows
+    model = make_mimo_order4()
+    rec = make_record(model, 400, seed=40, noise_std=0.2)
+    rep = identify(rec, PipelineConfig(s=15, n_lambda=6, detrend=False))
+    for m in (model, rep.best.model):
+        assert np.abs(np.linalg.eigvals(m.A)).max() < 1.0
+        want = simulate(m, rec.u)
+        if x0_policy == "ls_estimate":
+            free = observability(m.A, m.C, rec.N).reshape(rec.N, m.p, m.n)
+            want = want + fit_x0(free, rec.y - want)[1]
+        got = pipeline_mod._predict(m, rec, x0_policy)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_evaluate_dimension_mismatch():

@@ -28,6 +28,7 @@ from n2sid.model import (
     predict_observer,
     simulate,
     state_response,
+    to_observer,
 )
 from n2sid.structured_ops import OperatorSpec, toeplitz_estimates
 
@@ -167,6 +168,45 @@ def test_state_response_on_window_edges_matches_naive_recursion(steps, driven, q
         got = state_response(A, C, x0, steps, drive)
         assert got.shape == want.shape == (steps, p) + np.shape(x0)[1:]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("steps", EDGE_STEPS)
+def test_a_drive_through_B_on_the_leading_columns_matches_naive_recursion(steps):
+    """The leading qd responses take B drive[k], the others run free."""
+    for n, p, m, q, qd in ((1, 1, 1, None, 1), (3, 2, 2, 4, 2), (4, 4, 1, 3, 3), (2, 1, 3, 2, 1)):
+        rng = np.random.default_rng(steps + 10 * n)
+        A, C, B = stable(rng, n, 0.95), rng.standard_normal((p, n)), rng.standard_normal((n, m))
+        if q is None:
+            x0, drive = rng.standard_normal(n), rng.standard_normal((steps, m))
+            state_drive = drive @ B.T
+        else:
+            x0, drive = rng.standard_normal((n, q)), rng.standard_normal((steps, m, qd))
+            state_drive = np.zeros((steps, n, q))
+            state_drive[:, :, :qd] = np.einsum("ij,kjl->kil", B, drive)
+        want, _ = naive_state_response(A, C, x0, steps, state_drive)
+        got = state_response(A, C, x0, steps, drive, B=B)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        if q is not None:  # the same leading drive, entering the state directly
+            got = state_response(A, C, x0, steps, state_drive[:, :, :qd])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(SHAPES)
+def test_a_stacked_start_appends_the_free_responses_to_the_prediction(shapes):
+    n, m, p, N, seed = shapes
+    model, rng = random_system(n, m, p, seed)
+    rec = IoRecord(u=rng.standard_normal((N, m)), y=rng.standard_normal((N, p)))
+    x0 = rng.standard_normal((n, 3))
+    obs = to_observer(model)
+    for got, first, A in (
+        (simulate(model, rec.u, x0), simulate(model, rec.u, x0[:, 0]), model.A),
+        (predict_observer(obs, rec, x0), predict_observer(obs, rec, x0[:, 0]), obs.Aobs),
+    ):
+        assert got.shape == (N, p, 3)
+        np.testing.assert_allclose(got[:, :, 0], first, rtol=1e-12, atol=1e-12)
+        free, _ = naive_state_response(A, model.C, x0[:, 1:], N)
+        np.testing.assert_allclose(got[:, :, 1:], free, rtol=1e-12, atol=1e-12)
 
 
 @PROPERTY
