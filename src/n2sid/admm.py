@@ -17,11 +17,16 @@ optimization and statistical learning via ADMM", 2011, sec. 3.1.1):
     Z      <- svt(W, 1/rho)
     U      <- W - Z
 
-with residual-balanced penalty adaptation (rho from RHO0, stepped by
-TAU); a step from rho to rho' rescales U by rho / rho', so Y = rho U
-does not change with it.  A solve starts from Z = A(a), Y = 0, or from a
-previous solve's Z and Y (``SolveResult.y_dual`` is Y = rho U); a sweep
-warm-starts each lambda from the last successful one.
+with residual-balanced penalty adaptation: rho starts at RHO0 and, when
+one residual exceeds mu times the other, steps by tau = min(sqrt(ratio),
+TAU_MAX) towards balancing them (see _penalty_step); a step from rho to
+rho' rescales U by rho / rho', so Y = rho U does not change with it.  A
+solve starts from Z = A(a), Y = 0, or from a previous solve's Z and Y
+(``SolveResult.y_dual`` is Y = rho U).  A sweep warm-starts each lambda
+from the last successful one, and, once the two points before it both
+solved, from their (Z, Y) path extrapolated: Z_(k-1) + theta (Z_(k-1) -
+Z_(k-2)), and Y alike, theta being PREDICT times the ratio of the last two
+log-lambda steps, at most 1 (PREDICT on a log-spaced grid).
 The X step solves (H + rho M) X_i = H a_i + rho adj(Z)_i - adj(Y)_i for
 every output row i, where M is the shared coefficient matrix.  Its yhat
 block is diagonal, so for each (lambda, rho) pair the solve eliminates
@@ -97,7 +102,7 @@ anyway, so no separate finiteness pass over Z-sized arrays is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +123,10 @@ __all__ = [
 RHO0 = 1.0
 RHO_MIN = 1e-6
 RHO_MAX = 1e6
-TAU = 2.0
+# the largest factor of one penalty step (see _penalty_step)
+TAU_MAX = 10.0
+# a sweep's predicted start goes this fraction of the last step along the lambda path
+PREDICT = 0.5
 # Anderson acceleration: the differences it keeps, and its Tikhonov weight
 # relative to the trace of their Gram
 AA_MEMORY = 3
@@ -139,6 +147,11 @@ class AdmmParams:
 
     eps_abs and eps_rel set the residual rule's thresholds; eps_rel also sets
     the duality-gap stop, GAP_TOL * eps_rel relative to max(1, |objective|).
+    At the defaults a solve that stops on the gap is certified within 3e-4 of
+    the optimum relative to max(1, |objective|), looser than the 1e-4 of
+    acceptance criterion 04; a solve that stops on the residual rule is
+    certified by its own ``SolveResult.gap``, whatever that reads.  A
+    certificate of 1e-4 needs eps_rel <= 1e-4 / GAP_TOL.
     """
 
     max_iter: int = 200
@@ -408,6 +421,50 @@ def _short_gram(A: np.ndarray) -> np.ndarray:
     return short @ short.T
 
 
+def _penalty_step(rho: float, pri: float, dual: float, mu: float) -> float:
+    """The penalty after one iteration's residuals, by residual balancing.
+
+    When one residual exceeds mu times the other, rho moves by tau =
+    min(sqrt(pri / dual), TAU_MAX) towards balancing them, up when the
+    primal residual leads and down by the inverse ratio when the dual one
+    does (Wohlberg, "ADMM penalty parameter selection by residual
+    balancing", arXiv:1704.06209, 2017; Boyd et al. 2011, sec. 3.4.1),
+    clamped to [RHO_MIN, RHO_MAX]; otherwise rho stays.  A zero residual
+    takes TAU_MAX, with no division; mu = inf never steps.
+    """
+    if pri > mu * dual:
+        tau = TAU_MAX if pri >= TAU_MAX**2 * dual else math.sqrt(pri / dual)
+        return min(rho * tau, RHO_MAX)
+    if dual > mu * pri:
+        tau = TAU_MAX if dual >= TAU_MAX**2 * pri else math.sqrt(dual / pri)
+        return max(rho / tau, RHO_MIN)
+    return rho
+
+
+def _z_adjoint(res: SolveResult, spec: OperatorSpec) -> np.ndarray:
+    """adj(Z) of a result: the one its solve ended with, or applied afresh if its Z was replaced."""
+    source, adjZ = res._adj_z
+    return adjZ if source is res.Z else apply_adjoint(res.Z, spec)
+
+
+def _predicted_start(last: SolveResult, before: SolveResult, theta: float, spec: OperatorSpec) -> SolveResult:
+    """A warm start past ``last`` on the path through ``before``: Z + theta (Z - Z_before).
+
+    Y is extrapolated alike, and so is adj(Z), by linearity, from the two
+    results' own; neither result is written.
+    """
+
+    def ahead(now: np.ndarray, then: np.ndarray) -> np.ndarray:
+        out = np.subtract(now, then)
+        out *= theta
+        out += now
+        return out
+
+    Z = ahead(last.Z, before.Z)
+    adjZ = ahead(_z_adjoint(last, spec), _z_adjoint(before, spec))
+    return replace(last, Z=Z, y_dual=ahead(last.y_dual, before.y_dual), z_svd=None, _adj_z=(Z, adjZ))
+
+
 def solve(
     spec: OperatorSpec,
     y: np.ndarray,
@@ -470,9 +527,7 @@ def solve(
         U, adjZ, adjY = np.zeros(shape), apply_adjoint(Z, spec), np.zeros((p, d))
     else:
         Z, U = warm.Z, warm.y_dual / rho
-        source, adjZ = warm._adj_z
-        if source is not Z:
-            adjZ = apply_adjoint(Z, spec)
+        adjZ = _z_adjoint(warm, spec)
         adjY = apply_adjoint(warm.y_dual, spec)
     solver = _XSolver(fact, weight, rho)
     sqrt_pri = math.sqrt(Z.size)
@@ -558,13 +613,8 @@ def solve(
                     converged = True
                     break
 
-        # at most one penalty step per iteration, clamped; Y = rho U is kept
-        if pri > params.mu * dual:
-            rho_new = min(rho * TAU, RHO_MAX)
-        elif dual > params.mu * pri:
-            rho_new = max(rho / TAU, RHO_MIN)
-        else:
-            rho_new = rho
+        # at most one penalty step per iteration; Y = rho U is kept
+        rho_new = _penalty_step(rho, pri, dual, params.mu)
         if rho_new != rho:
             U *= rho / rho_new
             rho = rho_new
@@ -598,9 +648,12 @@ def sweep(
     """Solve the program over an ascending grid of lambdas.
 
     The pieces of the coefficient matrix are computed once and shared by
-    every (lambda, rho) x-update; each solve is warm-started from the
-    previous successful grid point.  A failed grid point yields None
-    instead of aborting.
+    every (lambda, rho) x-update.  The first point starts cold and the
+    second from the first.  When the two points before it both solved, a
+    point starts from their path extrapolated (see _predicted_start), with
+    theta = PREDICT times the ratio of its log-lambda step to the last one,
+    at most 1; otherwise, and after a repeated lambda, it starts from the last
+    successful point.  A failed grid point yields None instead of aborting.
     """
     grid = np.asarray(lambda_grid, dtype=float).reshape(-1)
     if grid.size == 0:
@@ -616,9 +669,18 @@ def sweep(
 
     results: list[SolveResult | None] = []
     warm = None
-    for lam in grid:
+    for k, lam in enumerate(grid):
+        start = warm
+        if k >= 2 and results[-1] is not None and results[-2] is not None:
+            step = math.log(grid[k - 1] / grid[k - 2])
+            if step > 0.0:
+                # at most 1, no further past the last point than it lies past the one
+                # before: after a far shorter step their difference is mostly solver
+                # tolerance, not the path's slope
+                theta = min(PREDICT * math.log(lam / grid[k - 1]) / step, 1.0)
+                start = _predicted_start(results[-1], results[-2], theta, spec)
         try:
-            warm = solve(spec, y_measured, lam, params, fact, warm=warm)
+            warm = solve(spec, y_measured, lam, params, fact, warm=start)
             results.append(warm)
         except (SolverError, np.linalg.LinAlgError):
             results.append(None)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from n2sid.admm import RHO0, RHO_MAX, RHO_MIN, TAU, SolveResult, _XSolver
+from n2sid.admm import RHO0, SolveResult, _penalty_step, _XSolver
 from n2sid.model import IoRecord, StateSpaceModel
 from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
 
@@ -91,12 +91,7 @@ def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
         if pri <= eps_pri and dual <= eps_dual:
             converged = True
             break
-        if pri > params.mu * dual:
-            rho_new = min(rho * TAU, RHO_MAX)
-        elif dual > params.mu * pri:
-            rho_new = max(rho / TAU, RHO_MIN)
-        else:
-            rho_new = rho
+        rho_new = _penalty_step(rho, pri, dual, params.mu)
         if rho_new != rho:
             rho = rho_new
             solver = _XSolver(fact, weight, rho)

@@ -9,8 +9,13 @@ from hypothesis import strategies as st
 
 import n2sid.admm
 from n2sid.admm import (
+    RHO_MAX,
+    RHO_MIN,
+    TAU_MAX,
     AdmmParams,
     SweepFactorization,
+    _penalty_step,
+    _predicted_start,
     _XSolver,
     nuclear_norm,
     objective_value,
@@ -483,7 +488,8 @@ def test_sweep_applies_the_adjoint_once_per_iteration_and_once_per_point(monkeyp
     real = n2sid.admm.apply_adjoint
     monkeypatch.setattr(n2sid.admm, "apply_adjoint", lambda *a, **k: calls.append(1) or real(*a, **k))
     results = sweep(spec, y, spec.N * np.logspace(-1.5, 3, 6))
-    # adj(Z) of each warm start is the one the previous solve ended with
+    # adj(Z) of each warm start is the one the previous solve ended with, or, for a
+    # predicted start, the extrapolation of the two before it
     assert len(calls) == sum(res.iterations for res in results) + len(results)
 
 
@@ -696,6 +702,38 @@ def test_sweep_leaves_every_returned_result_as_it_was_returned(monkeypatch):
             assert np.array_equal(getattr(res, name), want)
 
 
+@pytest.mark.parametrize("rho", [1e-3, 1.0, 50.0])
+def test_penalty_step_balances_the_residuals_by_the_square_root_of_their_ratio(rho):
+    # a primal residual 16 times the dual one steps rho up by 4, the inverse down by 4
+    assert _penalty_step(rho, 16.0, 1.0, 10.0) == pytest.approx(4.0 * rho, rel=1e-15)
+    assert _penalty_step(rho, 1.0, 16.0, 10.0) == pytest.approx(rho / 4.0, rel=1e-15)
+    # a ratio of 1e4 is capped at TAU_MAX
+    assert _penalty_step(rho, 1e4, 1.0, 10.0) == rho * TAU_MAX
+    assert _penalty_step(rho, 1.0, 1e4, 10.0) == rho / TAU_MAX
+    # within mu of each other, rho stays
+    assert _penalty_step(rho, 9.0, 1.0, 10.0) == rho
+    assert _penalty_step(rho, 1.0, 9.0, 10.0) == rho
+
+
+def test_penalty_step_stays_within_the_clamps_and_never_steps_at_infinite_mu():
+    assert _penalty_step(RHO_MAX / 2.0, 1e4, 1.0, 10.0) == RHO_MAX
+    assert _penalty_step(RHO_MIN * 2.0, 1.0, 1e4, 10.0) == RHO_MIN
+    assert _penalty_step(RHO_MAX, 1e4, 1.0, 10.0) == RHO_MAX
+    assert _penalty_step(RHO_MIN, 1.0, 1e4, 10.0) == RHO_MIN
+    # mu = inf, criterion 04's fixed-penalty reference, never steps, not even on a zero residual
+    for pri, dual in ((1e9, 1.0), (1.0, 1e9), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+        assert _penalty_step(2.0, pri, dual, math.inf) == 2.0
+
+
+def test_penalty_step_takes_the_largest_step_on_a_zero_residual_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cast in (float, np.float64):
+            assert _penalty_step(1.0, cast(3.0), cast(0.0), 10.0) == TAU_MAX
+            assert _penalty_step(1.0, cast(0.0), cast(3.0), 10.0) == 1.0 / TAU_MAX
+            assert _penalty_step(1.0, cast(0.0), cast(0.0), 10.0) == 1.0
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AdmmParams(mu=1.0)
@@ -719,18 +757,58 @@ def test_sweep_single_point_equals_direct_solve():
     assert np.array_equal(swept[0].Z, direct.Z)
 
 
-def test_sweep_point_is_solve_warm_started_from_previous_point():
+@pytest.mark.parametrize(
+    "grid_per_sample",
+    [np.logspace(-1.5, 3, 4), np.array([0.1, 0.3, 2.0, 5.0, 60.0]), np.array([1.0, 1.0 + 1e-9, 1000.0])],
+    ids=["log-grid", "uneven-grid", "nearly-repeated-lambda"],
+)
+def test_sweep_point_is_solve_from_the_predicted_start(grid_per_sample):
     spec, y, _ = random_data_problem(15)
-    grid = spec.N * np.logspace(-1.5, 3, 4)
+    grid = spec.N * grid_per_sample
     fact = SweepFactorization.from_spec(spec)
     swept = sweep(spec, y, grid, fact=fact)
-    warm = None
-    for lam, got in zip(grid, swept):
-        want = solve(spec, y, lam, fact=fact, warm=warm)
-        assert got.iterations == want.iterations
+    want = []
+    for k, lam in enumerate(grid):
+        # cold, then warm from the last point, then predicted along the path
+        start = want[-1] if want else None
+        if k >= 2:
+            theta = min(0.5 * math.log(grid[k] / grid[k - 1]) / math.log(grid[k - 1] / grid[k - 2]), 1.0)
+            start = _predicted_start(want[-1], want[-2], theta, spec)
+        want.append(solve(spec, y, lam, fact=fact, warm=start))
+    for got, res in zip(swept, want):
+        assert got.converged
+        assert got.iterations == res.iterations
         for name in ("x", "Z", "y_dual"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        warm = want
+            assert np.array_equal(getattr(got, name), getattr(res, name))
+
+
+def test_predicted_start_extrapolates_z_y_and_the_adjoint_of_z():
+    spec, y, _ = random_data_problem(16)
+    grid = spec.N * np.logspace(-1.5, 3, 3)
+    before, last, _ = sweep(spec, y, grid)
+    copies = [(res, res.Z.copy(), res.y_dual.copy()) for res in (before, last)]
+    start = _predicted_start(last, before, 0.5, spec)
+    assert np.allclose(start.Z, 1.5 * last.Z - 0.5 * before.Z, rtol=1e-12, atol=1e-12)
+    assert np.allclose(start.y_dual, 1.5 * last.y_dual - 0.5 * before.y_dual, rtol=1e-12, atol=1e-12)
+    # adj(Z0) by linearity from the two results' own matches a fresh application
+    source, adjZ = start._adj_z
+    assert source is start.Z
+    fresh = apply_adjoint(start.Z, spec)
+    assert np.linalg.norm(adjZ - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    # the results it reads are left as they were
+    for res, Z, Y in copies:
+        assert np.array_equal(res.Z, Z) and np.array_equal(res.y_dual, Y)
+
+
+def test_sweep_keeps_the_plain_warm_start_after_a_repeated_lambda():
+    spec, y, _ = random_data_problem(17)
+    grid = spec.N * np.array([0.5, 0.5, 4.0])
+    fact = SweepFactorization.from_spec(spec)
+    swept = sweep(spec, y, grid, fact=fact)
+    # no path direction from two points at one lambda: the third starts from the second
+    want = solve(spec, y, grid[2], fact=fact, warm=swept[1])
+    assert swept[2].iterations == want.iterations
+    assert np.array_equal(swept[2].x, want.x)
 
 
 @pytest.mark.parametrize("error", [SolverError, np.linalg.LinAlgError])

@@ -173,7 +173,10 @@ def test_state_response_on_window_edges_matches_naive_recursion(steps, driven, q
 @pytest.mark.parametrize("steps", EDGE_STEPS)
 def test_a_drive_through_B_on_the_leading_columns_matches_naive_recursion(steps):
     """The leading qd responses take B drive[k], the others run free."""
-    for n, p, m, q, qd in ((1, 1, 1, None, 1), (3, 2, 2, 4, 2), (4, 4, 1, 3, 3), (2, 1, 3, 2, 1)):
+    # the last two: the observer responses' shape and the prediction's with a fitted x0
+    shapes = ((1, 1, 1, None, 1), (3, 2, 2, 4, 2), (4, 4, 1, 3, 3), (2, 1, 3, 2, 1),
+              (10, 10, 1, 3, 2), (10, 1, 10, 11, 1))
+    for n, p, m, q, qd in shapes:
         rng = np.random.default_rng(steps + 10 * n)
         A, C, B = stable(rng, n, 0.95), rng.standard_normal((p, n)), rng.standard_normal((n, m))
         if q is None:
