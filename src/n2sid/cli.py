@@ -52,11 +52,15 @@ class UsageError(Exception):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write through a temporary file, which gets the mode a plain open would create (0o666 & ~umask)."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".n2sid-")
+    umask = os.umask(0)  # reading the umask means setting it, so put it straight back
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

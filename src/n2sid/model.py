@@ -12,18 +12,18 @@ driven by the measured output instead of the unknown noise e.
 Every recursion in the package runs through one kernel,
 ``state_response``: the outputs C x(k) of x(k+1) = A x(k) + drive(k),
 for one or several stacked responses at once.  Simulation, observer
-prediction, data generation and Markov parameters are that kernel with
-their own drive plus the feed-through D u(k); extraction builds its
-regressors from it too.  A drive may enter through an input matrix B,
-which makes the windows' cost grow with the number of inputs instead of
-the state dimension, and may drive only the leading responses of a
-stack while the others run free.  The kernel does not step sample by
-sample: it cuts the record into windows of WINDOW samples and evaluates
-each one through the data equation y_window = O_L x(k0) + T_L d_window,
-all windows in batched matrix products, so Python steps once per window.
-Whatever leaves float range, an output, the final state or the
-window's matrix powers, raises SimulationOverflowError without a numpy
-warning.
+prediction and data generation are that kernel with their own drive plus
+the feed-through D u(k), from one start contract (``_response_from``);
+Markov parameters and the extraction's regressors come from it too.  A
+drive may enter through an input matrix B, so that the windows' cost
+grows with the inputs instead of the state, and may drive only the
+leading responses of a stack; a free response is a drive of no channels,
+so every response takes one path.  That path cuts the record into
+windows of WINDOW samples, evaluates each through the data equation
+y_window = O_L x(k0) + T_L d_window in batched matrix products, and
+steps Python once per window.  Whatever leaves float range, an output,
+the final state or the window's matrix powers, raises
+SimulationOverflowError without a numpy warning.
 
 Time indexing: sample k of the external arrays (row k, 0-based) is the
 k-th measurement; simulation starts from the initial state x0 which is
@@ -190,8 +190,15 @@ class IoRecord:
         return self.y.shape[1]
 
     def detrended(self) -> "IoRecord":
-        """The record with each channel's mean removed."""
-        return IoRecord(u=self.u - self.u.mean(axis=0), y=self.y - self.y.mean(axis=0))
+        """The record with each channel's mean removed.
+
+        A constant channel becomes exactly 0, not the rounding residue of
+        subtracting its floating-point mean.
+        """
+        def centred(x):
+            return np.where(np.ptp(x, axis=0) == 0.0, 0.0, x - x.mean(axis=0))
+
+        return IoRecord(u=centred(self.u), y=centred(self.y))
 
 
 def to_observer(model: StateSpaceModel) -> ObserverModel:
@@ -214,34 +221,22 @@ def _check_input(u: np.ndarray, m: int) -> np.ndarray:
     return u
 
 
-def _check_x0(x0, n: int) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(n)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != n:
-        raise ValueError(f"x0 has length {x0.shape[0]}, expected {n}")
-    return x0
-
-
 def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
     """Outputs C x(k), k < steps, of the recursion x(k+1) = A x(k) + B drive[k].
 
     x0 has shape (n,) or (n, q); the q columns are independent responses
-    run together, and ``drive`` (omitted for a free response) has shape
-    (steps, m) or (steps, m, qd), qd <= q: it drives the leading qd
-    responses, and the others run free.  B, of shape (n, m), defaults to
-    the identity (m = n), so that the drive enters the state directly.
-    Only the outputs are kept: the result has shape (steps, p) or
-    (steps, p, q).
+    run together.  ``drive`` has shape (steps, m) or (steps, m, qd), qd <= q,
+    and drives the leading qd responses; the others run free, and all do
+    when it is omitted (a drive of no channels).  B, of shape (n, m),
+    defaults to the identity (m = n).  Only the outputs are kept: the
+    result has shape (steps, p) or (steps, p, q).
 
-    The record is cut into windows of L = min(WINDOW, steps) samples and
-    each window is one data equation, y_b = O_L x_b + T_L d_b, with
-    O_L = [C A^j], j < L, and T_L = structured_ops.block_toeplitz of the
-    lags [0, C A^0 B, ..., C A^(L-2) B], the operator's window-view
-    builder.  Window starts follow x_(b+1) = A^L x_b + R_L d_b, R_L =
-    [A^(L-1) B ... A B B], the only loop, of ceil(steps / L) steps; a last
-    window shorter than L uses the leading part of the same matrices.
-    Given B, the windows' cost grows with m instead of n.
+    Each window of L = min(WINDOW, steps) samples is one data equation,
+    y_b = O_L x_b + T_L d_b, with O_L = [C A^j], j < L, and T_L the
+    structured_ops.block_toeplitz of [0, C A^0 B, ..., C A^(L-2) B]; its
+    start follows x_(b+1) = A^L x_b + R_L d_b, R_L = [A^(L-1) B ... A B B],
+    the only loop.  A last window shorter than L uses the leading part of
+    the same matrices, and given B the cost grows with m instead of n.
 
     Raises:
         SimulationOverflowError: if an output or the state after
@@ -257,16 +252,16 @@ def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
     cols = x.shape[1:]
     q = x.shape[1] if cols else 1
     x = x.reshape(n, q)
-    if drive is not None:
-        if B is not None:
-            B = np.atleast_2d(np.asarray(B, dtype=float))
-        m = n if B is None else B.shape[1]
-        # the drive's qd columns drive the leading qd responses
-        d = np.asarray(drive, dtype=float)
-        qd = d.shape[2] if d.ndim == 3 else 1
-        d = d.reshape(steps, m, qd)
-        if qd > q:
-            raise ValueError(f"drive has {qd} columns for {q} responses")
+    if drive is None:  # a free response: the driven path with a drive of no channels
+        drive, B = np.empty((steps, 0, 0)), np.empty((n, 0))
+    B = None if B is None else np.atleast_2d(np.asarray(B, dtype=float))
+    m = n if B is None else B.shape[1]
+    # the drive's qd columns drive the leading qd responses
+    d = np.asarray(drive, dtype=float)
+    qd = d.shape[2] if d.ndim == 3 else 1
+    d = d.reshape(steps, m, qd)
+    if qd > q:
+        raise ValueError(f"drive has {qd} columns for {q} responses")
     out = np.empty((steps, p, q))
     with np.errstate(over="ignore", invalid="ignore"):
         if steps:
@@ -277,58 +272,49 @@ def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
                 np.matmul(A, powers[j], out=powers[j + 1])
             CA = C @ powers[:L]
             O = CA.reshape(L * p, n)
+            lags, steers = CA[:-1], powers[L - 1 :: -1]
+            if B is not None:
+                lags, steers = lags @ B, steers @ B
+            T = block_toeplitz(np.concatenate([np.zeros((1, p, m)), lags]))
+            R = np.concatenate(steers, axis=1)
             nb, tail = divmod(steps, L)
             full = nb * L
+            windows = d[:full].reshape(nb, L * m, qd)
+            forced = R @ windows
             starts = np.empty((nb, n, q))
-            if drive is None:
-                for b in range(nb):
-                    starts[b] = x
-                    x = powers[L] @ x
-                np.matmul(O, starts, out=out[:full].reshape(nb, L * p, q))
-                if tail:
-                    out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
-                    x = powers[tail] @ x
-            else:
-                lags, steers = CA[:-1], powers[L - 1 :: -1]
-                if B is not None:
-                    lags, steers = lags @ B, steers @ B
-                T = block_toeplitz(np.concatenate([np.zeros((1, p, m)), lags]))
-                R = np.concatenate(steers, axis=1)
-                windows = d[:full].reshape(nb, L * m, qd)
-                forced = R @ windows
-                for b in range(nb):
-                    starts[b] = x
-                    x = powers[L] @ x
-                    x[:, :qd] += forced[b]
-                view = out[:full].reshape(nb, L * p, q)
-                np.matmul(O, starts, out=view)
-                view[:, :, :qd] += T @ windows
-                if tail:
-                    d = d[full:].reshape(tail * m, qd)
-                    out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
-                    out[full:, :, :qd] += (T[: tail * p, : tail * m] @ d).reshape(tail, p, qd)
-                    x = powers[tail] @ x
-                    x[:, :qd] += R[:, (L - tail) * m :] @ d
+            for b in range(nb):
+                starts[b] = x
+                x = powers[L] @ x
+                x[:, :qd] += forced[b]
+            view = out[:full].reshape(nb, L * p, q)
+            np.matmul(O, starts, out=view)
+            view[:, :, :qd] += T @ windows
+            if tail:
+                d = d[full:].reshape(tail * m, qd)
+                out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
+                out[full:, :, :qd] += (T[: tail * p, : tail * m] @ d).reshape(tail, p, qd)
+                x = powers[tail] @ x
+                x[:, :qd] += R[:, (L - tail) * m :] @ d
     if not (np.all(np.isfinite(out)) and np.all(np.isfinite(x))):
         raise SimulationOverflowError(f"state recursion overflow within {steps} samples")
     return out.reshape((steps, p) + cols)
 
 
 def _response_from(A, C, x0, drive: np.ndarray, feedthrough: np.ndarray) -> np.ndarray:
-    """state_response under ``drive`` plus ``feedthrough``, from x0 of shape (n,) or (n, q).
+    """state_response under ``drive`` plus ``feedthrough`` from x0 (zeros when omitted).
 
-    For (n, q), q >= 1, column 0 is the driven response from x0[:, 0] and
-    column j >= 1 the free response from x0[:, j], in one recursion.
+    Column 0 of an (n, q) start, q >= 1, is the driven response and column
+    j >= 1 the free response from x0[:, j], in one recursion.  A start of
+    shape (n,) is the one-column stack, and its result is squeezed to (steps, p).
     """
     n = A.shape[0]
-    if np.ndim(x0) != 2:
-        return state_response(A, C, _check_x0(x0, n), drive.shape[0], drive) + feedthrough
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape[0] != n or x0.shape[1] < 1:
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({n}, q) with q >= 1")
-    out = state_response(A, C, x0, drive.shape[0], drive)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    stack = x.reshape(-1, 1) if x.ndim < 2 else x
+    if stack.ndim != 2 or stack.shape[0] != n or stack.shape[1] < 1:
+        raise ValueError(f"x0 has shape {x.shape}, expected ({n},) or ({n}, q) with q >= 1")
+    out = state_response(A, C, stack, drive.shape[0], drive)
     out[:, :, 0] += feedthrough
-    return out
+    return out[:, :, 0] if x.ndim < 2 else out
 
 
 def simulate(model: StateSpaceModel, u: np.ndarray, x0=None) -> np.ndarray:
@@ -414,12 +400,13 @@ def generate_innovation_data(
     output is deterministic for a fixed seed.
     """
     u = _check_input(u, model.m)
-    x0 = _check_x0(x0, model.n)
+    if np.ndim(x0) > 1:
+        raise ValueError(f"x0 has shape {np.shape(x0)}, expected ({model.n},)")
     if not (np.isfinite(noise_std) and noise_std >= 0):
         raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     N = u.shape[0]
     rng = np.random.default_rng(seed)
     e = noise_std * rng.standard_normal((N, model.p)) if noise_std > 0 else np.zeros((N, model.p))
     drive = u @ model.B.T + e @ model.K.T
-    y = state_response(model.A, model.C, x0, N, drive) + u @ model.D.T + e
+    y = _response_from(model.A, model.C, x0, drive, u @ model.D.T) + e
     return IoRecord(u=u, y=y)

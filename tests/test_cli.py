@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 import warnings
 from dataclasses import fields
 
@@ -658,3 +660,46 @@ def test_an_overflowing_certificate_emits_no_warning(tmp_path, capsys):
         )
     assert code == 0
     assert "gap=nan" in capsys.readouterr().out
+
+
+def test_a_constant_output_that_is_not_a_round_number_has_no_per_output_vaf(tmp_path):
+    """y2 = 0.3 detrends to exactly 0 like y2 = 3, not to rounding residue with a VAF of its own."""
+    rec = read_csv(make_data_file(tmp_path / "raw.csv", n=700, seed=5, noise=0.1), 1, 1)
+    reports = []
+    for value in (0.3, 3.0):
+        y = np.hstack([rec.y, np.full((rec.N, 1), value)])
+        data, report_path = tmp_path / f"d{value}.csv", tmp_path / f"r{value}.json"
+        write_csv(str(data), rec.u, y)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            code = run_cli(
+                "identify", "--data", str(data), "--inputs", "1", "--outputs", "2",
+                "--s", "8", "--grid", "4", "--n-ide", "400", "--n-val", "300",
+                "--report", str(report_path),
+            )
+        assert code == 0
+        reports.append(json.loads(report_path.read_text()))
+    for report in reports:
+        assert report["vaf_validation_per_output"][1] is None
+    keys = ("order", "lambda_opt", "j_curve", "model", "vaf_validation", "vaf_validation_per_output")
+    assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
+
+
+def test_output_files_take_the_mode_the_umask_gives(tmp_path):
+    data = tmp_path / "d.csv"
+    paths = [tmp_path / name for name in ("r.json", "sv.csv", "vaf.csv")]
+    previous = os.umask(0o022)
+    try:
+        make_data_file(data, n=260)
+        code = run_cli(
+            "identify", "--data", str(data), "--inputs", "1", "--outputs", "1",
+            "--s", "8", "--grid", "3", "--n-ide", "120", "--n-val", "100",
+            "--report", str(paths[0]), "--sv-csv", str(paths[1]), "--vaf-csv", str(paths[2]),
+        )
+        assert code == 0
+        os.umask(0o027)
+        make_data_file(tmp_path / "other.csv", n=50)
+    finally:
+        os.umask(previous)
+    for path in [data] + paths:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
+    assert stat.S_IMODE((tmp_path / "other.csv").stat().st_mode) == 0o640

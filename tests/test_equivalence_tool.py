@@ -53,3 +53,31 @@ def test_compare_lists_every_moved_selection_and_the_group_deltas(tool):
     (short,) = [line for line in lines if line.startswith("short:")]
     assert "iterations 300 -> 200 (-33.3%)" in short
     assert "below 60 0 -> 1" in short
+
+
+def test_compare_lists_every_changed_field_and_counts_the_identical_entries(tool):
+    old_entries = [
+        entry("a", 2, 1.0, 99.0, 100), entry("b", 3, 2.0, 98.0, 100),
+        entry("c", 2, 4.0, 97.0, 100), entry("d", 4, 1.0, 96.0, 90),
+    ]
+    new_entries = [
+        entry("a", 2, 1.0, 99.0, 100),
+        entry("b", 3, 2.0, 98.0 + 1e-12, 100),
+        entry("c", 2, 4.0, 97.0, 120, unconverged=1, grid_failures=2),
+        entry("d", 5, 1.0, 96.0, 90),
+        entry("e", 2, 1.0, 99.0, 100),
+    ]
+    old = {"entries": old_entries, "summary": tool.summarize(old_entries)}
+    new = {"entries": new_entries, "summary": tool.summarize(new_entries)}
+    lines = tool.compare(old, new)
+    listed = [line for line in lines if line.split(" ")[0] in ("moved", "changed", "added")]
+    assert listed == [
+        "changed short b: vaf 98.0 -> 98.000000000001",
+        "changed short c: iterations 100 -> 120, unconverged 0 -> 1, grid_failures 0 -> 2",
+        "moved short d: order 4 -> 5, lambda_opt 1 -> 1, vaf 96.00 -> 96.00",
+        "added short e",
+    ]
+    assert lines[-1] == "1 of 5 entries identical in every field"
+    same = tool.compare(old, old)
+    assert same[-1] == "4 of 4 entries identical in every field"
+    assert not [line for line in same if line.split(" ")[0] in ("moved", "changed", "added")]

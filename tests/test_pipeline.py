@@ -499,3 +499,39 @@ def test_evaluate_diverging_predictor_scores_minus_inf_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert evaluate(model, IoRecord(u=np.zeros((2000, 0)), y=y)) == -np.inf
+
+
+# ---------------------------------------------------------------------------
+# a constant channel detrends to exactly 0, so its value cannot matter
+
+
+def _same_run(a, b):
+    np.testing.assert_array_equal(a.j_values, b.j_values)
+    np.testing.assert_array_equal(a.orders, b.orders)
+    assert a.best_index == b.best_index
+
+
+@pytest.mark.filterwarnings("ignore:rank-deficient least squares")
+@pytest.mark.parametrize("scale_outputs", [False, True], ids=["unscaled", "scale-outputs"])
+def test_a_constant_output_runs_as_a_round_constant_does(scale_outputs):
+    """y2 = 0.3 leaves no rounding residue for --scale-outputs to blow up to unit peak."""
+    rec = make_record(make_mimo_order4(), 400, seed=5, noise_std=0.1)
+    cfg = PipelineConfig(s=8, n_lambda=4, scale_outputs=scale_outputs)
+    runs = []
+    for value in (0.3, 3.0):
+        y = rec.y.copy()
+        y[:, 1] = value
+        prepared, peaks = preprocess(IoRecord(u=rec.u, y=y), cfg)
+        assert np.all(prepared.y[:, 1] == 0.0) and peaks[1] == 1.0
+        runs.append(identify(IoRecord(u=rec.u, y=y), cfg))
+    _same_run(*runs)
+
+
+@pytest.mark.filterwarnings("ignore:rank-deficient least squares")
+def test_a_constant_input_is_no_excitation():
+    """A detrended constant input is exactly 0, so J is scored as for a zero input."""
+    rec = make_record(make_siso_order2(), 400, seed=5, noise_std=0.1)
+    cfg = PipelineConfig(s=10, n_lambda=8)
+    constant, zero = (IoRecord(u=np.full((400, 1), c), y=rec.y) for c in (0.3, 0.0))
+    assert not pipeline_mod._has_excitation(preprocess(constant, cfg)[0])
+    _same_run(identify(constant, cfg), identify(zero, cfg))

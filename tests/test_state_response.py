@@ -9,6 +9,7 @@ or the noise-free data its fit must reproduce.  Examples are drawn
 deterministically so the suite gives the same result on every run.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -284,3 +285,51 @@ def test_state_response_final_state_just_inside_float_range_does_not_raise(drive
     want, x_final = naive_state_response(np.array([[2.0]]), np.ones((1, 1)), x0, steps, drive)
     assert np.isfinite(x_final).all()
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one path: a free response is a drive of no channels, and a vector start is a one-column stack
+
+
+@pytest.mark.parametrize("q", [None, 0, 3], ids=["vector-start", "no-columns", "stacked-start"])
+@pytest.mark.parametrize("steps", EDGE_STEPS)
+def test_a_free_response_is_the_response_to_an_all_zero_drive(steps, q):
+    for n, p in ((1, 1), (3, 2)):
+        A, C, x0, _ = kernel_case(steps + 10 * n, n, p, steps, q, driven=False)
+        zero = np.zeros((steps, n) + np.shape(x0)[1:])
+        np.testing.assert_array_equal(state_response(A, C, x0, steps), state_response(A, C, x0, steps, zero))
+
+
+@pytest.mark.parametrize("N", [1, WINDOW, 3 * WINDOW + 5])
+def test_a_vector_start_is_column_0_of_the_one_column_stack(N):
+    model, rng = random_system(3, 2, 2, N)
+    rec = IoRecord(u=rng.standard_normal((N, 2)), y=rng.standard_normal((N, 2)))
+    x0 = rng.standard_normal(3)
+    stack = x0[:, None]
+    np.testing.assert_array_equal(simulate(model, rec.u, x0), simulate(model, rec.u, stack)[:, :, 0])
+    obs = to_observer(model)
+    np.testing.assert_array_equal(predict_observer(obs, rec, x0), predict_observer(obs, rec, stack)[:, :, 0])
+    # noise-free data is the simulation, from the same start
+    data = generate_innovation_data(model, rec.u, x0=x0)
+    np.testing.assert_array_equal(data.y, simulate(model, rec.u, stack)[:, :, 0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 0), (1, 3)], ids=["too-long", "no-columns", "row"])
+def test_a_malformed_start_raises_naming_its_shape(shape):
+    model, rng = random_system(3, 1, 1, 0)
+    rec = IoRecord(u=rng.standard_normal((10, 1)), y=rng.standard_normal((10, 1)))
+    x0 = np.ones(shape)
+    calls = (
+        lambda: simulate(model, rec.u, x0),
+        lambda: predict_observer(to_observer(model), rec, x0),
+        lambda: generate_innovation_data(model, rec.u, x0=x0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"x0 has shape {shape}")):
+            call()
+
+
+def test_data_generation_takes_only_a_vector_start():
+    model, rng = random_system(3, 1, 1, 0)
+    with pytest.raises(ValueError, match=re.escape("x0 has shape (3, 1)")):
+        generate_innovation_data(model, rng.standard_normal((10, 1)), x0=np.ones((3, 1)))

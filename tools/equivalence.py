@@ -27,8 +27,10 @@ otherwise):
     python tools/equivalence.py --out new.json --compare old.json
     python tools/equivalence.py --short-seeds 5,6 --mimo-seed 9 --long-seed 9 --out held_out.json
 
-With ``--compare`` it also lists every identification whose order or
-lambda_opt moved, and each group's change in iterations and median VAF.
+With ``--compare`` it also lists every identification that changed in
+any field ("moved" when its order or lambda_opt did), each group's change in
+iterations and median VAF, and ends with how many of the identifications
+are identical in every field.
 ``--check`` exits 1 when an identification raised or a solve did not
 converge.
 """
@@ -72,6 +74,7 @@ SHORT_JOBS, MIMO_JOBS, LONG_JOBS = 8, 12, 6
 SHORT_DEL, SHORT_N_IDE, N_VAL = 120, (80, 120, 150), 300
 VAF_FLOOR = 60.0  # the paper_protocol workload's floor; below_floor counts it in every group
 CFG = PipelineConfig(s=15)
+CHANGED_FIELDS = ("vaf", "iterations", "unconverged", "grid_failures")  # besides the selection
 
 
 def _entry(group: str, key: str, run) -> dict:
@@ -162,23 +165,32 @@ def summarize(entries: list) -> dict:
 
 
 def compare(old: dict, new: dict) -> list[str]:
-    """Lines naming every moved selection and each group's deltas."""
+    """Lines naming every changed identification, each group's deltas and the count unchanged.
+
+    A moved selection (order or lambda_opt) is listed as "moved", any other
+    changed field (VAF, iterations, unconverged solves, grid failures) as
+    "changed"; the last line counts the entries identical in every field.
+    """
     lines = []
     before = {(e["group"], e["key"]): e for e in old["entries"]}
+    identical = 0
     for e in new["entries"]:
         was = before.get((e["group"], e["key"]))
         if was is None:
-            continue
-        if "error" in e or "error" in was:
-            if e.get("error") != was.get("error"):
-                lines.append(f"moved {e['group']} {e['key']}: error {was.get('error')} -> {e.get('error')}")
-            continue
-        if (e["order"], e["lambda_opt"]) != (was["order"], was["lambda_opt"]):
+            lines.append(f"added {e['group']} {e['key']}")
+        elif json.dumps(was, sort_keys=True) == json.dumps(e, sort_keys=True):
+            identical += 1
+        elif "error" in e or "error" in was:
+            lines.append(f"moved {e['group']} {e['key']}: error {was.get('error')} -> {e.get('error')}")
+        elif (e["order"], e["lambda_opt"]) != (was["order"], was["lambda_opt"]):
             lines.append(
                 f"moved {e['group']} {e['key']}: order {was['order']} -> {e['order']}, "
                 f"lambda_opt {was['lambda_opt']:.4g} -> {e['lambda_opt']:.4g}, "
                 f"vaf {was['vaf']:.2f} -> {e['vaf']:.2f}"
             )
+        else:
+            changed = [f"{f} {was[f]!r} -> {e[f]!r}" for f in CHANGED_FIELDS if was[f] != e[f]]
+            lines.append(f"changed {e['group']} {e['key']}: " + ", ".join(changed))
     for group in GROUPS:
         a, b = old["summary"][group], new["summary"][group]
         if not (a["identifications"] or b["identifications"]):
@@ -193,6 +205,7 @@ def compare(old: dict, new: dict) -> list[str]:
             f"grid failures {a['grid_failures']} -> {b['grid_failures']}, "
             f"errors {a['errors']} -> {b['errors']}"
         )
+    lines.append(f"{identical} of {len(new['entries'])} entries identical in every field")
     return lines
 
 
