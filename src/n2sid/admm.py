@@ -57,13 +57,12 @@ sec. 3.3), with adj(dT) kept as the p x d differences of adj(T(W)); M X
 is never formed.  The dual residual
 ||H (X - a) + adj(Y_new)|| is then rho (adj(Z) - adj(Z_new)) less the
 extrapolation's rho adj(dT) gamma, and the primal one ||A(X) - Z_new||,
-both exact as long as the X step is.  Z is (p*s) x (N-s+1), wide on all
-but the shortest records, so svt works on the small p*s x p*s Gram; when
-N-s+1 < p*s (N = 20 at s = 15) Z is tall and svt uses the Gram of its
-N-s+1 columns instead (see svt).  On a wide Z that Gram's eigenvectors,
-with the shrunk spectrum, are already Z's thin SVD: svt hands them on,
-and a result keeps the last iteration's as ``SolveResult.z_svd`` for the
-extraction, which then needs no SVD of Z.
+both exact as long as the X step is.  Z is (p*s) x (N-s+1), and svt
+works on the p*s x p*s Gram of its rows, the small side on all but the
+shortest records.  That Gram's top min(p*s, N-s+1) eigenvectors, with the
+shrunk spectrum, are already Z's thin SVD: svt hands them on, and a result
+keeps the last iteration's as ``SolveResult.z_svd`` for the extraction,
+which then needs no SVD of Z.
 
 Every iterate also certifies itself.  The program's Lagrange dual
 (Boyd & Vandenberghe, "Convex Optimization", sec. 5.5) is finite at a Y
@@ -202,16 +201,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _eigh_pinv(S: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Pseudo-inverse of the symmetric S by eigendecomposition, and whether a mode was cut.
-
-    Modes with |eigenvalue| at most 1e-12 of the largest are cut.
-    """
-    evals, evecs = np.linalg.eigh(S)
-    keep = np.abs(evals) > 1e-12 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
-    return (evecs[:, keep] / evals[keep]) @ evecs[:, keep].T, not keep.all()
-
-
 class _XSolver:
     """Solves (H + rho M) X = RHS, RHS being (d, k), for one (weight, rho) pair.
 
@@ -219,9 +208,9 @@ class _XSolver:
     inverts the r x r Schur complement S, positive semidefinite as a Schur
     complement of H + rho M.  S^-1 comes from a Cholesky factor L, as
     L^-T L^-1.  When the factorization fails or ||S||_F ||S^-1||_F >=
-    CHOLESKY_COND, which bounds cond(S) from above, S is pseudo-inverted by
-    eigendecomposition instead (see _eigh_pinv); if that cuts a mode, solves
-    raise when their residual shows inconsistency.
+    CHOLESKY_COND, which bounds cond(S) from above, S is pseudo-inverted
+    instead, cutting modes at most 1e-12 of the largest (``cut``), and its
+    solves raise when their residual shows inconsistency.
     S = rho small - rho^2 cross' diag(dinv) cross is built from the interior
     rows' Gram, which share one dinv, plus the edge rows: O(s r^2), not O(N r^2).
     """
@@ -236,12 +225,11 @@ class _XSolver:
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(self.S))
             self.S_pinv = L_inv.T @ L_inv
-            factored = _norm(self.S) * _norm(self.S_pinv) < CHOLESKY_COND
+            self.cut = _norm(self.S) * _norm(self.S_pinv) >= CHOLESKY_COND
         except np.linalg.LinAlgError:
-            factored = False
-        self.cut = False
-        if not factored:
-            self.S_pinv, self.cut = _eigh_pinv(self.S)
+            self.cut = True
+        if self.cut:
+            self.S_pinv = np.linalg.pinv(self.S, rcond=1e-12, hermitian=True)
 
     def solve(self, RHS: np.ndarray) -> np.ndarray:
         N = self.dinv.shape[0]
@@ -270,9 +258,9 @@ class SolveResult:
     y_dual: np.ndarray
     # the certified gap at x relative to max(1, |objective|); inf at lambda = 0, nan if void
     gap: float = math.inf
-    # (U, sigma): Z's left singular vectors and its singular values, descending and
-    # exactly 0 past its rank, as the svt that made Z computed them; None where that
-    # call had none (see svt)
+    # (U, sigma): Z's min(p*s, N-s+1) left singular vectors and its singular values,
+    # descending and exactly 0 past its rank, as the svt that made Z computed them
+    # (see svt); None on a Z no svt made, such as a predicted start
     z_svd: tuple | None = field(default=None, repr=False, compare=False)
     # (Z, adj(Z)) as the solve left them: a warm start from this result reads
     # adj(Z) here instead of applying the adjoint, while Z is still that array
@@ -290,12 +278,13 @@ def svt(
     """Singular value thresholding, the proximal map of the nuclear norm.
 
     Soft-shrinks every singular value of Y by ``threshold``; a zero
-    threshold returns Y unchanged.  Works on the Gram W W' of the short
-    side W (Y, or Y' when Y is tall): with W W' = U diag(sigma^2) U', the
-    result is U diag(f) U' W, f = max(sigma - threshold, 0) / sigma.  The
-    Gram squares the condition number, so a kept sigma below
-    GRAM_CUTOFF * sigma_max would lose accuracy; then an SVD of Y is used
-    instead.  A non-finite Y raises SolverError before any factorization.
+    threshold returns Y unchanged.  Works on the Gram Y Y' of Y's rows,
+    which is built for the solver's Z and its p*s rows, not for a Y with
+    many: with Y Y' = U diag(sigma^2) U', the result is U diag(f) U' Y,
+    f = max(sigma - threshold, 0) / sigma.  The Gram squares the condition
+    number, so a kept sigma below GRAM_CUTOFF * sigma_max would lose
+    accuracy; then an SVD of Y is used instead.  A non-finite Y raises
+    SolverError before any factorization.
 
     With ``out``, a float array of Y's shape, the result is written into
     it and ``out`` is returned, on every path: a zero threshold copies Y
@@ -304,12 +293,11 @@ def svt(
     without ``out`` returns, bit for bit.
 
     With ``factors``, a list, its contents are replaced by the result's
-    thin SVD as far as this call computed it: the left singular vectors,
-    orthonormal columns, and the shrunk spectrum max(sigma - threshold, 0),
-    descending and exactly 0 past the result's rank: the Gram's
-    eigenvectors for a wide or square Y, or the fallback SVD's left
-    vectors.  A tall Y on the Gram path, whose eigenvectors are the right
-    vectors, and a zero threshold leave the list empty.
+    thin SVD as far as this call computed it: min(rows, cols) left
+    singular vectors, orthonormal columns, and the shrunk spectrum
+    max(sigma - threshold, 0), descending and exactly 0 past the result's
+    rank: the Gram's top eigenvectors, or the fallback SVD's left vectors.
+    A zero threshold leaves the list empty.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -321,8 +309,7 @@ def svt(
     if threshold == 0.0:
         np.copyto(out, Y)
         return out
-    W = Y.T if Y.shape[0] > Y.shape[1] else Y
-    G = W @ W.T
+    G = Y @ Y.T
     if not np.all(np.isfinite(G)):
         raise SolverError("non-finite matrix passed to singular value thresholding")
     evals, U = np.linalg.eigh(G)
@@ -338,12 +325,10 @@ def svt(
     shrunk[kept] = sigma[kept] - threshold
     f = np.zeros_like(sigma)
     f[kept] = shrunk[kept] / sigma[kept]
-    if W is Y:
-        if factors is not None:
-            factors.extend((U[:, ::-1], shrunk[::-1]))
-        return np.matmul((U * f) @ U.T, W, out=out)
-    np.copyto(out, (((U * f) @ U.T) @ W).T)
-    return out
+    if factors is not None:
+        k = min(Y.shape)
+        factors.extend((U[:, ::-1][:, :k], shrunk[::-1][:k]))
+    return np.matmul((U * f) @ U.T, Y, out=out)
 
 
 def _measured(spec: OperatorSpec, y: np.ndarray, lam: float) -> np.ndarray:
@@ -376,12 +361,12 @@ def _relative_gap(
     Y' / c is dual feasible for every c >= ||Y'||_2, so g(c) = <V, y> / c -
     ||V||^2 / (2 w c^2), V the yhat part of adj(Y'), bounds the optimum from
     below.  P takes the nuclear norm of A(X) from the eigenvalues of the Gram
-    of its short side.  The bound first takes c = 1 + ||D theta||_F, known
+    of its rows.  The bound first takes c = 1 + ||D theta||_F, known
     from adjY alone.  When that gap is above the stop tolerance GAP_TOL *
     eps_rel but the gap at c = 1 - ||D theta||_F would not be, Y' is formed
     in ``out``, a Z-sized array that is overwritten, from one Toeplitz-only
     operator application, c = ||Y'||_2 (1 + 1e-12) is taken from the
-    eigenvalues of the Gram of its short side, and the smaller of the two
+    eigenvalues of the Gram of its rows, and the smaller of the two
     gaps is returned.  Infinite at weight 0, where g is finite only for
     V = 0; nan, also from an overflowing adj(Y), when not finite or below
     -GAP_TOL * eps_rel.
@@ -395,7 +380,7 @@ def _relative_gap(
         d_theta = math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
         V = adjY[:, :N] - theta @ fact.cross.T
         Vy, VV = float(np.sum(V * y_t)), float(np.sum(V * V))
-    nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(_short_gram(AX)), 0.0)).sum())
+    nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(AX @ AX.T), 0.0)).sum())
     diff = X[:, :N] - y_t
     primal = nuclear + 0.5 * weight * float(np.sum(diff * diff))
     scale = max(1.0, abs(primal))
@@ -408,17 +393,11 @@ def _relative_gap(
         stack = np.zeros_like(X)
         stack[:, N:] = theta / rho
         np.subtract(U, apply_operator(stack, spec, out=out), out=out)  # Y' / rho
-        top = float(np.linalg.eigvalsh(_short_gram(out))[-1])
+        top = float(np.linalg.eigvalsh(out @ out.T)[-1])
         c = rho * math.sqrt(max(top, 0.0)) * (1.0 + 1e-12)
         if c > 0.0:
             gap = min(gap, gap_at(c))
     return gap if -tol <= gap < math.inf else math.nan
-
-
-def _short_gram(A: np.ndarray) -> np.ndarray:
-    """Gram of the short side of A, whose eigenvalues are A's squared singular values."""
-    short = A if A.shape[0] <= A.shape[1] else A.T
-    return short @ short.T
 
 
 def _penalty_step(rho: float, pri: float, dual: float, mu: float) -> float:
@@ -486,7 +465,7 @@ def solve(
     last AA_MEMORY steps extrapolates (see above).  The memory is cleared
     when the residual ||g|| = ||A(X) - Z|| grows and on every penalty
     step.  adj(Y) is not carried but rebuilt in closed form, exact as long
-    as the X step is, which _XSolver checks when it cuts a mode; so
+    as the X step is, which _XSolver checks when it pseudo-inverts; so
     ``primal_res`` and ``dual_res`` are ||A(x) - Z|| and
     ||H (x - a) + adj(y_dual)|| of the result, the dual one including the
     extrapolation's term -rho adj(dT) gamma.  The solve stops converged
@@ -633,7 +612,7 @@ def solve(
         converged=converged,
         y_dual=U,
         gap=gap,
-        z_svd=tuple(z_factors) or None,
+        z_svd=tuple(z_factors),
         _adj_z=(Z, adjZ),
     )
 

@@ -5,8 +5,7 @@ Z's thin SVD, picks the model order from the singular-value spectrum,
 and builds the quintuple (A, B, C, D, K) by one of three procedures.
 The solver's last singular value thresholding already factored Z, and
 ``lowrank_svd`` builds the SVD from those factors with one product, so
-Z is not decomposed a second time (a tall Z, on the shortest records,
-gets a LAPACK SVD).
+Z is not decomposed a second time.
 
 * m3: shift-invariance of the left singular vectors gives (Aobs, C);
   one fit of C Aobs^(k-1) [Bobs, K] to the solved Markov blocks gives
@@ -104,14 +103,13 @@ def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple | None = None)
     """Thin SVD of the solver's low-rank iterate Z (the thresholded matrix).
 
     ``factors`` are the (U, sigma) that the thresholding handed on with Z
-    (``SolveResult.z_svd``): Z's left singular vectors, and its spectrum,
-    exactly 0 past Z's rank.  From them the SVD costs one product
-    P = U_r' Z with the r vectors of the positive entries: the singular
-    values are the row norms of P, sorted descending, and Vt the rows of P
-    divided by them, so U diag(sigma) Vt reproduces Z to rounding and the
-    spectrum past Z's rank stays exactly 0.  Without factors (a bare Z,
-    or a tall one that svt thresholded through its right vectors) Z gets
-    a LAPACK SVD.
+    (``SolveResult.z_svd``): Z's min(rows, cols) left singular vectors,
+    and its spectrum, exactly 0 past Z's rank.  From them the SVD costs
+    one product P = U_r' Z with the r vectors of the positive entries:
+    the singular values are the row norms of P, sorted descending, and Vt
+    the rows of P divided by them, so U diag(sigma) Vt reproduces Z to
+    rounding and the spectrum past Z's rank stays exactly 0.  Without
+    factors Z gets a LAPACK SVD.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (spec.p * spec.s, spec.ncols):

@@ -212,7 +212,9 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     exactly 0.  A point that fails after its SVD keeps its singular values
     in ``sigma_per_lambda``.  A fixed order above a point's rank takes the
     vectors past the rank from a LAPACK SVD of Z.  A fixed order above
-    (s-1)*p, more than the window can hold, is rejected before the sweep.
+    (s-1)*p, more than the window can hold, or above the identification
+    part's N-s+1, more singular vectors than Z has, is rejected before the
+    sweep.
     ``timings`` holds factorization_s, sweep_s, extraction_s (Z's SVD from
     the factors the solve handed on, order and model), scoring_s
     (prediction and J) and total_s.
@@ -224,6 +226,8 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     ide1, ide2 = _split_record(pre, cfg.split)
     if ide1.N <= cfg.s:
         raise ValueError(f"identification part has {ide1.N} samples, need more than s={cfg.s}")
+    if cfg.order != "auto" and cfg.order > ide1.N - cfg.s + 1:
+        raise ValueError(f"order {cfg.order} exceeds N-s+1 = {ide1.N - cfg.s + 1} of the identification part")
     spec = OperatorSpec.from_data(ide1.u, ide1.y, cfg.s)
 
     t0 = time.perf_counter()

@@ -72,6 +72,48 @@ def test_simulate_noise_free_matches_library(tmp_path):
     np.testing.assert_array_equal(rec.y, simulate(model, rec.u))
 
 
+@pytest.mark.parametrize("kind", ["gauss", "zero"])
+def test_simulate_input_kinds(tmp_path, kind):
+    paths = [tmp_path / f"{kind}{i}.csv" for i in range(2)]
+    for path in paths:
+        code = run_cli(
+            "simulate", "--example", "order2", "--n", "200", "--seed", "4",
+            "--input", kind, "--out", str(path),
+        )
+        assert code == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    rec = read_csv(str(paths[0]), 1, 1)
+    np.testing.assert_array_equal(rec.y, simulate(example_model("order2"), rec.u))
+    if kind == "zero":
+        assert not np.any(rec.u) and not np.any(rec.y)
+    else:
+        # not a PRBS: a Gaussian draw takes values other than +-1
+        assert np.any(np.abs(rec.u) != 1.0) and 0.8 < rec.u.std() < 1.2
+
+
+def test_read_csv_skips_blank_rows_and_counts_them_in_line_numbers(tmp_path):
+    from n2sid.cli import UsageError
+
+    path = tmp_path / "blank.csv"
+    path.write_text("u1,y1\n1.0,2.0\n\n3.0,4.0\n")
+    rec = read_csv(str(path), 1, 1)
+    assert np.array_equal(rec.u[:, 0], [1.0, 3.0]) and np.array_equal(rec.y[:, 0], [2.0, 4.0])
+    path.write_text("u1,y1\n1.0,2.0\n\n3.0,abc\n")
+    with pytest.raises(UsageError, match=":4:"):
+        read_csv(str(path), 1, 1)
+
+
+def test_a_failed_write_leaves_neither_the_file_nor_its_temporary(tmp_path, capsys):
+    data = make_data_file(tmp_path / "d.csv", n=120)
+    target = tmp_path / "r.json"
+    target.mkdir()  # the rename onto it fails once the temporary file is written
+    code = run_cli(*_identify(tmp_path, "--s", "6", "--grid", "3", "--report", str(target), data=data))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "r.json"]
+    assert target.is_dir() and not any(target.iterdir())
+
+
 def test_simulate_flag_validation(tmp_path, capsys):
     code = run_cli("simulate", "--n", "10", "--out", str(tmp_path / "x.csv"))
     assert code == 2
@@ -189,6 +231,10 @@ def _validate(tmp, report_text):
         lambda tmp: _identify(tmp, data=str(tmp)),
         lambda tmp: ["validate", "--report", str(tmp), "--data", make_data_file(tmp / "d.csv")],
         lambda tmp: _identify(tmp, "--s", "5", "--order", "7"),
+        lambda tmp: _identify(tmp, "--n-ide", "20", "--order", "8"),
+        lambda tmp: _identify(tmp, "--n-ide", "150", "--n-val", "100"),
+        lambda tmp: ["validate", "--report", str(tmp / "none.json"), "--data", make_data_file(tmp / "d.csv")],
+        lambda tmp: ["simulate", "--model", str(tmp / "none.json"), "--n", "10", "--out", str(tmp / "x.csv")],
         lambda tmp: _validate(tmp, json.dumps(
             {"model": _model_to_json(example_model("order2"), np.zeros(2)), "config": [1]}
         )),
@@ -201,7 +247,8 @@ def _validate(tmp, report_text):
         "n-ide-list-not-integers", "unknown-example", "report-without-model", "invalid-json",
         "report-dir-missing", "sv-csv-dir-missing", "vaf-csv-dir-missing",
         "simulate-out-dir-missing", "data-is-directory", "report-is-directory",
-        "order-beyond-window", "report-config-not-object",
+        "order-beyond-window", "order-beyond-columns", "n-val-past-the-data", "report-file-missing",
+        "model-file-missing", "report-config-not-object",
     ],
 )
 def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv):
@@ -225,8 +272,13 @@ def test_data_and_config_errors_exit_2_without_traceback(tmp_path, capsys, argv)
         ("--sv-csv", "no/sv.csv"),
         ("--vaf-csv", "no/v.csv", "--n-ide", "100", "--n-val", "50"),
         ("--s", "5", "--order", "7"),
+        ("--n-ide", "20", "--order", "8"),
+        ("--n-ide", "150", "--n-val", "100"),
     ],
-    ids=["report-dir-missing", "sv-csv-dir-missing", "vaf-csv-dir-missing", "order-beyond-window"],
+    ids=[
+        "report-dir-missing", "sv-csv-dir-missing", "vaf-csv-dir-missing", "order-beyond-window",
+        "order-beyond-columns", "n-val-past-the-data",
+    ],
 )
 def test_output_path_and_order_errors_stop_before_the_sweep(tmp_path, monkeypatch, flags):
     import n2sid.pipeline as pipeline_mod

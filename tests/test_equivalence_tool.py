@@ -81,3 +81,27 @@ def test_compare_lists_every_changed_field_and_counts_the_identical_entries(tool
     same = tool.compare(old, old)
     assert same[-1] == "4 of 4 entries identical in every field"
     assert not [line for line in same if line.split(" ")[0] in ("moved", "changed", "added")]
+
+
+def test_compare_skips_a_group_the_older_json_lacks(tool):
+    old_entries = [entry("a", 2, 1.0, 99.0, 100)]
+    new_entries = [entry("a", 2, 1.0, 99.0, 100), entry("t", 3, 2.0, 90.0, 400, group="tall")]
+    old_summary = tool.summarize(old_entries)
+    del old_summary["tall"]
+    old = {"entries": old_entries, "summary": old_summary}
+    new = {"entries": new_entries, "summary": tool.summarize(new_entries)}
+    lines = tool.compare(old, new)
+    assert "added tall t" in lines
+    assert not [line for line in lines if line.startswith("tall:")]
+    assert [line for line in lines if line.startswith("short:")]
+    assert lines[-1] == "1 of 2 entries identical in every field"
+
+
+def test_the_tall_group_identifies_records_whose_z_is_tall(tool):
+    tall = [(key, run) for group, key, run in tool.identifications([1], 77, 7) if group == "tall"]
+    assert [key for key, _ in tall[:3]] == [f"seed=1 job=0 n_ide={n}" for n in (20, 24, 28)]
+    assert len(tall) == 3 * tool.TALL_JOBS
+    # Z is (s, N - s + 1): fewer columns than rows
+    assert all(n - tool.CFG.s + 1 < tool.CFG.s for n in tool.TALL_N_IDE)
+    first = tool._entry("tall", *tall[0])
+    assert "error" not in first and first["iterations"] > 0

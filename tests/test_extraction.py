@@ -183,14 +183,18 @@ def test_handed_factors_from_the_svd_fallback_are_the_thin_svd(monkeypatch):
     assert_thin_svd(Z, svd)
 
 
-def test_a_tall_z_gets_a_lapack_svd():
+def test_a_tall_z_hands_on_thin_factors_and_takes_no_lapack_svd(monkeypatch):
     # N - s + 1 = 6 columns against p*s = 15 rows: svt thresholds through the
-    # Gram of Z's columns, whose eigenvectors are right vectors, and hands on none
+    # Gram of Z's rows and hands on its top 6 eigenvectors
     rec = make_record(make_siso_order2(), 20, seed=42, noise_std=0.2)
     spec = OperatorSpec.from_data(rec.u, rec.y, 15)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("a LAPACK SVD was taken"))
     res = solve(spec, rec.y, 200.0)
-    assert res.z_svd is None
-    assert_thin_svd(res.Z, lowrank_svd(res.Z, spec, res.z_svd))
+    U, sigma = res.z_svd
+    assert U.shape == (15, 6) and sigma.shape == (6,)
+    svd = lowrank_svd(res.Z, spec, res.z_svd)
+    monkeypatch.undo()
+    assert_thin_svd(res.Z, svd)
 
 
 def chain_results(model, N, output_only=False):
@@ -220,11 +224,17 @@ def test_handed_factors_on_sweep_chains_are_the_thin_svd(model, N, output_only):
 def test_handed_factors_on_random_specs_are_the_thin_svd(seed):
     rng = np.random.default_rng(seed)
     spec = random_spec(rng)
-    y = rng.standard_normal((spec.N, spec.p))
-    for lam in (0.5, 50.0):
-        res = solve(spec, y, lam)
-        if np.any(res.Z):
-            assert_thin_svd(res.Z, lowrank_svd(res.Z, spec, res.z_svd))
+    # and a tall Z: at most s - 1 columns against p*s rows
+    s = int(rng.integers(4, 9))
+    tall = random_spec(rng, s, s, n_hi=2 * s - 2)
+    assert tall.ncols < tall.p * tall.s
+    for spec in (spec, tall):
+        y = rng.standard_normal((spec.N, spec.p))
+        for lam in (0.5, 50.0):
+            res = solve(spec, y, lam)
+            assert res.z_svd[0].shape == (spec.p * spec.s, min(spec.p * spec.s, spec.ncols))
+            if np.any(res.Z):
+                assert_thin_svd(res.Z, lowrank_svd(res.Z, spec, res.z_svd))
 
 
 @pytest.mark.parametrize("model, N, output_only", CHAINS, ids=CHAIN_IDS)

@@ -31,6 +31,16 @@ def test_to_observer_zero_gain_identity():
     assert np.array_equal(obs.Bobs, model.B)
 
 
+def test_one_dimensional_arrays_are_one_channel():
+    rng = np.random.default_rng(8)
+    u, y = rng.standard_normal(30), rng.standard_normal(30)
+    rec = IoRecord(u=u, y=y)
+    assert rec.u.shape == (30, 1) and rec.y.shape == (30, 1)
+    assert np.array_equal(rec.u[:, 0], u) and np.array_equal(rec.y[:, 0], y)
+    model = make_siso_order2()
+    assert np.array_equal(simulate(model, u), simulate(model, u[:, None]))
+
+
 def test_to_observer_scalar():
     model = StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]], K=[[0.5]])
     obs = to_observer(model)

@@ -223,6 +223,22 @@ def test_fixed_order_beyond_the_window_is_rejected_before_the_sweep(monkeypatch)
     monkeypatch.setattr(pipeline_mod, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
     with pytest.raises(ValueError, match=r"order 5 exceeds \(s-1\)\*p = 4"):
         identify(rec, PipelineConfig(s=5, order=5))
+    # within (s-1)*p = 14, but Z = A(X) of 20 samples at s = 15 has only N-s+1 = 6
+    # columns, so its thin SVD has 6 left vectors
+    short = IoRecord(u=rec.u[:20], y=rec.y[:20])
+    with pytest.raises(ValueError, match=r"order 8 exceeds N-s\+1 = 6"):
+        identify(short, PipelineConfig(s=15, order=8))
+    # under split="half" N is the identification part's: 40 samples keep 20
+    with pytest.raises(ValueError, match=r"order 7 exceeds N-s\+1 = 6"):
+        identify(IoRecord(u=rec.u[:40], y=rec.y[:40]), PipelineConfig(s=15, order=7, split="half"))
+
+
+def test_split_half_leaving_at_most_s_identification_samples_is_rejected(monkeypatch):
+    _, rec = noise_free_record(N=60)
+    monkeypatch.setattr(pipeline_mod, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    # 24 samples split into 12 and 12: enough for preprocessing at s = 12, not for the program
+    with pytest.raises(ValueError, match="identification part has 12 samples, need more than s=12"):
+        identify(IoRecord(u=rec.u[:24], y=rec.y[:24]), PipelineConfig(s=12, split="half"))
 
 
 def test_identify_records_failures_and_continues(monkeypatch):

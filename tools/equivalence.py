@@ -1,7 +1,7 @@
 """Equivalence set: identify a fixed set of benchmark records and record every selection.
 
 The records come from the benchmark's own generator (bench/inputs.py), so a
-change to the package cannot change them.  The set has three groups:
+change to the package cannot change them.  The set has four groups:
 
 * short: the paper's protocol, ``rng_for(seed, "paper_protocol", job)`` for
   each short seed and jobs 0-7, 1000 samples of the order-2 SISO system.
@@ -13,6 +13,10 @@ change to the package cannot change them.  The set has three groups:
   and from its outputs only (mimo_output_only), validated on the next 300.
 * long: ``rng_for(long_seed, "long_siso", job)``, jobs 0-5, the SISO system
   identified on 2000 samples and validated on the next 300.
+* tall: ``rng_for(seed, "tall", job)`` for each short seed and jobs 0-3,
+  328 samples of the SISO system.  The first 20, 24 and 28 rows are
+  identified, where Z = A(X) is tall (6, 10 and 14 columns against 15
+  rows), and rows 28-327, detrended, validate all three.
 
 Every identification runs ``pipeline.identify`` (or ``identify_output_only``)
 with s = 15 and the default 20-point grid, and ``pipeline.evaluate`` scores
@@ -29,8 +33,9 @@ otherwise):
 
 With ``--compare`` it also lists every identification that changed in
 any field ("moved" when its order or lambda_opt did), each group's change in
-iterations and median VAF, and ends with how many of the identifications
-are identical in every field.
+iterations and median VAF (a group the older JSON lacks is left out, its
+identifications listed as added), and ends with how many of the
+identifications are identical in every field.
 ``--check`` exits 1 when an identification raised or a solve did not
 converge.
 """
@@ -69,9 +74,9 @@ def _bench_inputs():
 
 inputs = _bench_inputs()
 
-GROUPS = ("short", "mimo_io", "mimo_output_only", "long")
-SHORT_JOBS, MIMO_JOBS, LONG_JOBS = 8, 12, 6
-SHORT_DEL, SHORT_N_IDE, N_VAL = 120, (80, 120, 150), 300
+GROUPS = ("short", "mimo_io", "mimo_output_only", "long", "tall")
+SHORT_JOBS, MIMO_JOBS, LONG_JOBS, TALL_JOBS = 8, 12, 6, 4
+SHORT_DEL, SHORT_N_IDE, TALL_N_IDE, N_VAL = 120, (80, 120, 150), (20, 24, 28), 300
 VAF_FLOOR = 60.0  # the paper_protocol workload's floor; below_floor counts it in every group
 CFG = PipelineConfig(s=15)
 CHANGED_FIELDS = ("vaf", "iterations", "unconverged", "grid_failures")  # besides the selection
@@ -132,6 +137,13 @@ def identifications(short_seeds, mimo_seed: int, long_seed: int):
         u, y = inputs.innovation_record(inputs.SISO2, 2000 + N_VAL, inputs.rng_for(long_seed, "long_siso", job))
         val = IoRecord(u=u[2000:], y=y[2000:]).detrended()
         yield "long", f"seed={long_seed} job={job}", _io(u, y, 2000, val)
+    start = max(TALL_N_IDE)
+    for seed in short_seeds:
+        for job in range(TALL_JOBS):
+            u, y = inputs.innovation_record(inputs.SISO2, start + N_VAL, inputs.rng_for(seed, "tall", job))
+            val = IoRecord(u=u[start:], y=y[start:]).detrended()
+            for n_ide in TALL_N_IDE:
+                yield "tall", f"seed={seed} job={job} n_ide={n_ide}", _io(u, y, n_ide, val)
 
 
 def _quartiles(values: list) -> tuple[float, float]:
@@ -192,8 +204,8 @@ def compare(old: dict, new: dict) -> list[str]:
             changed = [f"{f} {was[f]!r} -> {e[f]!r}" for f in CHANGED_FIELDS if was[f] != e[f]]
             lines.append(f"changed {e['group']} {e['key']}: " + ", ".join(changed))
     for group in GROUPS:
-        a, b = old["summary"][group], new["summary"][group]
-        if not (a["identifications"] or b["identifications"]):
+        a, b = old["summary"].get(group), new["summary"].get(group)
+        if a is None or b is None or not (a["identifications"] or b["identifications"]):
             continue
         change = (b["iterations"] - a["iterations"]) / a["iterations"] if a["iterations"] else math.nan
         lines.append(
