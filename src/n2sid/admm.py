@@ -277,27 +277,24 @@ def svt(
 ) -> np.ndarray:
     """Singular value thresholding, the proximal map of the nuclear norm.
 
-    Soft-shrinks every singular value of Y by ``threshold``; a zero
-    threshold returns Y unchanged.  Works on the Gram Y Y' of Y's rows,
-    which is built for the solver's Z and its p*s rows, not for a Y with
-    many: with Y Y' = U diag(sigma^2) U', the result is U diag(f) U' Y,
-    f = max(sigma - threshold, 0) / sigma.  The Gram squares the condition
-    number, so a kept sigma below GRAM_CUTOFF * sigma_max would lose
-    accuracy; then an SVD of Y is used instead.  A non-finite Y raises
-    SolverError before any factorization.
+    Soft-shrinks every singular value of Y by ``threshold``.  Works on
+    the Gram Y Y' of Y's rows, which is built for the solver's Z and its
+    p*s rows, not for a Y with many: with Y Y' = U diag(sigma^2) U', the
+    result is U diag(f) U' Y, f = max(sigma - threshold, 0) / sigma.  The
+    Gram squares the condition number, so a kept sigma below GRAM_CUTOFF *
+    sigma_max would lose accuracy; then an SVD of Y is used instead.  A
+    non-finite Y raises SolverError before any factorization.
 
     With ``out``, a float array of Y's shape, the result is written into
-    it and ``out`` is returned, on every path: a zero threshold copies Y
-    into it, and the SVD fallback writes its product into it (the SVD's
-    own factors are still allocated).  The values are those the call
-    without ``out`` returns, bit for bit.
+    it and ``out`` is returned, on every path: the SVD fallback writes its
+    product into it too (the SVD's own factors are still allocated).  The
+    values are those the call without ``out`` returns, bit for bit.
 
     With ``factors``, a list, its contents are replaced by the result's
     thin SVD as far as this call computed it: min(rows, cols) left
     singular vectors, orthonormal columns, and the shrunk spectrum
     max(sigma - threshold, 0), descending and exactly 0 past the result's
     rank: the Gram's top eigenvectors, or the fallback SVD's left vectors.
-    A zero threshold leaves the list empty.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -306,9 +303,6 @@ def svt(
         out = np.empty(Y.shape)
     if factors is not None:
         factors.clear()
-    if threshold == 0.0:
-        np.copyto(out, Y)
-        return out
     G = Y @ Y.T
     if not np.all(np.isfinite(G)):
         raise SolverError("non-finite matrix passed to singular value thresholding")

@@ -26,13 +26,15 @@ B = Bobs + K D.
 Every regressor of the data fits is a response of the observer to a
 fixed drive, computed by ``model.state_response``.  The Markov-block fit
 reads the observability rows C Aobs^k, k < s - 1, a short free response.
-m1 and m3 read everything else from one recursion over the record, of
-the transposed observer (see ``_observer_responses``): the free response
+m1 reads everything else from one recursion over the record, of the
+transposed observer (see ``estimate_BDx0``): the free response
 C Aobs^k, which the x0 columns are, and the observer prediction's
-sensitivities to each entry of [Bobs, K], which give the Bobs columns,
-the K y response and m3's prediction.  ``fit_x0``, the initial-state
-fit shared with the pipeline's scoring, takes a free response already
-computed and also returns the fitted one.
+sensitivities to each entry of [Bobs, K], which give the Bobs columns and
+the K y response.  m3's model is the fit's observer as it stands, so it
+takes its prediction and free response from ``model.predict_observer``,
+as the pipeline's scoring does.  ``fit_x0``, the initial-state fit shared
+with that scoring, takes a free response already computed and also
+returns the fitted one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SimulationOverflowError
-from .model import IoRecord, ObserverModel, StateSpaceModel, state_response
+from .model import IoRecord, ObserverModel, StateSpaceModel, predict_observer, state_response
 from .structured_ops import OperatorSpec
 
 __all__ = [
@@ -170,36 +172,6 @@ def estimate_AC(U_nhat: np.ndarray, s: int, p: int) -> tuple[np.ndarray, np.ndar
     return Aobs, C
 
 
-def _observer_responses(
-    Aobs: np.ndarray, C: np.ndarray, rec: IoRecord
-) -> tuple[np.ndarray, np.ndarray]:
-    """The free response of (Aobs, C) over the record and its sensitivities, from one recursion.
-
-    Returns ``free``, (N, p, n), the blocks C Aobs^k, and ``sens``,
-    (N, p, n, m + p), whose [k, :, i, j] is sum_(l<k) C Aobs^(k-1-l) e_i
-    v_j(l) with v = [u, y]: the observer prediction's sensitivity to entry
-    (i, j) of [Bobs, K].  Both come from the transposed recursion
-    z(k+1) = Aobs' z(k) + C' w(k), observed through the identity: from
-    z(0) = C'[:, r] its states are row r of C Aobs^k, and driven by
-    w = e_r v_j row r of the sensitivities.  Its drive enters through C',
-    so the windows cost grows with p, not with the n (m + p) sensitivities.
-    """
-    n, p = Aobs.shape[0], C.shape[0]
-    v = np.hstack([rec.u, rec.y])
-    N, c = v.shape
-    # columns r*c + j are driven by e_r v_j, the last p start from C' (their
-    # zero drive keeps every column driven, which the windows run faster)
-    drive = np.zeros((N, p, p * c + p))
-    for r in range(p):
-        drive[:, r, r * c : (r + 1) * c] = v
-    x0 = np.zeros((n, p * c + p))
-    x0[:, p * c :] = C.T
-    states = state_response(Aobs.T, np.eye(n), x0, N, drive, B=C.T)
-    free = states[:, :, p * c :].transpose(0, 2, 1)
-    sens = states[:, :, : p * c].reshape(N, n, p, c).transpose(0, 2, 1, 3)
-    return free, sens
-
-
 def fit_x0(free: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x0 whose free response C A^k x0 best fits ``residual`` (N x p), and that response.
 
@@ -225,13 +197,31 @@ def estimate_BDx0(
 
     With (Aobs, C, K) fixed the prediction is linear in the unknowns: the
     response to K y(k), plus one response per entry of Bobs (drive
-    u_j(k) e_i), per entry of D and per entry of x0.  The K y response
-    and the Bobs and x0 columns all come from one recursion (see
-    _observer_responses).
+    u_j(k) e_i), per entry of D and per entry of x0.  All but the D
+    columns come from one recursion: ``free``, (N, p, n), the blocks
+    C Aobs^k, which the x0 columns are, and ``sens``, (N, p, n, m + p),
+    whose [k, :, i, j] is sum_(l<k) C Aobs^(k-1-l) e_i v_j(l) with
+    v = [u, y], the observer prediction's sensitivity to entry (i, j) of
+    [Bobs, K].  Both are the states of the transposed recursion
+    z(k+1) = Aobs' z(k) + C' w(k), observed through the identity: from
+    z(0) = C'[:, r] its states are row r of C Aobs^k, and driven by
+    w = e_r v_j row r of the sensitivities.  Its drive enters through C',
+    so the windows cost grows with p, not with the n (m + p) sensitivities.
     """
     Aobs, C, K = np.atleast_2d(Aobs), np.atleast_2d(C), np.atleast_2d(K)
     n, p, m, N = Aobs.shape[0], C.shape[0], rec.m, rec.N
-    free, sens = _observer_responses(Aobs, C, rec)
+    v = np.hstack([rec.u, rec.y])
+    c = v.shape[1]
+    # columns r*c + j are driven by e_r v_j, the last p start from C' (their
+    # zero drive keeps every column driven, which the windows run faster)
+    drive = np.zeros((N, p, p * c + p))
+    for r in range(p):
+        drive[:, r, r * c : (r + 1) * c] = v
+    x0 = np.zeros((n, p * c + p))
+    x0[:, p * c :] = C.T
+    states = state_response(Aobs.T, np.eye(n), x0, N, drive, B=C.T)
+    free = states[:, :, p * c :].transpose(0, 2, 1)
+    sens = states[:, :, : p * c].reshape(N, n, p, c).transpose(0, 2, 1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         target = rec.y - sens[..., m:].reshape(N, p, n * p) @ K.reshape(-1)
     # column j*n + i is the response to u_j(k) e_i (entry Bobs[i, j])
@@ -297,13 +287,11 @@ def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
 def compute_m3(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """The Markov-block fit's observer, with x0 fit to its prediction error.
 
-    The prediction is the observer's sensitivities to [Bobs, K] times
-    those matrices, plus D u, from the same recursion as the free response.
+    The prediction from x0 = 0 and the free response come from one
+    ``predict_observer`` run from the initial states [0 | I], as the
+    pipeline's scoring takes them.
     """
     obs = _markov_fit(svd, blocks, nhat)
-    free, sens = _observer_responses(obs.Aobs, obs.C, rec)
-    N, p = rec.N, obs.p
-    with np.errstate(over="ignore", invalid="ignore"):
-        predicted = sens.reshape(N, p, -1) @ np.hstack([obs.Bobs, obs.K]).reshape(-1)
-    x0, _ = fit_x0(free, rec.y - predicted - rec.u @ obs.D.T)
+    response = predict_observer(obs, rec, np.eye(nhat, 1 + nhat, 1))
+    x0, _ = fit_x0(response[:, :, 1:], rec.y - response[:, :, 0])
     return IdentifiedModel(obs.to_state_space(), nhat, x0)

@@ -15,6 +15,7 @@ entry point produce identical results.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -72,6 +73,12 @@ class PipelineConfig:
     x0_policy: str = "ls_estimate"
 
     def __post_init__(self):
+        # s, n_lambda, max_order and an integer order: integral, not bool, stored as int
+        for name in ("s", "n_lambda", "max_order") + (() if isinstance(self.order, str) else ("order",)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.s < 2:
             raise ValueError("window s must be at least 2")
         if self.n_lambda < 1:
@@ -81,7 +88,7 @@ class PipelineConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        if self.order != "auto" and (not isinstance(self.order, int) or self.order < 1):
+        if self.order != "auto" and (isinstance(self.order, str) or self.order < 1):
             raise ValueError("order must be 'auto' or a positive integer")
         if self.max_order < 1:
             raise ValueError("max_order must be positive")
@@ -209,9 +216,9 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
     the program's scaled units; past the rank of a point's Z they are
-    exactly 0.  A point that fails after its SVD keeps its singular values
-    in ``sigma_per_lambda``.  A fixed order above a point's rank takes the
-    vectors past the rank from a LAPACK SVD of Z.  A fixed order above
+    exactly 0, also under a fixed order, whose model takes the vectors past
+    the rank from a LAPACK SVD of Z.  A point that fails after its SVD
+    keeps its singular values in ``sigma_per_lambda``.  A fixed order above
     (s-1)*p, more than the window can hold, or above the identification
     part's N-s+1, more singular vectors than Z has, is rejected before the
     sweep.
@@ -256,12 +263,12 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         stage = "extract"
         try:
             svd = lowrank_svd(res.Z, spec, res.z_svd)
+            # kept even if the point fails later, and exactly 0 past Z's rank
+            sigma_per_lambda[i] = svd.sigma
             if cfg.order != "auto" and cfg.order > np.count_nonzero(svd.sigma):
                 # Z fixes no singular vectors past its rank; a LAPACK SVD of Z
                 # takes them from its rounding
                 svd = lowrank_svd(res.Z, spec)
-            # kept even if the point fails later: its order was read from them
-            sigma_per_lambda[i] = svd.sigma
             idm = _extract(svd, res.x, spec, ide1, cfg)
             stage = "score"
             t_point = time.perf_counter()

@@ -86,8 +86,13 @@ def small_problem(seed, N=40, s=6, noise=0.05):
 
 
 def test_svt_zero_threshold_identity():
+    # the Gram path with nothing shrunk: Y to rounding, and its factors handed on
     Y = np.random.default_rng(0).standard_normal((4, 6))
-    assert np.array_equal(svt(Y, 0.0), Y)
+    factors = []
+    np.testing.assert_allclose(svt(Y, 0.0, factors=factors), Y, rtol=0, atol=1e-13)
+    U, sigma = factors
+    np.testing.assert_allclose(sigma, np.linalg.svd(Y, compute_uv=False), rtol=1e-13)
+    np.testing.assert_allclose(U.T @ U, np.eye(4), rtol=0, atol=1e-13)
 
 
 def test_svt_diagonal_shrinkage():
@@ -398,6 +403,22 @@ def test_solve_on_a_tall_record_matches_strict_references():
         ref = solve(spec, rec.y, lam, reference_params(2000), fact)
         res_obj, ref_obj = (objective_value(spec, rec.y, lam, r.x) for r in (res, ref))
         assert abs(res_obj - ref_obj) <= 1e-4 * (1.0 + abs(ref_obj))
+
+
+def test_a_void_anderson_weight_clears_the_memory_and_steps_plainly(monkeypatch):
+    # AA_REG = 0 gives every difference Gram the weight of one of trace 0: the memory
+    # is cleared instead of solving a singular system, each step is the plain one, and
+    # the iterates are those of the plain splitting iteration
+    spec, rec = small_problem(14)
+    fact = SweepFactorization.from_spec(spec)
+    params = AdmmParams(max_iter=8, eps_abs=1e-300, eps_rel=1e-300)
+    monkeypatch.setattr(n2sid.admm, "AA_REG", 0.0)
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("Anderson step solved"))
+    res = solve(spec, rec.y, 2.0, params, fact)
+    plain = reference_solve(spec, rec.y, 2.0, params, fact)
+    assert res.iterations == plain.iterations == params.max_iter
+    np.testing.assert_allclose(res.x, plain.x, rtol=0, atol=1e-9 * np.abs(plain.x).max())
+    np.testing.assert_allclose(res.Z, plain.Z, rtol=0, atol=1e-9 * np.abs(plain.Z).max())
 
 
 def test_solve_converged_residual_contract():

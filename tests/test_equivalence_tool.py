@@ -105,3 +105,13 @@ def test_the_tall_group_identifies_records_whose_z_is_tall(tool):
     assert all(n - tool.CFG.s + 1 < tool.CFG.s for n in tool.TALL_N_IDE)
     first = tool._entry("tall", *tall[0])
     assert "error" not in first and first["iterations"] > 0
+
+
+def test_the_variants_group_runs_each_variant_at_a_fixed_order(tool):
+    variants = [(key, run) for group, key, run in tool.identifications([1], 77, 7) if group == "variants"]
+    assert [key for key, _ in variants[:3]] == [f"seed=1 job=0 variant={v}" for v in ("m1", "m2", "m3")]
+    assert len(variants) == 3 * tool.VARIANT_JOBS
+    short = {key for group, key, _ in tool.identifications([1], 77, 7) if group == "short"}
+    assert f"seed=1 job={tool.VARIANT_JOBS - 1} n_ide={tool.VARIANT_N_IDE}" in short
+    m3 = tool._entry("variants", *variants[2])
+    assert "error" not in m3 and m3["order"] == tool.VARIANT_ORDER

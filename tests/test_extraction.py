@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from n2sid.admm import GRAM_CUTOFF, solve, svt, sweep
+from n2sid.errors import SimulationOverflowError
 from n2sid.extraction import (
     SubspaceSvd,
     _markov_fit,
@@ -298,6 +299,13 @@ def test_estimate_ac_similarity_invariance():
 def test_estimate_ac_rejects_large_order():
     with pytest.raises(ValueError):
         estimate_AC(np.ones((6, 5)), s=3, p=2)
+    with pytest.raises(ValueError, match="expected 6 rows, got 5"):
+        estimate_AC(np.ones((5, 2)), s=3, p=2)
+    # a non-finite basis, as from unstable dynamics, is stopped before LAPACK
+    U = np.ones((6, 2))
+    U[4, 1] = np.inf
+    with pytest.raises(SimulationOverflowError, match="non-finite values in shift-invariance solve"):
+        estimate_AC(U, s=3, p=2)
 
 
 def markov_fit_gain(Aobs, C, blocks):
@@ -367,7 +375,6 @@ def test_estimate_bdx0_zero_input_min_norm():
 
 
 def test_unstable_dynamics_raise_before_lapack(capfd):
-    from n2sid.errors import SimulationOverflowError
     from n2sid.model import StateSpaceModel
     from n2sid.pipeline import evaluate
 
@@ -434,6 +441,12 @@ def test_compute_m2_exact_inputs():
     pred = obs2.Aobs @ X[:, :-1] + obs2.Bobs @ rec.u[: X.shape[1] - 1].T + out.model.K @ rec.y[: X.shape[1] - 1].T
     rel = np.linalg.norm(pred - X[:, 1:]) / np.linalg.norm(X[:, 1:])
     assert rel <= 1e-6
+
+
+def test_compute_m2_rejects_zero_order():
+    _, _, rec, _, svd, _ = exact_solution_inputs()
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        compute_m2(svd, rec, 0)
 
 
 def test_compute_m2_too_few_state_samples():

@@ -29,6 +29,7 @@ def test_to_observer_zero_gain_identity():
     obs = to_observer(model)
     assert np.array_equal(obs.Aobs, model.A)
     assert np.array_equal(obs.Bobs, model.B)
+    assert (obs.n, obs.m, obs.p) == (3, 2, 2)
 
 
 def test_one_dimensional_arrays_are_one_channel():
@@ -131,6 +132,13 @@ def test_simulate_dimension_mismatch():
         simulate(model, np.ones((10, 1)), x0=[1.0, 2.0, 3.0])
 
 
+def test_predict_observer_dimension_mismatch():
+    obs = to_observer(make_siso_order2())
+    for u, y in ((np.ones((10, 2)), np.ones((10, 1))), (np.ones((10, 1)), np.ones((10, 2)))):
+        with pytest.raises(ValueError, match="observer expects"):
+            predict_observer(obs, IoRecord(u=u, y=y))
+
+
 def test_predict_observer_zero_gain_equals_simulate():
     rng = np.random.default_rng(4)
     model = make_siso_order2()
@@ -165,6 +173,8 @@ def test_markov_parameters_first_terms():
     assert blocks.shape == (3, 1, 2)
     assert np.array_equal(blocks[0], np.hstack([obs.D, np.zeros((1, 1))]))
     assert np.array_equal(markov_parameters(obs, 1), blocks[:1])
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        markov_parameters(obs, 0)
 
 
 def test_markov_parameters_scalar_hand_case():
@@ -193,6 +203,11 @@ def test_vaf_trivial_cases():
 def test_vaf_zero_reference_raises():
     with pytest.raises(ValueError):
         vaf(np.zeros((5, 1)), np.ones((5, 1)))
+
+
+def test_vaf_shape_mismatch_raises():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        vaf(np.ones((5, 2)), np.ones((5, 1)))
 
 
 def test_vaf_scaling_invariance():
@@ -229,6 +244,10 @@ def test_io_record_validation():
         IoRecord(u=np.ones((5, 1)), y=np.ones((4, 1)))
     with pytest.raises(ValueError):
         IoRecord(u=np.ones((5, 1)), y=np.array([[np.nan]] * 5))
+    with pytest.raises(ValueError, match="1- or 2-dimensional"):
+        IoRecord(u=np.ones((5, 1, 1)), y=np.ones((5, 1)))
+    with pytest.raises(ValueError, match="at least one sample"):
+        IoRecord(u=np.ones((0, 1)), y=np.ones((0, 1)))
     rec = IoRecord(u=np.ones((5, 2)), y=np.ones((5, 1)))
     assert (rec.N, rec.m, rec.p) == (5, 2, 1)
 
@@ -238,3 +257,5 @@ def test_state_space_model_validation():
         StateSpaceModel(A=[[1.0, 0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], K=[[0.0]])
     with pytest.raises(ValueError):
         StateSpaceModel(A=[[np.inf]], B=[[1.0]], C=[[1.0]], D=[[0.0]], K=[[0.0]])
+    with pytest.raises(ValueError, match="C has 2 columns, expected 1"):
+        StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0, 2.0]], D=[[0.0]], K=[[0.0]])

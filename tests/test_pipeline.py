@@ -218,6 +218,18 @@ def test_identify_fixed_order():
     assert rep.best.order == 3
 
 
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+def test_a_fixed_order_above_a_points_rank_reports_the_spectrum_of_the_automatic_run(variant):
+    rec = make_record(make_siso_order2(), 80, seed=1, noise_std=0.2)
+    auto = identify(rec, PipelineConfig(s=10, n_lambda=8))
+    fixed = identify(rec, PipelineConfig(s=10, n_lambda=8, order=4, variant=variant))
+    ranks = [np.count_nonzero(sigma) for sigma in auto.sigma_per_lambda]
+    assert min(ranks) < 4 and not fixed.failures
+    for want, got, rank in zip(auto.sigma_per_lambda, fixed.sigma_per_lambda, ranks):
+        assert np.array_equal(got, want)
+        assert np.all(got[rank:] == 0.0)
+
+
 def test_fixed_order_beyond_the_window_is_rejected_before_the_sweep(monkeypatch):
     _, rec = noise_free_record(N=60)
     monkeypatch.setattr(pipeline_mod, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
@@ -384,6 +396,34 @@ def test_config_validation():
         PipelineConfig(order=0)
     with pytest.raises(ValueError):
         PipelineConfig(x0_policy="best")
+    with pytest.raises(ValueError, match="max_order must be positive"):
+        PipelineConfig(max_order=0)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("order", True), ("order", 2.0), ("s", 8.0), ("s", np.True_), ("n_lambda", 2.0),
+     ("max_order", 2.5), ("max_order", "3")],
+)
+def test_config_integer_fields_take_only_integral_values(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+        PipelineConfig(**{name: value})
+
+
+def test_numpy_integers_configure_the_run_python_ints_do():
+    _, rec = noise_free_record(N=60)
+    plain = PipelineConfig(s=6, detrend=False, n_lambda=4, max_order=3)
+    numpy_ints = PipelineConfig(s=np.int64(6), detrend=False, n_lambda=np.int32(4), max_order=np.uint8(3))
+    assert numpy_ints == plain
+    fixed = PipelineConfig(s=np.int64(6), detrend=False, n_lambda=4, order=np.int64(2))
+    assert fixed == replace(plain, max_order=10, order=2)
+    for cfg in (numpy_ints, fixed):
+        assert all(type(getattr(cfg, name)) is int for name in ("s", "n_lambda", "max_order"))
+    for want, got in ((plain, numpy_ints), (replace(plain, max_order=10, order=2), fixed)):
+        a, b = identify(rec, want), identify(rec, got)
+        assert np.array_equal(a.j_values, b.j_values, equal_nan=True)
+        assert np.array_equal(a.orders, b.orders) and a.best_index == b.best_index
+        assert np.array_equal(a.best.model.A, b.best.model.A)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,12 @@ def test_a_malformed_start_raises_naming_its_shape(shape):
             call()
 
 
+def test_a_drive_of_more_columns_than_responses_raises():
+    A, C = np.eye(2), np.ones((1, 2))
+    with pytest.raises(ValueError, match="drive has 2 columns for 1 responses"):
+        state_response(A, C, np.zeros((2, 1)), 5, np.zeros((5, 2, 2)))
+
+
 def test_data_generation_takes_only_a_vector_start():
     model, rng = random_system(3, 1, 1, 0)
     with pytest.raises(ValueError, match=re.escape("x0 has shape (3, 1)")):

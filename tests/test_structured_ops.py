@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from n2sid.errors import ConsistencyError
 from n2sid.model import generate_innovation_data, markov_parameters, to_observer
 from n2sid.structured_ops import (
     OperatorSpec,
+    _real_part,
     apply_adjoint,
     apply_operator,
     block_hankel,
@@ -336,6 +338,13 @@ def test_m_output_block_is_occupancy_diagonal():
     spec = OperatorSpec.from_data(np.ones((3, 1)), np.arange(3.0), s=2)
     M = dense_M(spec)
     np.testing.assert_allclose(M[:3, :3], np.diag([1.0, 2.0, 1.0]), atol=1e-12)
+
+
+def test_real_part_rejects_an_imaginary_residue():
+    a = np.array([[2.0 + 1e-12j, -1.0]])
+    assert np.array_equal(_real_part(a, "piece"), a.real)
+    with pytest.raises(ConsistencyError, match=r"imaginary residue 1\.000e-03 in piece"):
+        _real_part(a + 1e-3j, "piece")
 
 
 def test_m_pieces_shapes_and_positive_diagonal():

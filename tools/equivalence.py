@@ -1,7 +1,7 @@
 """Equivalence set: identify a fixed set of benchmark records and record every selection.
 
 The records come from the benchmark's own generator (bench/inputs.py), so a
-change to the package cannot change them.  The set has four groups:
+change to the package cannot change them.  The set has these groups:
 
 * short: the paper's protocol, ``rng_for(seed, "paper_protocol", job)`` for
   each short seed and jobs 0-7, 1000 samples of the order-2 SISO system.
@@ -17,6 +17,9 @@ change to the package cannot change them.  The set has four groups:
   328 samples of the SISO system.  The first 20, 24 and 28 rows are
   identified, where Z = A(X) is tall (6, 10 and 14 columns against 15
   rows), and rows 28-327, detrended, validate all three.
+* variants: the short group's records of jobs 0-3 for each short seed,
+  identified on their first 120 rows at the fixed order 4 under each of
+  m1, m2 and m3, and validated on the short group's rows.
 
 Every identification runs ``pipeline.identify`` (or ``identify_output_only``)
 with s = 15 and the default 20-point grid, and ``pipeline.evaluate`` scores
@@ -50,6 +53,7 @@ import os
 import statistics
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +62,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 # n2sid first: it applies N2SID_THREADS before numpy loads its BLAS
 from n2sid import IoRecord  # noqa: E402
-from n2sid.pipeline import PipelineConfig, evaluate, identify, identify_output_only  # noqa: E402
+from n2sid.pipeline import CHOICES, PipelineConfig, evaluate, identify, identify_output_only  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -74,9 +78,10 @@ def _bench_inputs():
 
 inputs = _bench_inputs()
 
-GROUPS = ("short", "mimo_io", "mimo_output_only", "long", "tall")
-SHORT_JOBS, MIMO_JOBS, LONG_JOBS, TALL_JOBS = 8, 12, 6, 4
+GROUPS = ("short", "mimo_io", "mimo_output_only", "long", "tall", "variants")
+SHORT_JOBS, MIMO_JOBS, LONG_JOBS, TALL_JOBS, VARIANT_JOBS = 8, 12, 6, 4, 4
 SHORT_DEL, SHORT_N_IDE, TALL_N_IDE, N_VAL = 120, (80, 120, 150), (20, 24, 28), 300
+VARIANT_N_IDE, VARIANT_ORDER = 120, 4
 VAF_FLOOR = 60.0  # the paper_protocol workload's floor; below_floor counts it in every group
 CFG = PipelineConfig(s=15)
 CHANGED_FIELDS = ("vaf", "iterations", "unconverged", "grid_failures")  # besides the selection
@@ -101,9 +106,9 @@ def _entry(group: str, key: str, run) -> dict:
     }
 
 
-def _io(u, y, n_ide: int, val: IoRecord):
+def _io(u, y, n_ide: int, val: IoRecord, cfg: PipelineConfig = CFG):
     def run():
-        report = identify(IoRecord(u=u[:n_ide], y=y[:n_ide]), CFG)
+        report = identify(IoRecord(u=u[:n_ide], y=y[:n_ide]), cfg)
         return report, evaluate(report.best, val)
 
     return run
@@ -117,14 +122,19 @@ def _output_only(y, n_ide: int, val: IoRecord):
     return run
 
 
+def _short_record(seed: int, job: int):
+    """(u, y, val) of a short record: the samples after the first SHORT_DEL, and its validation rows."""
+    u, y = inputs.innovation_record(inputs.SISO2, 1000, inputs.rng_for(seed, "paper_protocol", job))
+    u, y = u[SHORT_DEL:], y[SHORT_DEL:]
+    start = max(SHORT_N_IDE)
+    return u, y, IoRecord(u=u[start : start + N_VAL], y=y[start : start + N_VAL]).detrended()
+
+
 def identifications(short_seeds, mimo_seed: int, long_seed: int):
     """(group, key, run) of every identification in the set, in a fixed order."""
     for seed in short_seeds:
         for job in range(SHORT_JOBS):
-            u, y = inputs.innovation_record(inputs.SISO2, 1000, inputs.rng_for(seed, "paper_protocol", job))
-            u, y = u[SHORT_DEL:], y[SHORT_DEL:]
-            start = max(SHORT_N_IDE)
-            val = IoRecord(u=u[start : start + N_VAL], y=y[start : start + N_VAL]).detrended()
+            u, y, val = _short_record(seed, job)
             for n_ide in SHORT_N_IDE:
                 yield "short", f"seed={seed} job={job} n_ide={n_ide}", _io(u, y, n_ide, val)
     for job in range(MIMO_JOBS):
@@ -144,6 +154,12 @@ def identifications(short_seeds, mimo_seed: int, long_seed: int):
             val = IoRecord(u=u[start:], y=y[start:]).detrended()
             for n_ide in TALL_N_IDE:
                 yield "tall", f"seed={seed} job={job} n_ide={n_ide}", _io(u, y, n_ide, val)
+    for seed in short_seeds:
+        for job in range(VARIANT_JOBS):
+            u, y, val = _short_record(seed, job)
+            for variant in CHOICES["variant"]:
+                run = _io(u, y, VARIANT_N_IDE, val, replace(CFG, order=VARIANT_ORDER, variant=variant))
+                yield "variants", f"seed={seed} job={job} variant={variant}", run
 
 
 def _quartiles(values: list) -> tuple[float, float]:
