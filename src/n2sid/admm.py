@@ -44,7 +44,11 @@ convergent type-I Anderson acceleration for nonsmooth optimization",
 SIAM J. Optim. 30(4), 2020): with dT and dG the last AA_MEMORY
 differences of T(W) and g, gamma minimises ||g - dG gamma|| through the
 normal equations (Tikhonov weight AA_REG relative to the trace of their
-Gram, which one product per step updates), and W <- T(W) - dT gamma.
+Gram), and W <- T(W) - dT gamma.  The differences are not stored: rings
+hold the last AA_MEMORY + 1 values of T(W) and of g, one product of the
+new g against the g ring updates the small Gram of the values, ||g||
+included, and the differences' Gram and dG' g follow from it by small
+algebra; W is then one product of the coefficients over the T ring.
 The memory is cleared when ||g|| grows, and on every penalty step,
 since T depends on rho; without memory the step is the plain one,
 W = T(W).
@@ -86,16 +90,21 @@ result, whichever rule stopped it, is ``SolveResult.gap``.  Where the fit
 weight dominates, the closed-form adj(Y) loses its digits and the bound
 can pass the optimum: a gap below -GAP_TOL * eps_rel or not finite is nan.
 
-A solve allocates its arrays once: A(X), the primal residual R, U (whose
-buffer also takes the extrapolated W), one buffer for every Z, the rings
-of dT and dG, each AA_MEMORY differences plus this and the last step's
-T(W) or g (2 AA_MEMORY + 8 Z-sized arrays in all), and the ring of
-adj(dT), p x d arrays.  The operator, svt and the ring updates write
-into them through ``out``, so an iteration makes no fresh Z-sized array
-beyond the adjoint's padded scratch and svt's own; the gap's exact scale
-reuses R once the residual test has read it.  A non-finite iterate
-shows in the norms of R, A(X) and Z, which the stopping rule takes
-anyway, so no separate finiteness pass over Z-sized arrays is made.
+A sweep allocates one workspace (_Workspace) that each of its solves
+iterates in: A(X), the primal residual R, the rings of T(W) and g
+(2 AA_MEMORY + 4 Z-sized arrays in all), the adjoint's scratch, two
+(p, s, N + 1) arrays, about two more, and the ring of adj(dT), p x d
+arrays; a direct solve allocates its own.  Each solve adds two Z-sized
+arrays of its own, U (whose buffer also takes the extrapolated W) and
+one buffer for every Z, which become the result's y_dual and Z.  The
+operator, svt, the adjoint and the ring updates write into these through
+``out`` or ``scratch``, so an iteration makes no Z-sized array (only
+svt's SVD fallback allocates its own factors); the gap's exact scale
+reuses R once the residual test has read it.  ||Z|| comes from svt's shrunk spectrum and ||g|| from
+the ring's product.  A non-finite entry of A(X) or Z shows in the norm
+of A(X) or of R = A(X) - Z, which the stopping rule takes anyway, and
+svt rejects a non-finite W, so no separate finiteness pass over Z-sized
+arrays is made.
 """
 
 from __future__ import annotations
@@ -208,8 +217,8 @@ class _XSolver:
     inverts the r x r Schur complement S, positive semidefinite as a Schur
     complement of H + rho M.  S^-1 comes from a Cholesky factor L, as
     L^-T L^-1.  When the factorization fails or ||S||_F ||S^-1||_F >=
-    CHOLESKY_COND, which bounds cond(S) from above, S is pseudo-inverted
-    instead, cutting modes at most 1e-12 of the largest (``cut``), and its
+    CHOLESKY_COND, which bounds cond(S) from above, or is not finite, S is
+    pseudo-inverted instead, cutting modes at most 1e-12 of the largest (``cut``), and its
     solves raise when their residual shows inconsistency.
     S = rho small - rho^2 cross' diag(dinv) cross is built from the interior
     rows' Gram, which share one dinv, plus the edge rows: O(s r^2), not O(N r^2).
@@ -224,8 +233,10 @@ class _XSolver:
         self.S = rho * fact.small - rho**2 * gram
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(self.S))
-            self.S_pinv = L_inv.T @ L_inv
-            self.cut = _norm(self.S) * _norm(self.S_pinv) >= CHOLESKY_COND
+            # tiny pivots can overflow the inverse or the bound: not finite, it is cut
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.S_pinv = L_inv.T @ L_inv
+                self.cut = not _norm(self.S) * _norm(self.S_pinv) < CHOLESKY_COND
         except np.linalg.LinAlgError:
             self.cut = True
         if self.cut:
@@ -304,21 +315,21 @@ def svt(
     if factors is not None:
         factors.clear()
     G = Y @ Y.T
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise SolverError("non-finite matrix passed to singular value thresholding")
     evals, U = np.linalg.eigh(G)
     sigma = np.sqrt(np.maximum(evals, 0.0))
-    kept = sigma > threshold
-    if kept.any() and sigma[kept].min() < GRAM_CUTOFF * sigma[-1]:
+    # sigma ascends, so the kept values, those above the threshold, are its suffix [first:]
+    first = int(np.searchsorted(sigma, threshold, side="right"))
+    if first < sigma.size and sigma[first] < GRAM_CUTOFF * sigma[-1]:
         U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
         shrunk = np.maximum(sv - threshold, 0.0)
         if factors is not None:
             factors.extend((U, shrunk))
         return np.matmul(U * shrunk, Vt, out=out)
-    shrunk = np.zeros_like(sigma)
-    shrunk[kept] = sigma[kept] - threshold
-    f = np.zeros_like(sigma)
-    f[kept] = shrunk[kept] / sigma[kept]
+    shrunk, f = np.zeros(sigma.size), np.zeros(sigma.size)
+    np.subtract(sigma[first:], threshold, out=shrunk[first:])
+    np.divide(shrunk[first:], sigma[first:], out=f[first:])
     if factors is not None:
         k = min(Y.shape)
         factors.extend((U[:, ::-1][:, :k], shrunk[::-1][:k]))
@@ -438,6 +449,40 @@ def _predicted_start(last: SolveResult, before: SolveResult, theta: float, spec:
     return replace(last, Z=Z, y_dual=ahead(last.y_dual, before.y_dual), z_svd=None, _adj_z=(Z, adjZ))
 
 
+class _Workspace:
+    """The arrays a solve iterates in, allocated once per sweep and lent to each of its solves.
+
+    A(X), the primal residual R, the rings of the last AA_MEMORY + 1 values
+    of T(W) and of g (Z-sized), the ring of adj(T(W)) differences with this
+    and the last iteration's adj(T(W)) (p x d), and apply_adjoint's
+    (2, p, s, N + 1) scratch.  A solve writes each entry it reads first, so
+    whatever an earlier solve left in them, finite or not, never reaches it.
+    """
+
+    def __init__(self, spec: OperatorSpec):
+        p, d, slots = spec.p, spec.block_dim, AA_MEMORY + 1
+        shape = (p * spec.s, spec.ncols)
+        self.AX, self.R = np.empty(shape), np.empty(shape)
+        self.T, self.G = np.empty((slots,) + shape), np.empty((slots,) + shape)
+        self.adj_diff, self.adj_T = np.empty((slots, p, d)), np.empty((2, p, d))
+        self.scratch = np.empty((2, p, spec.s, spec.N + 1))
+
+
+def _next_slot(order: list) -> tuple[int, int, int]:
+    """(k, lo, hi): the ring slot k of the next value, and the run of slots lo..hi - 1
+    that it fills with the values kept, given their slots, oldest first.
+
+    k is the oldest's slot when all AA_MEMORY + 1 are kept, otherwise one
+    next to the kept ones, which so always fill a contiguous run.
+    """
+    if not order:
+        return 0, 0, 1
+    if len(order) == AA_MEMORY + 1:
+        return order[0], 0, AA_MEMORY + 1
+    lo, hi = min(order), max(order) + 1
+    return (hi, lo, hi + 1) if hi <= AA_MEMORY else (lo - 1, lo - 1, hi)
+
+
 def solve(
     spec: OperatorSpec,
     y: np.ndarray,
@@ -445,6 +490,7 @@ def solve(
     params: AdmmParams = AdmmParams(),
     fact: SweepFactorization | None = None,
     warm: SolveResult | None = None,
+    workspace: _Workspace | None = None,
 ) -> SolveResult:
     """Run the accelerated splitting iteration to (approximate) optimality.
 
@@ -470,6 +516,9 @@ def solve(
     the last iteration did not evaluate it, inf at lam = 0, where the dual
     bound is finite only at a point the iterates do not reach, and nan where
     void (see above).  A non-finite iterate raises SolverError naming its iteration.
+    ``workspace``, the arrays a sweep lends each of its solves, is
+    allocated here when not given; the result's Z and y_dual are the
+    solve's own arrays either way.
     """
     lam = float(lam)
     y = _measured(spec, y, lam)
@@ -484,24 +533,26 @@ def solve(
     a[:, :N] = y.T
     Ha = weight * a
 
-    # the arrays of one solve: the iteration writes into these only, so the
-    # warm start and earlier results are never overwritten.  Rows [:count] of
-    # each ring hold differences; rows mem and mem + 1 take turns holding this
-    # iteration's T(W), g or adj(T(W)) and the last one's.
-    mem, shape = AA_MEMORY, (p * spec.s, spec.ncols)
-    AX, R, Zbuf = (np.empty(shape) for _ in range(3))
-    dT, dG = (np.empty((mem + 2,) + shape) for _ in range(2))
-    dadj = np.empty((mem + 2, p, d))
-    flat_T, flat_G, flat_adj = (ring.reshape(mem + 2, -1) for ring in (dT, dG, dadj))
-    gram = np.empty((mem, mem))
+    shape = (p * spec.s, spec.ncols)
+    ws = _Workspace(spec) if workspace is None else workspace
+    if ws.AX.shape != shape or ws.adj_T.shape[2] != d:
+        raise ValueError("workspace was built for other dimensions")
+    AX, R, scratch = ws.AX, ws.R, ws.scratch
+    flat_T, flat_G, flat_adj = (ring.reshape(AA_MEMORY + 1, -1) for ring in (ws.T, ws.G, ws.adj_diff))
+    # <g_i, g_j> of the g ring's slots; only the kept values' entries are read
+    gram = np.empty((AA_MEMORY + 1, AA_MEMORY + 1))
+    # the solve's own Z buffer and U, which become the result's Z and y_dual:
+    # the iteration writes into these and the workspace only, so the warm
+    # start and earlier results are never overwritten
+    Zbuf = np.empty(shape)
     rho = RHO0
     if warm is None:
         Z = apply_operator(a, spec, out=Zbuf)
-        U, adjZ, adjY = np.zeros(shape), apply_adjoint(Z, spec), np.zeros((p, d))
+        U, adjZ, adjY = np.zeros(shape), apply_adjoint(Z, spec, scratch), np.zeros((p, d))
     else:
         Z, U = warm.Z, warm.y_dual / rho
         adjZ = _z_adjoint(warm, spec)
-        adjY = apply_adjoint(warm.y_dual, spec)
+        adjY = apply_adjoint(warm.y_dual, spec, scratch)
     solver = _XSolver(fact, weight, rho)
     sqrt_pri = math.sqrt(Z.size)
     sqrt_dual = math.sqrt(p * d)
@@ -509,8 +560,10 @@ def solve(
     converged = False
     iterations = 0
     pri = dual = math.inf
-    # count < 0: no T(W) at this rho to difference against yet
-    count, slot, last_norm = -1, 0, math.inf
+    # the ring slots of the values the memory keeps, oldest first; empty after
+    # a penalty step, when no T(W) at this rho is there to difference against
+    order: list = []
+    last_norm = math.inf
     gap, gap_at = math.inf, 0
     z_factors: list = []
 
@@ -519,53 +572,63 @@ def solve(
         X = solver.solve((Ha + rho * adjZ - adjY).T).T
         apply_operator(X, spec, out=AX)
         fit = Ha[:, :N] - weight * X[:, :N]
-        now, before = (mem, mem + 1) if it % 2 else (mem + 1, mem)
-        T, g, adjT = dT[now], dG[now], dadj[now]
+        k, lo, hi = _next_slot(order)
+        T, g = ws.T[k], ws.G[k]
         np.add(AX, U, out=T)
         np.subtract(AX, Z, out=g)
+        adjT, adj_last = ws.adj_T[it % 2], ws.adj_T[(it + 1) % 2]
         np.copyto(adjT, adjZ)
         adjT[:, :N] += fit / rho
-        g_norm = _norm(g)
-        if count < 0 or g_norm > last_norm:
-            count = slot = 0
+        # one product of g against the kept values and itself
+        kept = order[1:] if len(order) == AA_MEMORY + 1 else order
+        gram[k, lo:hi] = gram[lo:hi, k] = flat_G[lo:hi] @ flat_G[k]
+        g_norm = math.sqrt(max(gram[k, k], 0.0))
+        if not order or g_norm > last_norm:
+            order = [k]
+            # no difference ends at the oldest value: its weight below is 0, on a finite row
+            ws.adj_diff[k] = 0.0
         else:
-            np.subtract(T, dT[before], out=dT[slot])
-            np.subtract(g, dG[before], out=dG[slot])
-            np.subtract(adjT, dadj[before], out=dadj[slot])
-            count = min(count + 1, mem)
-            # one product: rows slot and now, the new difference and g, against the ring
-            cross = flat_G[slot : now + 1 : now - slot] @ flat_G[:count].T
-            gram[slot, :count] = gram[:count, slot] = cross[0]
-            slot = (slot + 1) % mem
-            G = gram[:count, :count]
+            np.subtract(adjT, adj_last, out=ws.adj_diff[k])
+            order = kept + [k]
+            # differences of consecutive values: rows <dg_i, g_j>, then <dg_i, dg_j>
+            V = gram[order][:, order]
+            dV = V[1:] - V[:-1]
+            G = dV[:, 1:] - dV[:, :-1]
             reg = AA_REG * G.trace()
             if reg > 0.0:
-                gamma = np.linalg.solve(G + reg * np.eye(count), cross[1])
+                gamma = np.linalg.solve(G + reg * np.eye(len(order) - 1), dV[:, -1])
             else:
-                count = slot = 0
+                order = [k]
         last_norm = g_norm
 
-        if count > 0:
-            # U is spent: its buffer takes the extrapolated state
+        if len(order) > 1:
+            # U is spent: its buffer takes the extrapolated state, one product over the
+            # kept T(W), slots lo to hi: W = T - sum_i gamma_i (T_(i+1) - T_i), oldest
+            # first; beta weighs each adj(dT) at the slot of its T_(i+1) alike
+            ext = [0.0] + gamma.tolist() + [1.0]
+            alpha, beta = [0.0] * (hi - lo), [0.0] * (hi - lo)
+            for i, slot in enumerate(order):
+                alpha[slot - lo] = ext[i + 1] - ext[i]
+                beta[slot - lo] = ext[i]
             W = U
-            np.matmul(gamma, flat_T[:count], out=W.reshape(-1))
-            np.subtract(T, W, out=W)
+            np.matmul(alpha, flat_T[lo:hi], out=W.reshape(-1))
         else:
             W = T
         Z = svt(W, 1.0 / rho, out=Zbuf, factors=z_factors)
         np.subtract(W, Z, out=U)
         np.subtract(AX, Z, out=R)
 
-        # a non-finite entry of R, AX or Z shows in its norm
+        # a non-finite entry of AX or Z shows in the norm of AX or R; svt's shrunk
+        # spectrum gives ||Z||
         pri = _norm(R)
-        norm_ax, norm_z = _norm(AX), _norm(Z)
-        if not (math.isfinite(pri + norm_ax + norm_z) and np.isfinite(X).all()):
+        norm_ax, norm_z = _norm(AX), _norm(z_factors[1])
+        if not (math.isfinite(pri + norm_ax) and np.isfinite(X).all()):
             raise SolverError(f"non-finite iterates at iteration {it}")
 
-        adjZnew = apply_adjoint(Z, spec)
+        adjZnew = apply_adjoint(Z, spec, scratch)
         Sdual = rho * (adjZ - adjZnew)
-        if count > 0:
-            Sdual -= rho * (gamma @ flat_adj[:count]).reshape(p, d)
+        if len(order) > 1:
+            Sdual -= rho * np.matmul(beta, flat_adj[lo:hi]).reshape(p, d)
         adjY = Sdual.copy()
         adjY[:, :N] += fit
         adjZ = adjZnew
@@ -592,7 +655,7 @@ def solve(
             U *= rho / rho_new
             rho = rho_new
             solver = _XSolver(fact, weight, rho)
-            count = -1
+            order = []
 
     if gap_at != iterations:
         gap = _relative_gap(fact, a[:, :N], weight, X, AX, adjY, U, rho, R, params.eps_rel)
@@ -640,6 +703,7 @@ def sweep(
     if fact is None:
         fact = SweepFactorization.from_spec(spec)
 
+    workspace = _Workspace(spec)
     results: list[SolveResult | None] = []
     warm = None
     for k, lam in enumerate(grid):
@@ -653,7 +717,7 @@ def sweep(
                 theta = min(PREDICT * math.log(lam / grid[k - 1]) / step, 1.0)
                 start = _predicted_start(results[-1], results[-2], theta, spec)
         try:
-            warm = solve(spec, y_measured, lam, params, fact, warm=start)
+            warm = solve(spec, y_measured, lam, params, fact, warm=start, workspace=workspace)
             results.append(warm)
         except (SolverError, np.linalg.LinAlgError):
             results.append(None)

@@ -12,8 +12,10 @@ the per-lag blocks.  The linear map is the data equation
 with ``data`` the frozen negated block-Hankel matrix of [u, y], the only
 copy of the record that the operator spec holds, and T(X) built by the
 one block-Toeplitz builder (T_y has a zero lag-0 block).  Its adjoint
-takes yhat from the antidiagonal sums of Z and the Toeplitz blocks from
-the block-diagonal sums of Z data'.  Each Hankel or Toeplitz builder
+takes yhat and the Toeplitz blocks from the partial antidiagonal sums of
+Z, over its block rows from each lag down: the sums from lag 0 are yhat,
+and those from lag k, correlated with the samples, the lag-k blocks, so
+the blockwise product Z data' is never formed.  Each Hankel or Toeplitz builder
 returns a C-contiguous copy of one window view, entry [r, c] = seq[r + c],
 of the samples or of the lags reversed and then s - 1 zero blocks, and the
 Toeplitz adjoint sums a diagonal view of the zero-padded block grid.  The
@@ -205,23 +207,54 @@ def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = N
     return out
 
 
-def _antidiag_sums(Z: np.ndarray, p: int, N: int) -> np.ndarray:
-    """Adjoint of block_hankel on p channels: yhat[i, t] sums Z[r*p + i, c] over r + c = t."""
-    # rows of length N + 1 read back in rows of length N move entry (r, c) to column r + c
-    s, ncols = Z.shape[0] // p, Z.shape[1]
-    padded = np.zeros((p, s, N + 1))
-    padded[:, :, :ncols] = Z.reshape(s, p, ncols).transpose(1, 0, 2)
-    return padded.reshape(p, -1)[:, : s * N].reshape(p, s, N).sum(axis=1)
+@lru_cache(maxsize=None)
+def _suffix_sums(s: int) -> np.ndarray:
+    """(s, s) upper-triangular ones: row k of its product sums rows k..s-1."""
+    ones = np.triu(np.ones((s, s)))
+    ones.flags.writeable = False
+    return ones
 
 
-def apply_adjoint(Z: np.ndarray, spec: OperatorSpec) -> np.ndarray:
-    """Adjoint of apply_operator, as a (p, block_dim) stack: <A(X), Z> == <X, adjoint(Z)>."""
+def apply_adjoint(Z: np.ndarray, spec: OperatorSpec, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of apply_operator, as a (p, block_dim) stack: <A(X), Z> == <X, adjoint(Z)>.
+
+    Z's block rows, laid in rows of N + 1 samples zero-padded past ncols
+    and read back in rows of N, put entry (r, c) at sample r + c.  One
+    product with the (s, s) upper-triangular ones then gives the partial
+    antidiagonal sums S_k(t), over r >= k and r + c = t, for every k: S_0
+    is the adjoint of the Hankel part, and the Toeplitz block of lag k is
+    sum_t S_k(t) d(t - k), d being the record's negated samples, which
+    ``data`` holds in its first block row and last column.  Read back in
+    rows of N + 1 again, row k starts at S_k(k), so one product of all s
+    rows with d gives every lag: O(s N (m + p)) work for the Toeplitz part,
+    not the O(s^2 N (m + p)) of Z data'.  The two (p, s, N + 1) arrays this
+    takes are ``scratch``, a C-contiguous float array of shape
+    (2, p, s, N + 1) whose contents do not matter, or allocated here; with
+    it the call makes no array of Z's size.  The result is the same, bit
+    for bit, either way.
+    """
     Z = np.asarray(Z, dtype=float)
-    if Z.shape != (spec.p * spec.s, spec.ncols):
-        raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
-    blocks = block_toeplitz_adjoint(Z @ spec.data.T, spec.p).transpose(1, 2, 0)
-    toeplitz = blocks[:, _toeplitz_mask(spec.m, spec.p, spec.s)]
-    return np.concatenate([_antidiag_sums(Z, spec.p, spec.N), toeplitz], axis=1)
+    p, s, N, ncols, q = spec.p, spec.s, spec.N, spec.ncols, spec.m + spec.p
+    if Z.shape != (p * s, ncols):
+        raise ValueError(f"Z has shape {Z.shape}, expected {(p * s, ncols)}")
+    shape = (2, p, s, N + 1)
+    if scratch is None:
+        scratch = np.empty(shape)
+    elif scratch.shape != shape or scratch.dtype != float or not scratch.flags.c_contiguous:
+        raise ValueError(f"scratch must be a C-contiguous float array of shape {shape}")
+    padded, sums = scratch.reshape(2, p, -1)
+    padded.reshape(p, s, N + 1)[:, :, ncols:] = 0.0
+    padded.reshape(p, s, N + 1)[:, :, :ncols] = Z.reshape(s, p, ncols).transpose(1, 0, 2)
+    # past the s rows of N, S_(s-1) read in rows of N + 1 meets s zeros
+    sums[:, s * N :] = 0.0
+    np.matmul(_suffix_sums(s), padded[:, : s * N].reshape(p, s, N), out=sums[:, : s * N].reshape(p, s, N))
+    negated = np.empty((q, N))
+    negated[:, :ncols] = spec.data[:q]
+    negated[:, ncols:] = spec.data[q:, -1].reshape(s - 1, q).T
+    # row k of S_k(k + tau) reads S_(k+1) past N - k, which is 0 there
+    blocks = sums.reshape(p, s, N + 1)[:, :, :N] @ negated.T
+    toeplitz = blocks.transpose(0, 2, 1)[:, _toeplitz_mask(spec.m, p, s)]
+    return np.concatenate([sums[:, :N], toeplitz], axis=1)
 
 
 def _real_part(a: np.ndarray, what: str) -> np.ndarray:

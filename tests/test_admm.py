@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -845,6 +846,85 @@ def test_sweep_maps_a_failed_point_to_none_and_warm_starts_past_it(monkeypatch, 
     assert swept[2].iterations == want.iterations
     for name in ("x", "Z", "y_dual"):
         assert np.array_equal(getattr(swept[2], name), getattr(want, name))
+
+
+def test_a_second_sweep_on_the_shared_factorization_leaves_the_first_sweeps_results():
+    spec, y, _ = random_data_problem(23)
+    fact = SweepFactorization.from_spec(spec)
+    first = sweep(spec, y, spec.N * np.logspace(-1.5, 3, 5), fact=fact)
+    copies = [
+        ({name: getattr(res, name).copy() for name in ("x", "Z", "y_dual")}, [f.copy() for f in res.z_svd])
+        for res in first
+    ]
+    other_y = np.random.default_rng(5).standard_normal(y.shape)
+    second = sweep(spec, other_y, spec.N * np.logspace(-1, 2, 4), fact=fact)
+    assert all(res is not None for res in first + second)
+    for res, (arrays, factors) in zip(first, copies):
+        for name, want in arrays.items():
+            assert np.array_equal(getattr(res, name), want)
+        assert len(res.z_svd) == len(factors) == 2
+        assert all(np.array_equal(got, want) for got, want in zip(res.z_svd, factors))
+
+
+def test_points_after_a_non_finite_failure_are_fresh_solves(monkeypatch):
+    # A(X) turns NaN in the third point's fourth iteration, so that point's
+    # solve fails with NaN in the shared rings; the points after it must not see them
+    spec, y, _ = random_data_problem(15)
+    grid = spec.N * np.logspace(-1.5, 3, 6)
+    fact = SweepFactorization.from_spec(spec)
+    real_solve, real_operator = n2sid.admm.solve, n2sid.admm.apply_operator
+    state = {"armed": False, "calls": 0}
+
+    def solve_arming_the_third_point(spec_, y_, lam, *args, **kwargs):
+        state["armed"] = lam == grid[2]
+        return real_solve(spec_, y_, lam, *args, **kwargs)
+
+    def operator_turning_nan(*args, **kwargs):
+        out = real_operator(*args, **kwargs)
+        if state["armed"]:
+            state["calls"] += 1
+            if state["calls"] == 4:  # a warm start applies no operator: iteration 4
+                out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(n2sid.admm, "solve", solve_arming_the_third_point)
+    monkeypatch.setattr(n2sid.admm, "apply_operator", operator_turning_nan)
+    swept = sweep(spec, y, grid, fact=fact)
+    assert state["calls"] == 4 and swept[2] is None
+    monkeypatch.undo()
+    assert all(res is not None for res in swept[3:])
+    # past the failure: warm from the last success, then warm, then predicted
+    want = [swept[0], swept[1], None]
+    want.append(solve(spec, y, grid[3], fact=fact, warm=swept[1]))
+    want.append(solve(spec, y, grid[4], fact=fact, warm=want[3]))
+    theta = min(0.5 * math.log(grid[5] / grid[4]) / math.log(grid[4] / grid[3]), 1.0)
+    want.append(solve(spec, y, grid[5], fact=fact, warm=_predicted_start(want[4], want[3], theta, spec)))
+    for got, res in zip(swept[3:], want[3:]):
+        assert got.iterations == res.iterations
+        for name in ("x", "Z", "y_dual"):
+            assert np.array_equal(getattr(got, name), getattr(res, name))
+
+
+def test_an_iteration_allocates_no_array_of_z_size():
+    # the solve's arrays are allocated before its first iteration: forty
+    # iterations peak where five do, to well within one Z-sized array
+    rec = make_record(make_siso_order2(), 400, seed=40, noise_std=0.2)
+    spec = OperatorSpec.from_data(rec.u, rec.y, 15)
+    fact = SweepFactorization.from_spec(spec)
+    z_bytes = spec.p * spec.s * spec.ncols * 8
+
+    def peak(max_iter):
+        params = AdmmParams(max_iter=max_iter, eps_abs=1e-300, eps_rel=1e-300)
+        tracemalloc.start()
+        try:
+            res = solve(spec, rec.y, 2.0 * spec.N, params, fact)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == max_iter and not res.converged
+        return top
+
+    assert peak(40) - peak(5) < 0.5 * z_bytes
 
 
 def test_sweep_warm_start_consistency():

@@ -1,9 +1,11 @@
 """The equivalence-set runner's summary and comparison (tools/equivalence.py)."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
@@ -115,3 +117,78 @@ def test_the_variants_group_runs_each_variant_at_a_fixed_order(tool):
     assert f"seed=1 job={tool.VARIANT_JOBS - 1} n_ide={tool.VARIANT_N_IDE}" in short
     m3 = tool._entry("variants", *variants[2])
     assert "error" not in m3 and m3["order"] == tool.VARIANT_ORDER
+
+
+def test_changes_counts_order_lambda_iteration_and_vaf_only_changes_apart(tool):
+    old_entries = [
+        entry("a", 2, 1.0, 99.0, 100), entry("b", 3, 2.0, 98.0, 100), entry("c", 2, 4.0, 97.0, 100),
+        entry("d", 4, 1.0, 96.0, 90), entry("e", 2, 1.0, 95.0, 80), entry("f", 2, 1.0, 94.0, 70),
+        entry("g", 2, 1.0, 93.0, 60, group="long"),
+    ]
+    new_entries = [
+        entry("a", 2, 1.0, 99.0, 100),  # identical
+        entry("b", 3, 2.0, 98.5, 100),  # VAF alone
+        entry("c", 2, 8.0, 97.0, 110),  # lambda only, and iterations
+        entry("d", 5, 1.0, 96.0, 90),  # order
+        entry("e", 2, 1.0, 95.1, 80, unconverged=1),  # VAF, but not alone
+        {"group": "short", "key": "f", "error": "SolverError('all lambda grid points failed')"},
+        entry("g", 2, 1.0, 93.0, 61, group="long"),  # iterations alone
+        entry("h", 2, 1.0, 93.0, 61),  # added, not compared
+    ]
+    old = {"entries": old_entries, "summary": tool.summarize(old_entries)}
+    new = {"entries": new_entries, "summary": tool.summarize(new_entries)}
+    counts = tool.changes(old, new)
+    assert counts["short"] == {"order": 2, "lambda": 1, "iterations": 1, "vaf_only": 1}
+    assert counts["long"] == {"order": 0, "lambda": 0, "iterations": 1, "vaf_only": 0}
+    assert counts["tall"] == dict.fromkeys(tool.KINDS, 0)
+    lines = tool.compare(old, new)
+    (short,) = [line for line in lines if line.startswith("short:")]
+    assert short.endswith("order moves 2, lambda-only moves 1, iteration changes 1, vaf-only changes 1")
+    totals = "order moves 2, lambda-only moves 1, iteration changes 2, vaf-only changes 1"
+    assert lines[-2] == "all groups: " + totals
+
+
+class _Report:
+    """The fields of a PipelineReport that the tool's entries read."""
+
+    def __init__(self, order, lambda_opt):
+        self.best = type("Best", (), {"order": order})()
+        self.lambda_opt = lambda_opt
+        self.iterations = np.array([10, 12])
+        self.converged = np.array([True, True])
+        self.failures = []
+
+
+@pytest.mark.parametrize(
+    "new, groups, code",
+    [
+        ((2, 1.0), "short", 0),  # nothing moved
+        ((2, 2.0), "short", 1),  # lambda_opt moved in a guarded group
+        ((3, 1.0), "short,long", 1),  # order moved in a guarded group
+        ((3, 1.0), "long", 0),  # the move is in a group not named
+    ],
+    ids=["unmoved", "lambda-moved", "order-moved", "other-group"],
+)
+def test_fail_on_move_exits_1_on_a_selection_move_in_the_named_groups(
+    tool, monkeypatch, tmp_path, new, groups, code
+):
+    def run():
+        return _Report(*new), 99.0
+
+    monkeypatch.setattr(tool, "identifications", lambda *args: iter([("short", "a", run)]))
+    old = {"entries": [entry("a", 2, 1.0, 99.0, 22)]}
+    old["summary"] = tool.summarize(old["entries"])
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    argv = ["--out", str(tmp_path / "new.json"), "--compare", str(tmp_path / "old.json")]
+    assert tool.main(argv + ["--fail-on-move", groups]) == code
+    assert tool.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["--fail-on-move", "short"], ["--compare", "old.json", "--fail-on-move", "shorts"]]
+)
+def test_fail_on_move_needs_a_comparison_and_known_groups(tool, tmp_path, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["--out", str(tmp_path / "new.json")] + argv)
+    assert exit_info.value.code == 2
+    assert not (tmp_path / "new.json").exists()

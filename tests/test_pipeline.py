@@ -380,6 +380,18 @@ def test_identify_all_failed_raises(monkeypatch):
         identify(rec, cfg)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e-60, 1e-100])
+def test_outputs_too_small_for_the_x_step_fail_every_point_without_a_warning(scale):
+    # at 1e-100 the Schur complement's Cholesky succeeds on tiny pivots and its
+    # inverse overflows: the X step pseudo-inverts instead, with no RuntimeWarning
+    rec = make_record(make_siso_order2(), 80, 40, noise_std=0.2)
+    tiny = IoRecord(u=rec.u, y=rec.y * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="all lambda grid points failed"):
+            identify(tiny, PipelineConfig(s=6, n_lambda=4))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(s=1)

@@ -280,6 +280,18 @@ def test_adjoint_identity_random_trials():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
+def test_adjoint_in_a_scratch_of_any_contents_matches_the_allocating_call():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        spec = random_spec(rng)
+        Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
+        scratch = np.full((2, spec.p, spec.s, spec.N + 1), np.nan)
+        assert np.array_equal(apply_adjoint(Z, spec, scratch), apply_adjoint(Z, spec))
+    for bad in (scratch[0], scratch.astype(np.float32), np.asfortranarray(scratch)):
+        with pytest.raises(ValueError, match="scratch"):
+            apply_adjoint(Z, spec, bad)
+
+
 def test_adjoint_single_entry_matches_dense_column():
     rng = np.random.default_rng(11)
     spec = random_spec(rng, s_lo=3, s_hi=5, n_hi=15)

@@ -37,10 +37,16 @@ otherwise):
 With ``--compare`` it also lists every identification that changed in
 any field ("moved" when its order or lambda_opt did), each group's change in
 iterations and median VAF (a group the older JSON lacks is left out, its
-identifications listed as added), and ends with how many of the
-identifications are identical in every field.
+identifications listed as added), then counts, per group and in all, the
+order moves (an identification that starts or stops raising counts as one),
+the lambda_opt-only moves, the iteration changes and the changes of VAF
+alone, and ends with how many of the identifications are identical in
+every field.
 ``--check`` exits 1 when an identification raised or a solve did not
-converge.
+converge.  ``--fail-on-move GROUPS``, with ``--compare``, exits 1 when any
+identification of the comma-separated groups moved its order or lambda_opt:
+
+    python tools/equivalence.py --out new.json --compare old.json --fail-on-move short,mimo_io,long
 """
 
 from __future__ import annotations
@@ -192,13 +198,56 @@ def summarize(entries: list) -> dict:
     return summary
 
 
+KINDS = ("order", "lambda", "iterations", "vaf_only")
+
+
+def changes(old: dict, new: dict) -> dict:
+    """Per group, how many identifications in both JSONs changed in each way (KINDS).
+
+    An order move is a changed order, or an identification that raised in
+    one JSON only; a lambda move a changed lambda_opt at the same order; an
+    iteration change a changed iteration count, whatever else moved; and a
+    VAF-only change one where the VAF is the only field that differs.
+    """
+    before = {(e["group"], e["key"]): e for e in old["entries"]}
+    counts = {group: dict.fromkeys(KINDS, 0) for group in GROUPS}
+    others = ("order", "lambda_opt") + tuple(f for f in CHANGED_FIELDS if f != "vaf")
+    for e in new["entries"]:
+        was = before.get((e["group"], e["key"]))
+        if was is None:
+            continue
+        tally = counts.setdefault(e["group"], dict.fromkeys(KINDS, 0))
+        if ("error" in e) != ("error" in was):
+            tally["order"] += 1
+            continue
+        if "error" in e:
+            continue
+        if e["order"] != was["order"]:
+            tally["order"] += 1
+        elif e["lambda_opt"] != was["lambda_opt"]:
+            tally["lambda"] += 1
+        tally["iterations"] += e["iterations"] != was["iterations"]
+        tally["vaf_only"] += e["vaf"] != was["vaf"] and all(e[f] == was[f] for f in others)
+    return counts
+
+
+def _counts_text(tally: dict) -> str:
+    return (
+        f"order moves {tally['order']}, lambda-only moves {tally['lambda']}, "
+        f"iteration changes {tally['iterations']}, vaf-only changes {tally['vaf_only']}"
+    )
+
+
 def compare(old: dict, new: dict) -> list[str]:
     """Lines naming every changed identification, each group's deltas and the count unchanged.
 
     A moved selection (order or lambda_opt) is listed as "moved", any other
     changed field (VAF, iterations, unconverged solves, grid failures) as
-    "changed"; the last line counts the entries identical in every field.
+    "changed"; each group's line ends with its counts from ``changes``, a
+    line gives the totals, and the last line counts the entries identical in
+    every field.
     """
+    counts = changes(old, new)
     lines = []
     before = {(e["group"], e["key"]): e for e in old["entries"]}
     identical = 0
@@ -231,8 +280,10 @@ def compare(old: dict, new: dict) -> list[str]:
             f"below {VAF_FLOOR:g} {a['below_floor']} -> {b['below_floor']}, "
             f"unconverged {a['unconverged']} -> {b['unconverged']}, "
             f"grid failures {a['grid_failures']} -> {b['grid_failures']}, "
-            f"errors {a['errors']} -> {b['errors']}"
+            f"errors {a['errors']} -> {b['errors']}; " + _counts_text(counts[group])
         )
+    total = {kind: sum(tally[kind] for tally in counts.values()) for kind in KINDS}
+    lines.append("all groups: " + _counts_text(total))
     lines.append(f"{identical} of {len(new['entries'])} entries identical in every field")
     return lines
 
@@ -246,7 +297,15 @@ def main(argv=None) -> int:
     parser.add_argument("--long-seed", type=int, default=7)
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if an identification raised or a solve did not converge")
+    parser.add_argument("--fail-on-move", default=None, metavar="GROUPS",
+                        help="with --compare, exit 1 if an order or lambda_opt moved in these groups "
+                             "(comma-separated)")
     args = parser.parse_args(argv)
+    guarded = [g for g in (args.fail_on_move or "").split(",") if g]
+    if args.fail_on_move is not None and not args.compare:
+        parser.error("--fail-on-move needs --compare")
+    if set(guarded) - set(GROUPS):
+        parser.error(f"--fail-on-move takes groups of {', '.join(GROUPS)}")
     # the extraction's rank warnings would bury the summary
     warnings.simplefilter("ignore", UserWarning)
     short_seeds = [int(v) for v in args.short_seeds.split(",") if v]
@@ -262,16 +321,21 @@ def main(argv=None) -> int:
         fh.write("\n")
     for group, row in result["summary"].items():
         print(group, json.dumps(row))
+    moved = 0
     if args.compare:
         with open(args.compare) as fh:
             old = json.load(fh)
         for line in compare(old, result):
             print(line)
+        counts = changes(old, result)
+        moved = sum(counts[g]["order"] + counts[g]["lambda"] for g in guarded)
+        if moved:
+            print(f"{moved} order or lambda_opt moves in {', '.join(guarded)}")
     for e in entries:
         if "error" in e:
             print(f"error {e['group']} {e['key']}: {e['error']}")
     bad = any("error" in e or e["unconverged"] for e in entries)
-    return 1 if args.check and bad else 0
+    return 1 if (args.check and bad) or moved else 0
 
 
 if __name__ == "__main__":
