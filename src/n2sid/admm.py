@@ -44,7 +44,8 @@ convergent type-I Anderson acceleration for nonsmooth optimization",
 SIAM J. Optim. 30(4), 2020): with dT and dG the last AA_MEMORY
 differences of T(W) and g, gamma minimises ||g - dG gamma|| through the
 normal equations (Tikhonov weight AA_REG relative to the trace of their
-Gram), and W <- T(W) - dT gamma.  The differences are not stored: rings
+Gram), solved by a Cholesky factorization in Python floats, and W <-
+T(W) - dT gamma.  The differences are not stored: rings
 hold the last AA_MEMORY + 1 values of T(W) and of g, one product of the
 new g against the g ring updates the small Gram of the values, ||g||
 included, and the differences' Gram and dG' g follow from it by small
@@ -105,6 +106,16 @@ the ring's product.  A non-finite entry of A(X) or Z shows in the norm
 of A(X) or of R = A(X) - Z, which the stopping rule takes anyway, and
 svt rejects a non-finite W, so no separate finiteness pass over Z-sized
 arrays is made.
+
+On short records, N a small multiple of s as in the paper's protocol, an
+iteration costs about the same whatever N is, since its time goes to
+numpy calls on small arrays rather than to arithmetic.  So the iteration
+keeps its small algebra out of numpy's general routines where the
+wrappers would cost more than the work: the operator and the adjoint run
+on index plans made once per (m, p, s) (see structured_ops), svt shrinks
+over the kept eigenvectors only, the Anderson weights come from an
+at most 3 x 3 Cholesky factorization in Python floats, and the gap takes
+its inner products with np.vdot.
 """
 
 from __future__ import annotations
@@ -205,9 +216,8 @@ class SweepFactorization:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Frobenius norm: for a contiguous array, bit for bit np.linalg.norm's, without its dispatch."""
-    v = v.reshape(-1)
-    return math.sqrt(v.dot(v))
+    """Frobenius norm: for a C-contiguous array, bit for bit np.linalg.norm's, without its dispatch."""
+    return math.sqrt(np.vdot(v, v))
 
 
 class _XSolver:
@@ -226,10 +236,12 @@ class _XSolver:
 
     def __init__(self, fact: SweepFactorization, weight: float, rho: float):
         self.cross, self.rho = fact.cross, rho
-        self.dinv = 1.0 / (weight + rho * fact.diag)
+        dinv = 1.0 / (weight + rho * fact.diag)
+        # a column, which scales the rows of a right-hand side's yhat block
+        self.dinv = dinv[:, None]
         dinv_inner = 1.0 / (weight + rho * min(fact.spec.s, fact.spec.ncols))
         rows = fact.edge_rows
-        gram = dinv_inner * fact.inner + (rows.T * self.dinv[fact.edge]) @ rows
+        gram = dinv_inner * fact.inner + (rows.T * dinv[fact.edge]) @ rows
         self.S = rho * fact.small - rho**2 * gram
         try:
             L_inv = np.linalg.inv(np.linalg.cholesky(self.S))
@@ -244,12 +256,14 @@ class _XSolver:
 
     def solve(self, RHS: np.ndarray) -> np.ndarray:
         N = self.dinv.shape[0]
-        c = RHS[N:] - self.rho * (self.cross.T @ (self.dinv[:, None] * RHS[:N]))
+        c = RHS[N:] - self.rho * (self.cross.T @ (self.dinv * RHS[:N]))
         t = self.S_pinv @ c
         if self.cut and np.linalg.norm(self.S @ t - c) > 1e-6 * (1.0 + np.linalg.norm(RHS)):
             raise SolverError("x-update system singular beyond pseudo-solve tolerance")
-        yhat = self.dinv[:, None] * (RHS[:N] - self.rho * (self.cross @ t))
-        return np.vstack([yhat, t])
+        X = np.empty((N + t.shape[0], t.shape[1]))
+        X[N:] = t
+        np.multiply(self.dinv, RHS[:N] - self.rho * (self.cross @ t), out=X[:N])
+        return X
 
 
 @dataclass(frozen=True)
@@ -291,10 +305,12 @@ def svt(
     Soft-shrinks every singular value of Y by ``threshold``.  Works on
     the Gram Y Y' of Y's rows, which is built for the solver's Z and its
     p*s rows, not for a Y with many: with Y Y' = U diag(sigma^2) U', the
-    result is U diag(f) U' Y, f = max(sigma - threshold, 0) / sigma.  The
+    result is U_k diag(f_k) U_k' Y, f = (sigma - threshold) / sigma over
+    the k kept eigenvectors, those of sigma above the threshold.  The
     Gram squares the condition number, so a kept sigma below GRAM_CUTOFF *
     sigma_max would lose accuracy; then an SVD of Y is used instead.  A
-    non-finite Y raises SolverError before any factorization.
+    non-finite Y raises SolverError before any factorization, and a
+    negative or nan threshold ValueError.
 
     With ``out``, a float array of Y's shape, the result is written into
     it and ``out`` is returned, on every path: the SVD fallback writes its
@@ -307,7 +323,7 @@ def svt(
     max(sigma - threshold, 0), descending and exactly 0 past the result's
     rank: the Gram's top eigenvectors, or the fallback SVD's left vectors.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     Y = np.asarray(Y, dtype=float)
     if out is None:
@@ -320,20 +336,20 @@ def svt(
     evals, U = np.linalg.eigh(G)
     sigma = np.sqrt(np.maximum(evals, 0.0))
     # sigma ascends, so the kept values, those above the threshold, are its suffix [first:]
-    first = int(np.searchsorted(sigma, threshold, side="right"))
+    first = int(sigma.searchsorted(threshold, side="right"))
     if first < sigma.size and sigma[first] < GRAM_CUTOFF * sigma[-1]:
         U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
         shrunk = np.maximum(sv - threshold, 0.0)
         if factors is not None:
             factors.extend((U, shrunk))
         return np.matmul(U * shrunk, Vt, out=out)
-    shrunk, f = np.zeros(sigma.size), np.zeros(sigma.size)
-    np.subtract(sigma[first:], threshold, out=shrunk[first:])
-    np.divide(shrunk[first:], sigma[first:], out=f[first:])
+    shrunk = np.zeros(sigma.size)
+    kept = np.subtract(sigma[first:], threshold, out=shrunk[first:])
+    U_kept = U[:, first:]
     if factors is not None:
         k = min(Y.shape)
         factors.extend((U[:, ::-1][:, :k], shrunk[::-1][:k]))
-    return np.matmul((U * f) @ U.T, Y, out=out)
+    return np.matmul((U_kept * (kept / sigma[first:])) @ U_kept.T, Y, out=out)
 
 
 def _measured(spec: OperatorSpec, y: np.ndarray, lam: float) -> np.ndarray:
@@ -382,12 +398,12 @@ def _relative_gap(
     N, tol = spec.N, GAP_TOL * eps_rel
     with np.errstate(over="ignore", invalid="ignore"):
         theta = adjY[:, N:] @ fact.small_pinv
-        d_theta = math.sqrt(max(float(np.sum((theta @ fact.small) * theta)), 0.0))
+        d_theta = math.sqrt(max(float(np.vdot(theta @ fact.small, theta)), 0.0))
         V = adjY[:, :N] - theta @ fact.cross.T
-        Vy, VV = float(np.sum(V * y_t)), float(np.sum(V * V))
+        Vy, VV = float(np.vdot(V, y_t)), float(np.vdot(V, V))
     nuclear = float(np.sqrt(np.maximum(np.linalg.eigvalsh(AX @ AX.T), 0.0)).sum())
     diff = X[:, :N] - y_t
-    primal = nuclear + 0.5 * weight * float(np.sum(diff * diff))
+    primal = nuclear + 0.5 * weight * float(np.vdot(diff, diff))
     scale = max(1.0, abs(primal))
 
     def gap_at(c: float) -> float:
@@ -403,6 +419,59 @@ def _relative_gap(
         if c > 0.0:
             gap = min(gap, gap_at(c))
     return gap if -tol <= gap < math.inf else math.nan
+
+
+def _cholesky_solve(A: list, reg: float, b: list) -> list | None:
+    """x with (A + reg I) x = b, for 1 to 3 unknowns, by a Cholesky factorization in
+    Python floats that reads A's lower triangle; None when a pivot is not positive
+    and finite or x is not finite.  Written out for the at most AA_MEMORY = 3
+    unknowns of an Anderson step, where numpy's wrappers cost more than the arithmetic."""
+    p0 = A[0][0] + reg
+    if not 0.0 < p0 < math.inf:
+        return None
+    l00 = math.sqrt(p0)
+    z0 = b[0] / l00
+    if len(b) == 1:
+        x = [z0 / l00]
+    else:
+        l10 = A[1][0] / l00
+        p1 = A[1][1] + reg - l10 * l10
+        if not 0.0 < p1 < math.inf:
+            return None
+        l11 = math.sqrt(p1)
+        z1 = (b[1] - l10 * z0) / l11
+        if len(b) == 2:
+            x1 = z1 / l11
+            x = [(z0 - l10 * x1) / l00, x1]
+        else:
+            l20 = A[2][0] / l00
+            l21 = (A[2][1] - l20 * l10) / l11
+            p2 = A[2][2] + reg - l20 * l20 - l21 * l21
+            if not 0.0 < p2 < math.inf:
+                return None
+            l22 = math.sqrt(p2)
+            x2 = (b[2] - l20 * z0 - l21 * z1) / l22 / l22
+            x1 = (z1 - l21 * x2) / l11
+            x = [(z0 - l10 * x1 - l20 * x2) / l00, x1, x2]
+    return x if math.isfinite(sum(x)) else None
+
+
+def _anderson_weights(V: list) -> list | None:
+    """gamma of the Anderson step from V, the Gram of the kept g values, oldest first.
+
+    With dV the differences of V's consecutive rows, <dg_i, g_j>, and G
+    those of dV's consecutive columns, <dg_i, dg_j>, gamma solves the
+    normal equations (G + reg I) gamma = dV[:, -1], reg = AA_REG
+    trace(G).  None, which clears the memory, when reg is not positive
+    and finite, or the system is not positive definite and finite.
+    """
+    n = len(V) - 1
+    dV = [[b - a for a, b in zip(V[i], V[i + 1])] for i in range(n)]
+    G = [[row[j + 1] - row[j] for j in range(n)] for row in dV]
+    reg = AA_REG * sum([G[i][i] for i in range(n)])
+    if not 0.0 < reg < math.inf:
+        return None
+    return _cholesky_solve(G, reg, [row[n] for row in dV])
 
 
 def _penalty_step(rho: float, pri: float, dual: float, mu: float) -> float:
@@ -590,14 +659,9 @@ def solve(
         else:
             np.subtract(adjT, adj_last, out=ws.adj_diff[k])
             order = kept + [k]
-            # differences of consecutive values: rows <dg_i, g_j>, then <dg_i, dg_j>
-            V = gram[order][:, order]
-            dV = V[1:] - V[:-1]
-            G = dV[:, 1:] - dV[:, :-1]
-            reg = AA_REG * G.trace()
-            if reg > 0.0:
-                gamma = np.linalg.solve(G + reg * np.eye(len(order) - 1), dV[:, -1])
-            else:
+            rows = gram.tolist()
+            gamma = _anderson_weights([[rows[i][j] for j in order] for i in order])
+            if gamma is None:
                 order = [k]
         last_norm = g_norm
 
@@ -605,7 +669,7 @@ def solve(
             # U is spent: its buffer takes the extrapolated state, one product over the
             # kept T(W), slots lo to hi: W = T - sum_i gamma_i (T_(i+1) - T_i), oldest
             # first; beta weighs each adj(dT) at the slot of its T_(i+1) alike
-            ext = [0.0] + gamma.tolist() + [1.0]
+            ext = [0.0] + gamma + [1.0]
             alpha, beta = [0.0] * (hi - lo), [0.0] * (hi - lo)
             for i, slot in enumerate(order):
                 alpha[slot - lo] = ext[i + 1] - ext[i]
@@ -620,8 +684,10 @@ def solve(
 
         # a non-finite entry of AX or Z shows in the norm of AX or R; svt's shrunk
         # spectrum gives ||Z||
-        pri = _norm(R)
-        norm_ax, norm_z = _norm(AX), _norm(z_factors[1])
+        pri, norm_ax = _norm(R), _norm(AX)
+        # the spectrum is a reversed view, summed as np.linalg.norm sums it
+        spectrum = z_factors[1]
+        norm_z = math.sqrt(spectrum.dot(spectrum))
         if not (math.isfinite(pri + norm_ax) and np.isfinite(X).all()):
             raise SolverError(f"non-finite iterates at iteration {it}")
 
@@ -637,8 +703,8 @@ def solve(
         eps_pri = sqrt_pri * params.eps_abs + params.eps_rel * max(norm_ax, norm_z)
         # both stops need the primal residual within GAP_GATE of its threshold
         if pri <= GAP_GATE * eps_pri:
-            with np.errstate(over="ignore"):  # inf once the fit weight overflows adj(Y)'s norm
-                eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * _norm(adjY)
+            # inf, without a warning from np.vdot, once the fit weight overflows adj(Y)'s norm
+            eps_dual = sqrt_dual * params.eps_abs + params.eps_rel * _norm(adjY)
             if pri <= eps_pri and dual <= eps_dual:
                 converged = True
                 break

@@ -66,7 +66,7 @@ _LSTSQ_RCOND = 1e-10
 
 def _require_finite(what: str, *arrays: np.ndarray) -> None:
     """Raise before a non-finite array (from unstable dynamics) reaches LAPACK."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise SimulationOverflowError(f"non-finite values in {what}")
 
 
@@ -226,7 +226,8 @@ def estimate_BDx0(
         target = rec.y - sens[..., m:].reshape(N, p, n * p) @ K.reshape(-1)
     # column j*n + i is the response to u_j(k) e_i (entry Bobs[i, j])
     b_cols = sens[..., :m].transpose(0, 1, 3, 2).reshape(N, p, m * n)
-    d_cols = np.kron(rec.u, np.eye(p)).reshape(N, p, p * m)
+    # column j*p + i is the response to u_j(k) e_i (entry D[i, j]): kron(u, I) by broadcasting
+    d_cols = (rec.u[:, None, :, None] * np.eye(p)[:, None, :]).reshape(N, p, m * p)
     regressor = np.concatenate([b_cols, d_cols, free], axis=2)
     theta = _lstsq(
         regressor.reshape(N * p, -1), target.reshape(-1), "input/feed-through/initial-state fit"

@@ -17,11 +17,11 @@ the feed-through D u(k), from one start contract (``_response_from``);
 Markov parameters and the extraction's regressors come from it too.  A
 drive may enter through an input matrix B, so that the windows' cost
 grows with the inputs instead of the state, and may drive only the
-leading responses of a stack; a free response is a drive of no channels,
-so every response takes one path.  That path cuts the record into
-windows of WINDOW samples, evaluates each through the data equation
-y_window = O_L x(k0) + T_L d_window in batched matrix products, and
-steps Python once per window.  Whatever leaves float range, an output,
+leading responses of a stack; a free response, which has no drive,
+takes the same window loop without the drive's terms.  That loop cuts
+the record into windows of WINDOW samples, evaluates each through the
+data equation y_window = O_L x(k0) + T_L d_window in batched matrix
+products, and steps Python once per window.  Whatever leaves float range, an output,
 the final state or the window's matrix powers, raises
 SimulationOverflowError without a numpy warning.
 
@@ -85,7 +85,7 @@ class StateSpaceModel:
         D = np.asarray(self.D, dtype=float).reshape(p, m)
         K = np.asarray(self.K, dtype=float).reshape(n, p)
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
-            if not np.all(np.isfinite(mat)):
+            if not np.isfinite(mat).all():
                 raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -172,7 +172,7 @@ class IoRecord:
             raise ValueError(f"u has {u.shape[0]} samples but y has {y.shape[0]}")
         if y.shape[0] < 1:
             raise ValueError("record must contain at least one sample")
-        if not np.all(np.isfinite(u)) or not np.all(np.isfinite(y)):
+        if not (np.isfinite(u).all() and np.isfinite(y).all()):
             raise ValueError("record contains non-finite entries")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
@@ -227,7 +227,7 @@ def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
     x0 has shape (n,) or (n, q); the q columns are independent responses
     run together.  ``drive`` has shape (steps, m) or (steps, m, qd), qd <= q,
     and drives the leading qd responses; the others run free, and all do
-    when it is omitted (a drive of no channels).  B, of shape (n, m),
+    when it is omitted, with no drive terms built.  B, of shape (n, m),
     defaults to the identity (m = n).  Only the outputs are kept: the
     result has shape (steps, p) or (steps, p, q).
 
@@ -235,8 +235,10 @@ def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
     y_b = O_L x_b + T_L d_b, with O_L = [C A^j], j < L, and T_L the
     structured_ops.block_toeplitz of [0, C A^0 B, ..., C A^(L-2) B]; its
     start follows x_(b+1) = A^L x_b + R_L d_b, R_L = [A^(L-1) B ... A B B],
-    the only loop.  A last window shorter than L uses the leading part of
-    the same matrices, and given B the cost grows with m instead of n.
+    the only loop over windows.  The powers A^0, ..., A^L take one batched
+    product per doubling of the powers known.  A last window shorter than
+    L uses the leading part of the same matrices, and given B the cost
+    grows with m instead of n.
 
     Raises:
         SimulationOverflowError: if an output or the state after
@@ -252,50 +254,59 @@ def state_response(A, C, x0, steps: int, drive=None, B=None) -> np.ndarray:
     cols = x.shape[1:]
     q = x.shape[1] if cols else 1
     x = x.reshape(n, q)
-    if drive is None:  # a free response: the driven path with a drive of no channels
-        drive, B = np.empty((steps, 0, 0)), np.empty((n, 0))
-    B = None if B is None else np.atleast_2d(np.asarray(B, dtype=float))
-    m = n if B is None else B.shape[1]
-    # the drive's qd columns drive the leading qd responses
-    d = np.asarray(drive, dtype=float)
-    qd = d.shape[2] if d.ndim == 3 else 1
-    d = d.reshape(steps, m, qd)
-    if qd > q:
-        raise ValueError(f"drive has {qd} columns for {q} responses")
+    driven = drive is not None
+    if driven:
+        B = None if B is None else np.atleast_2d(np.asarray(B, dtype=float))
+        m = n if B is None else B.shape[1]
+        # the drive's qd columns drive the leading qd responses
+        d = np.asarray(drive, dtype=float)
+        qd = d.shape[2] if d.ndim == 3 else 1
+        d = d.reshape(steps, m, qd)
+        if qd > q:
+            raise ValueError(f"drive has {qd} columns for {q} responses")
     out = np.empty((steps, p, q))
     with np.errstate(over="ignore", invalid="ignore"):
         if steps:
             L = min(WINDOW, steps)
+            # A^0..A^L, each step doubling the powers known: A^(k+j) = A^k A^j, j <= k
             powers = np.empty((L + 1, n, n))
-            powers[0] = np.eye(n)
-            for j in range(L):
-                np.matmul(A, powers[j], out=powers[j + 1])
+            powers[0], powers[1] = np.eye(n), A
+            k = 1
+            while k < L:
+                h = min(k, L - k)
+                np.matmul(powers[k], powers[1 : h + 1], out=powers[k + 1 : k + h + 1])
+                k += h
             CA = C @ powers[:L]
             O = CA.reshape(L * p, n)
-            lags, steers = CA[:-1], powers[L - 1 :: -1]
-            if B is not None:
-                lags, steers = lags @ B, steers @ B
-            T = block_toeplitz(np.concatenate([np.zeros((1, p, m)), lags]))
-            R = np.concatenate(steers, axis=1)
             nb, tail = divmod(steps, L)
             full = nb * L
-            windows = d[:full].reshape(nb, L * m, qd)
-            forced = R @ windows
+            if driven:
+                lags, steers = CA[:-1], powers[L - 1 :: -1]
+                if B is not None:
+                    lags, steers = lags @ B, steers @ B
+                T = block_toeplitz(np.concatenate([np.zeros((1, p, m)), lags]))
+                # a C-contiguous copy, which matmul hands to BLAS
+                R = np.ascontiguousarray(steers.transpose(1, 0, 2)).reshape(n, L * m)
+                windows = d[:full].reshape(nb, L * m, qd)
+                forced = R @ windows
             starts = np.empty((nb, n, q))
             for b in range(nb):
                 starts[b] = x
                 x = powers[L] @ x
-                x[:, :qd] += forced[b]
+                if driven:
+                    x[:, :qd] += forced[b]
             view = out[:full].reshape(nb, L * p, q)
             np.matmul(O, starts, out=view)
-            view[:, :, :qd] += T @ windows
+            if driven:
+                view[:, :, :qd] += T @ windows
             if tail:
-                d = d[full:].reshape(tail * m, qd)
                 out[full:] = (O[: tail * p] @ x).reshape(tail, p, q)
-                out[full:, :, :qd] += (T[: tail * p, : tail * m] @ d).reshape(tail, p, qd)
                 x = powers[tail] @ x
-                x[:, :qd] += R[:, (L - tail) * m :] @ d
-    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(x))):
+                if driven:
+                    d = d[full:].reshape(tail * m, qd)
+                    out[full:, :, :qd] += (T[: tail * p, : tail * m] @ d).reshape(tail, p, qd)
+                    x[:, :qd] += R[:, (L - tail) * m :] @ d
+    if not (np.isfinite(out).all() and np.isfinite(x).all()):
         raise SimulationOverflowError(f"state recursion overflow within {steps} samples")
     return out.reshape((steps, p) + cols)
 

@@ -9,19 +9,29 @@ the per-lag blocks.  The linear map is the data equation
 
     A(X) = block_hankel(yhat) + T(X) data,    T(X) = [T_u, T_y],
 
-with ``data`` the frozen negated block-Hankel matrix of [u, y], the only
-copy of the record that the operator spec holds, and T(X) built by the
-one block-Toeplitz builder (T_y has a zero lag-0 block).  Its adjoint
-takes yhat and the Toeplitz blocks from the partial antidiagonal sums of
-Z, over its block rows from each lag down: the sums from lag 0 are yhat,
-and those from lag k, correlated with the samples, the lag-k blocks, so
-the blockwise product Z data' is never formed.  Each Hankel or Toeplitz builder
-returns a C-contiguous copy of one window view, entry [r, c] = seq[r + c],
-of the samples or of the lags reversed and then s - 1 zero blocks, and the
-Toeplitz adjoint sums a diagonal view of the zero-padded block grid.  The
-module also assembles the coefficient matrix M of adj(A(.)) o A(.) on one
-output block, columns in the order of the stack: its diagonal in closed
-form, and its cross and small pieces by FFT from the rows of ``data``.
+with ``data`` the frozen negated block-Hankel matrix of [u, y], which
+the operator spec holds with the record's negated samples, and T(X) the
+one block-Toeplitz builder's matrix (T_y has a zero lag-0 block).  Its
+adjoint takes yhat and the Toeplitz blocks from the partial antidiagonal
+sums of Z, over its block rows from each lag down: the sums from lag 0
+are yhat, and those from lag k, correlated with the samples, the lag-k
+blocks, so the blockwise product Z data' is never formed.  Each Hankel
+or Toeplitz builder returns a C-contiguous copy of one window view,
+entry [r, c] = seq[r + c], of the samples or of the lags reversed and
+then s - 1 zero blocks, and the Toeplitz adjoint sums a diagonal view of
+the zero-padded block grid.  The module also assembles the coefficient
+matrix M of adj(A(.)) o A(.) on one output block, columns in the order
+of the stack: its diagonal in closed form, and its cross and small
+pieces by FFT from the rows of ``data``.
+
+On short records, N a small multiple of s, an ADMM iteration costs about
+the same whatever N is: its time goes to numpy calls, not to arithmetic.
+So the operator and its adjoint plan what depends only on (m, p, s) once,
+on first use, and cache it: the operator gathers T(X) from X's Toeplitz
+columns through one index (``_operator_plan``), and the adjoint writes
+the Toeplitz blocks into the stack through another (``_adjoint_plan``).
+The record's negated samples, which the adjoint correlates with, are
+held by the spec, built once per record.
 
 All DFT identities used here work at the exact orders N and 2s-1; no
 power-of-two padding is applied anywhere.
@@ -106,9 +116,10 @@ class OperatorSpec:
     """Dimensions plus the frozen data matrix defining the linear map.
 
     Built from one i/o record by ``OperatorSpec.from_data(u, y, s)``.
-    ``data`` is the only copy of the record: the negated block-Hankel
-    matrix of [u, y] with s block rows and ncols = N - s + 1 columns, so
-    row r*(m+p) + j holds channel j (inputs first) at window offset r.
+    ``data`` is the negated block-Hankel matrix of [u, y] with s block
+    rows and ncols = N - s + 1 columns, so row r*(m+p) + j holds channel j
+    (inputs first) at window offset r.  ``negated`` is -[u, y]', the
+    (m + p, N) negated samples that the adjoint correlates with.
     """
 
     u: InitVar[np.ndarray]
@@ -118,6 +129,7 @@ class OperatorSpec:
     p: int = field(init=False)
     m: int = field(init=False)
     data: np.ndarray = field(init=False, repr=False, compare=False)
+    negated: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, u, y):
         u = np.asarray(u, dtype=float)
@@ -137,7 +149,9 @@ class OperatorSpec:
         object.__setattr__(self, "N", y.shape[0])
         object.__setattr__(self, "p", y.shape[1])
         object.__setattr__(self, "m", u.shape[1])
-        object.__setattr__(self, "data", -block_hankel(np.hstack([u, y]), self.s))
+        samples = np.hstack([u, y])
+        object.__setattr__(self, "data", -block_hankel(samples, self.s))
+        object.__setattr__(self, "negated", np.ascontiguousarray(-samples.T))
 
     @property
     def ncols(self) -> int:
@@ -183,19 +197,47 @@ def toeplitz_estimates(X: np.ndarray, spec: OperatorSpec) -> np.ndarray:
     return blocks.transpose(2, 0, 1)
 
 
+@lru_cache(maxsize=None)
+def _operator_plan(m: int, p: int, s: int) -> np.ndarray:
+    """Index of T(X) into X's Toeplitz columns, flattened, then one trailing zero.
+
+    Entry [r*p + i, c*(m+p) + j] is the position in X[:, N:].ravel() of
+    the unknown at lag r - c of output i and channel j, and the trailing
+    zero's position, p*(m*s + p*(s-1)), where T has a structural zero:
+    above the block diagonal and at the outputs' lag 0.
+    """
+    count = m * s + p * (s - 1)
+    # one more than each unknown's position, so that block_toeplitz's zeros mark the rest
+    shifted = np.zeros((p, m + p, s))
+    shifted[:, _toeplitz_mask(m, p, s)] = np.arange(1, p * count + 1).reshape(p, count)
+    index = block_toeplitz(shifted.transpose(2, 0, 1)).astype(np.intp) - 1
+    index[index < 0] = p * count
+    index.flags.writeable = False
+    return index
+
+
 def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the data equation Yhat_s + T(X) data; result is (p*s) x ncols.
 
     Output rows are interleaved: block row r stacks all p outputs at
     window offset r, matching the block-Hankel layout of the data.  With
     ``out``, a C-contiguous float array of that shape not overlapping X,
-    the result is written there and ``out`` is returned.  T(X) data is
+    the result is written there and ``out`` is returned.  T(X) is one
+    gather through the cached ``_operator_plan``, the matrix that
+    ``block_toeplitz(toeplitz_estimates(X, spec))`` builds; T(X) data is
     formed in place and the Hankel part is added through a window view
     of X's yhat part, so no other array of the result's size is made.
     """
     X = np.ascontiguousarray(X, dtype=float)
-    T = block_toeplitz(toeplitz_estimates(X, spec))
-    shape = (spec.p * spec.s, spec.ncols)
+    p, N, d = spec.p, spec.N, spec.block_dim
+    if X.shape != (p, d):
+        raise ValueError(f"X has shape {X.shape}, expected {(p, d)}")
+    # X's Toeplitz columns, flattened, then the zero that T's structural zeros read
+    source = np.empty(p * (d - N) + 1)
+    source[:-1].reshape(p, -1)[...] = X[:, N:]
+    source[-1] = 0.0
+    T = source[_operator_plan(spec.m, p, spec.s)]
+    shape = (p * spec.s, spec.ncols)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
@@ -215,6 +257,16 @@ def _suffix_sums(s: int) -> np.ndarray:
     return ones
 
 
+@lru_cache(maxsize=None)
+def _adjoint_plan(m: int, p: int, s: int) -> np.ndarray:
+    """Position k*(m+p) + j, in one output's (s, m + p) lag-by-channel blocks, of each
+    Toeplitz unknown in the order of the stack."""
+    channel, lag = np.nonzero(_toeplitz_mask(m, p, s))
+    index = lag * (m + p) + channel
+    index.flags.writeable = False
+    return index
+
+
 def apply_adjoint(Z: np.ndarray, spec: OperatorSpec, scratch: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of apply_operator, as a (p, block_dim) stack: <A(X), Z> == <X, adjoint(Z)>.
 
@@ -224,17 +276,18 @@ def apply_adjoint(Z: np.ndarray, spec: OperatorSpec, scratch: np.ndarray | None 
     antidiagonal sums S_k(t), over r >= k and r + c = t, for every k: S_0
     is the adjoint of the Hankel part, and the Toeplitz block of lag k is
     sum_t S_k(t) d(t - k), d being the record's negated samples, which
-    ``data`` holds in its first block row and last column.  Read back in
-    rows of N + 1 again, row k starts at S_k(k), so one product of all s
-    rows with d gives every lag: O(s N (m + p)) work for the Toeplitz part,
+    the spec holds as ``negated``.  Read back in rows of N + 1 again, row k
+    starts at S_k(k), so one product of all s rows with d gives every lag: O(s N (m + p)) work for the Toeplitz part,
     not the O(s^2 N (m + p)) of Z data'.  The two (p, s, N + 1) arrays this
     takes are ``scratch``, a C-contiguous float array of shape
     (2, p, s, N + 1) whose contents do not matter, or allocated here; with
     it the call makes no array of Z's size.  The result is the same, bit
-    for bit, either way.
+    for bit, either way.  S_0 and the lag blocks, gathered in the order of
+    the stack through the cached ``_adjoint_plan``, are written into the
+    one (p, block_dim) result.
     """
     Z = np.asarray(Z, dtype=float)
-    p, s, N, ncols, q = spec.p, spec.s, spec.N, spec.ncols, spec.m + spec.p
+    p, s, N, ncols = spec.p, spec.s, spec.N, spec.ncols
     if Z.shape != (p * s, ncols):
         raise ValueError(f"Z has shape {Z.shape}, expected {(p * s, ncols)}")
     shape = (2, p, s, N + 1)
@@ -248,13 +301,12 @@ def apply_adjoint(Z: np.ndarray, spec: OperatorSpec, scratch: np.ndarray | None 
     # past the s rows of N, S_(s-1) read in rows of N + 1 meets s zeros
     sums[:, s * N :] = 0.0
     np.matmul(_suffix_sums(s), padded[:, : s * N].reshape(p, s, N), out=sums[:, : s * N].reshape(p, s, N))
-    negated = np.empty((q, N))
-    negated[:, :ncols] = spec.data[:q]
-    negated[:, ncols:] = spec.data[q:, -1].reshape(s - 1, q).T
     # row k of S_k(k + tau) reads S_(k+1) past N - k, which is 0 there
-    blocks = sums.reshape(p, s, N + 1)[:, :, :N] @ negated.T
-    toeplitz = blocks.transpose(0, 2, 1)[:, _toeplitz_mask(spec.m, p, s)]
-    return np.concatenate([sums[:, :N], toeplitz], axis=1)
+    blocks = sums.reshape(p, s, N + 1)[:, :, :N] @ spec.negated.T
+    result = np.empty((p, spec.block_dim))
+    result[:, :N] = sums[:, :N]
+    result[:, N:] = blocks.reshape(p, -1)[:, _adjoint_plan(spec.m, p, s)]
+    return result
 
 
 def _real_part(a: np.ndarray, what: str) -> np.ndarray:

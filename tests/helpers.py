@@ -13,7 +13,14 @@ import numpy as np
 
 from n2sid.admm import RHO0, SolveResult, _penalty_step, _XSolver
 from n2sid.model import IoRecord, StateSpaceModel
-from n2sid.structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
+from n2sid.structured_ops import (
+    OperatorSpec,
+    _suffix_sums,
+    _toeplitz_mask,
+    apply_adjoint,
+    apply_operator,
+    build_M,
+)
 
 
 def circulant(x) -> np.ndarray:
@@ -99,6 +106,26 @@ def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:
         x=X, Z=Z, iterations=it, primal_res=pri, dual_res=dual,
         converged=converged, y_dual=Y,
     )
+
+
+def reference_adjoint(Z: np.ndarray, spec: OperatorSpec, scratch: np.ndarray | None = None) -> np.ndarray:
+    """apply_adjoint as formulated before its index plan: the negated samples rebuilt
+    from ``spec.data``, and the Toeplitz blocks masked out, transposed and
+    concatenated after the antidiagonal sums S_0."""
+    p, s, N, ncols, q = spec.p, spec.s, spec.N, spec.ncols, spec.m + spec.p
+    if scratch is None:
+        scratch = np.empty((2, p, s, N + 1))
+    padded, sums = scratch.reshape(2, p, -1)
+    padded.reshape(p, s, N + 1)[:, :, ncols:] = 0.0
+    padded.reshape(p, s, N + 1)[:, :, :ncols] = Z.reshape(s, p, ncols).transpose(1, 0, 2)
+    sums[:, s * N :] = 0.0
+    np.matmul(_suffix_sums(s), padded[:, : s * N].reshape(p, s, N), out=sums[:, : s * N].reshape(p, s, N))
+    negated = np.empty((q, N))
+    negated[:, :ncols] = spec.data[:q]
+    negated[:, ncols:] = spec.data[q:, -1].reshape(s - 1, q).T
+    blocks = sums.reshape(p, s, N + 1)[:, :, :N] @ negated.T
+    toeplitz = blocks.transpose(0, 2, 1)[:, _toeplitz_mask(spec.m, p, s)]
+    return np.concatenate([sums[:, :N], toeplitz], axis=1)
 
 
 def recomputed_residuals(spec, y, lam, res: SolveResult) -> tuple[float, float, float]:

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 import n2sid.admm
 from n2sid.admm import (
+    AA_REG,
     RHO_MAX,
     RHO_MIN,
     TAU_MAX,
     AdmmParams,
     SweepFactorization,
+    _anderson_weights,
     _penalty_step,
     _predicted_start,
     _XSolver,
@@ -116,8 +118,9 @@ def test_svt_rank_and_annihilation():
     sv = np.linalg.svd(Y, compute_uv=False)
     assert np.linalg.matrix_rank(svt(Y, 0.3)) <= np.linalg.matrix_rank(Y)
     assert np.abs(svt(Y, sv[0] + 1e-12)).max() == 0.0
-    with pytest.raises(ValueError):
-        svt(Y, -0.1)
+    for bad in (-0.1, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            svt(Y, bad)
 
 
 def orthonormal_columns(rng, rows, cols):
@@ -414,12 +417,43 @@ def test_a_void_anderson_weight_clears_the_memory_and_steps_plainly(monkeypatch)
     fact = SweepFactorization.from_spec(spec)
     params = AdmmParams(max_iter=8, eps_abs=1e-300, eps_rel=1e-300)
     monkeypatch.setattr(n2sid.admm, "AA_REG", 0.0)
-    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: pytest.fail("Anderson step solved"))
+    monkeypatch.setattr(n2sid.admm, "_cholesky_solve", lambda *a, **k: pytest.fail("Anderson step solved"))
     res = solve(spec, rec.y, 2.0, params, fact)
     plain = reference_solve(spec, rec.y, 2.0, params, fact)
     assert res.iterations == plain.iterations == params.max_iter
     np.testing.assert_allclose(res.x, plain.x, rtol=0, atol=1e-9 * np.abs(plain.x).max())
     np.testing.assert_allclose(res.Z, plain.Z, rtol=0, atol=1e-9 * np.abs(plain.Z).max())
+
+
+@pytest.mark.parametrize("unknowns", [1, 2, 3])
+@pytest.mark.parametrize("spread", [1.0, 1e-6])
+def test_anderson_weights_match_a_lapack_solve_of_the_regularised_normal_equations(unknowns, spread):
+    # g values drawn at random (spread 1) or nearly parallel, within 1e-6 of one g
+    rng = np.random.default_rng(unknowns)
+    for _ in range(50):
+        g = rng.standard_normal(40) + spread * rng.standard_normal((unknowns + 1, 40))
+        V = g @ g.T
+        dV = V[1:] - V[:-1]
+        G = dV[:, 1:] - dV[:, :-1]
+        want = np.linalg.solve(G + AA_REG * np.trace(G) * np.eye(unknowns), dV[:, -1])
+        got = _anderson_weights(V.tolist())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_anderson_weights_clear_the_memory_on_a_void_weight_or_a_non_finite_gram(monkeypatch):
+    g = np.random.default_rng(4).standard_normal((4, 40))
+    V = g @ g.T
+    assert _anderson_weights(V.tolist()) is not None
+    # equal g values: every difference, and so the weight, is 0
+    assert _anderson_weights(np.ones((4, 4)).tolist()) is None
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in zip(*np.tril_indices(4)):
+            W = V.copy()
+            W[i, j] = W[j, i] = bad
+            assert _anderson_weights(W.tolist()) is None
+    for weight in (0.0, -1e-10):
+        monkeypatch.setattr(n2sid.admm, "AA_REG", weight)
+        assert _anderson_weights(V.tolist()) is None
 
 
 def test_solve_converged_residual_contract():

@@ -31,6 +31,7 @@ from helpers import (
     probe_full_M,
     random_decision,
     random_spec,
+    reference_adjoint,
 )
 
 
@@ -141,8 +142,45 @@ def test_block_hankel_returns_its_own_c_contiguous_array(N, q, s):
 @pytest.mark.parametrize("m, p", [(0, 1), (1, 1), (2, 2)])
 def test_spec_data_is_its_own_c_contiguous_array(m, p):
     rng = np.random.default_rng(m + 10 * p)
-    spec = OperatorSpec.from_data(rng.standard_normal((20, m)), rng.standard_normal((20, p)), s=4)
+    u, y = rng.standard_normal((20, m)), rng.standard_normal((20, p))
+    spec = OperatorSpec.from_data(u, y, s=4)
     assert _owns_c_array(spec.data)
+    assert _owns_c_array(spec.negated)
+    np.testing.assert_array_equal(spec.negated, -np.hstack([u, y]).T)
+
+
+def _plan_specs():
+    """Specs over m in {0, 1, 2}, p in {1, 2} and s in {2, 3, 15}, and one tall record."""
+    rng = np.random.default_rng(33)
+    for m in (0, 1, 2):
+        for p in (1, 2):
+            for s in (2, 3, 15):
+                N = 3 * s + 4
+                yield OperatorSpec.from_data(rng.standard_normal((N, m)), rng.standard_normal((N, p)), s)
+    # 6 columns against 30 rows
+    yield OperatorSpec.from_data(rng.standard_normal((20, 1)), rng.standard_normal((20, 2)), 15)
+
+
+def test_operator_plan_builds_the_block_toeplitz_matrix_bit_for_bit():
+    rng = np.random.default_rng(34)
+    specs = list(_plan_specs())
+    assert specs[-1].ncols < specs[-1].p * specs[-1].s
+    for spec in specs:
+        X = random_decision(rng, spec)
+        T = block_toeplitz(toeplitz_estimates(X, spec))
+        want = T @ spec.data + block_hankel(X[:, : spec.N].T, spec.s)
+        assert np.array_equal(apply_operator(X, spec), want)
+
+
+def test_adjoint_plan_matches_the_unplanned_formulation_bit_for_bit():
+    rng = np.random.default_rng(35)
+    for spec in _plan_specs():
+        Z = rng.standard_normal((spec.p * spec.s, spec.ncols))
+        want = reference_adjoint(Z, spec)
+        scratch = np.full((2, spec.p, spec.s, spec.N + 1), np.nan)
+        assert np.array_equal(apply_adjoint(Z, spec), want)
+        assert np.array_equal(apply_adjoint(Z, spec, scratch), want)
+        assert np.array_equal(reference_adjoint(Z, spec, scratch), want)
 
 
 def test_block_hankel_scalar():
