@@ -79,8 +79,8 @@ on the optimum and the primal value P at X follow.  The scale is first
 1 + ||D theta||_F, which adj(Y), A(X) and the factorization give with no
 array of Z's size formed.  When that gap misses the stop below but the
 gap at 1 - ||D theta||_F would meet it, Y' is formed in the residual's
-buffer by one operator application and scaled by its exact ||Y'||_2,
-which is much closer to 1 (see _relative_gap).
+buffer by one Toeplitz-only product (D theta has no Hankel part) and
+scaled by its exact ||Y'||_2, which is much closer to 1 (see _relative_gap).
 Once both residuals are within GAP_GATE times their thresholds, a solve
 stops with converged=True also when P - g <= GAP_TOL * eps_rel *
 max(1, |P|), as Liu & Vandenberghe ("Interior-point method for nuclear
@@ -126,7 +126,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SolverError
-from .structured_ops import OperatorSpec, apply_adjoint, apply_operator, build_M
+from .structured_ops import OperatorSpec, _toeplitz_product, apply_adjoint, apply_operator, build_M
 
 __all__ = [
     "AdmmParams",
@@ -385,8 +385,9 @@ def _relative_gap(
     of its rows.  The bound first takes c = 1 + ||D theta||_F, known
     from adjY alone.  When that gap is above the stop tolerance GAP_TOL *
     eps_rel but the gap at c = 1 - ||D theta||_F would not be, Y' is formed
-    in ``out``, a Z-sized array that is overwritten, from one Toeplitz-only
-    operator application, c = ||Y'||_2 (1 + 1e-12) is taken from the
+    in ``out``, a Z-sized array that is overwritten, from the Toeplitz
+    product T(theta / rho) data alone (``structured_ops._toeplitz_product``,
+    no stack of X's size), c = ||Y'||_2 (1 + 1e-12) is taken from the
     eigenvalues of the Gram of its rows, and the smaller of the two
     gaps is returned.  Infinite at weight 0, where g is finite only for
     V = 0; nan, also from an overflowing adj(Y), when not finite or below
@@ -411,9 +412,8 @@ def _relative_gap(
 
     gap = gap_at(1.0 + d_theta)
     if gap > tol and d_theta < 1.0 and gap_at(1.0 - d_theta) <= tol:
-        stack = np.zeros_like(X)
-        stack[:, N:] = theta / rho
-        np.subtract(U, apply_operator(stack, spec, out=out), out=out)  # Y' / rho
+        # Y' / rho = U - T(theta / rho) data, D theta / rho having no Hankel part
+        np.subtract(U, _toeplitz_product(theta / rho, spec, out), out=out)
         top = float(np.linalg.eigvalsh(out @ out.T)[-1])
         c = rho * math.sqrt(max(top, 0.0)) * (1.0 + 1e-12)
         if c > 0.0:

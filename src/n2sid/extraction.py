@@ -5,7 +5,8 @@ Z's thin SVD, picks the model order from the singular-value spectrum,
 and builds the quintuple (A, B, C, D, K) by one of three procedures.
 The solver's last singular value thresholding already factored Z, and
 ``lowrank_svd`` builds the SVD from those factors with one product, so
-Z is not decomposed a second time.
+Z is not decomposed a second time.  Every variant takes an order from 1
+to Z's rank: past it Z fixes no singular vectors to read.
 
 * m3: shift-invariance of the left singular vectors gives (Aobs, C);
   one fit of C Aobs^(k-1) [Bobs, K] to the solved Markov blocks gives
@@ -101,7 +102,7 @@ class IdentifiedModel:
     x0_ide: np.ndarray
 
 
-def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple | None = None) -> SubspaceSvd:
+def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple) -> SubspaceSvd:
     """Thin SVD of the solver's low-rank iterate Z (the thresholded matrix).
 
     ``factors`` are the (U, sigma) that the thresholding handed on with Z
@@ -110,15 +111,11 @@ def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple | None = None)
     one product P = U_r' Z with the r vectors of the positive entries:
     the singular values are the row norms of P, sorted descending, and Vt
     the rows of P divided by them, so U diag(sigma) Vt reproduces Z to
-    rounding and the spectrum past Z's rank stays exactly 0.  Without
-    factors Z gets a LAPACK SVD.
+    rounding and the spectrum past Z's rank stays exactly 0.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (spec.p * spec.s, spec.ncols):
         raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
-    if factors is None:
-        U, sigma, Vt = np.linalg.svd(Z, full_matrices=False)
-        return SubspaceSvd(U=U, sigma=sigma, Vt=Vt[: np.count_nonzero(sigma)])
     U, handed = factors
     rank = int(np.count_nonzero(handed))
     P = U[:, :rank].T @ Z
@@ -237,10 +234,18 @@ def estimate_BDx0(
     return Bobs, D, theta[(n + p) * m :]
 
 
-def _markov_fit(svd: SubspaceSvd, blocks: np.ndarray, nhat: int) -> ObserverModel:
-    """(Aobs, C) by shift invariance, C Aobs^(k-1) [Bobs, K] fit to [v_k, w_k] (k >= 1), D = v_0."""
+def _check_order(svd: SubspaceSvd, nhat: int) -> None:
+    """1 <= order <= the rank of Z, the row count of Vt: past its rank Z has no vectors to read."""
     if nhat < 1:
         raise ValueError("order must be >= 1")
+    rank = svd.Vt.shape[0]
+    if rank < nhat:
+        raise ValueError(f"order {nhat} exceeds the rank {rank} of the low-rank matrix")
+
+
+def _markov_fit(svd: SubspaceSvd, blocks: np.ndarray, nhat: int) -> ObserverModel:
+    """(Aobs, C) by shift invariance, C Aobs^(k-1) [Bobs, K] fit to [v_k, w_k] (k >= 1), D = v_0."""
+    _check_order(svd, nhat)
     s, p, width = blocks.shape
     m = width - p
     Aobs, C = estimate_AC(svd.U[:, :nhat], s, p)
@@ -259,13 +264,10 @@ def compute_m1(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -
 
 def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """State-sequence route: right singular vectors as states, then two regressions."""
-    if nhat < 1:
-        raise ValueError("order must be >= 1")
-    rank, ncols = svd.Vt.shape
+    _check_order(svd, nhat)
+    ncols = svd.Vt.shape[1]
     if ncols < nhat:
         raise ValueError(f"too few state samples: {ncols} < order {nhat}")
-    if rank < nhat:
-        raise ValueError(f"order {nhat} exceeds the rank {rank} of the low-rank matrix")
     X = svd.Vt[:nhat]
     U_d = rec.u[:ncols].T
     Y_d = rec.y[:ncols].T

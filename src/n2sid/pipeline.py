@@ -215,13 +215,14 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     (solve, extract or score); only an entirely failed grid raises.  The
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
-    the program's scaled units; past the rank of a point's Z they are
-    exactly 0, also under a fixed order, whose model takes the vectors past
-    the rank from a LAPACK SVD of Z.  A point that fails after its SVD
-    keeps its singular values in ``sigma_per_lambda``.  A fixed order above
-    (s-1)*p, more than the window can hold, or above the identification
-    part's N-s+1, more singular vectors than Z has, is rejected before the
-    sweep.
+    the program's scaled units, and exactly 0 past the rank of a point's Z.
+    A point that fails after its SVD keeps its singular values in
+    ``sigma_per_lambda``; a point whose Z has a rank below a fixed order is
+    such an extract failure.  A fixed order above (s-1)*p, more than the
+    window can hold, or above the identification part's N-s+1, more
+    singular vectors than Z has, and outputs that are identically zero
+    after preprocessing are rejected before the sweep.  The error of an
+    entirely failed grid names the first failure.
     ``timings`` holds factorization_s, sweep_s, extraction_s (Z's SVD from
     the factors the solve handed on, order and model), scoring_s
     (prediction and J) and total_s.
@@ -230,6 +231,8 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     if cfg.order != "auto" and cfg.order > (cfg.s - 1) * rec.p:
         raise ValueError(f"order {cfg.order} exceeds (s-1)*p = {(cfg.s - 1) * rec.p}")
     pre, peaks = preprocess(rec, cfg)
+    if not np.any(pre.y):
+        raise ValueError(f"the outputs are identically zero{' once detrended' if cfg.detrend else ''}")
     ide1, ide2 = _split_record(pre, cfg.split)
     if ide1.N <= cfg.s:
         raise ValueError(f"identification part has {ide1.N} samples, need more than s={cfg.s}")
@@ -265,10 +268,6 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
             svd = lowrank_svd(res.Z, spec, res.z_svd)
             # kept even if the point fails later, and exactly 0 past Z's rank
             sigma_per_lambda[i] = svd.sigma
-            if cfg.order != "auto" and cfg.order > np.count_nonzero(svd.sigma):
-                # Z fixes no singular vectors past its rank; a LAPACK SVD of Z
-                # takes them from its rounding
-                svd = lowrank_svd(res.Z, spec)
             idm = _extract(svd, res.x, spec, ide1, cfg)
             stage = "score"
             t_point = time.perf_counter()
@@ -289,7 +288,11 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     t_extract = time.perf_counter() - t0 - t_score
 
     if not np.any(np.isfinite(j_values)):
-        raise SolverError("all lambda grid points failed")
+        message = "all lambda grid points failed"
+        if failures:
+            first = failures[0]
+            message += f"; the first at lambda/N = {first['lambda']:.6g} ({first['stage']}): " + first["message"]
+        raise SolverError(message)
     best_idx = int(np.nanargmin(j_values))
     best = models[best_idx]
     # the program saw y / peaks (peaks are ones unless scale_outputs)

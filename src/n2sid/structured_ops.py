@@ -18,8 +18,7 @@ are yhat, and those from lag k, correlated with the samples, the lag-k
 blocks, so the blockwise product Z data' is never formed.  Each Hankel
 or Toeplitz builder returns a C-contiguous copy of one window view,
 entry [r, c] = seq[r + c], of the samples or of the lags reversed and
-then s - 1 zero blocks, and the Toeplitz adjoint sums a diagonal view of
-the zero-padded block grid.  The module also assembles the coefficient
+then s - 1 zero blocks.  The module also assembles the coefficient
 matrix M of adj(A(.)) o A(.) on one output block, columns in the order
 of the stack: its diagonal in closed form, and its cross and small
 pieces by FFT from the rows of ``data``.
@@ -49,7 +48,6 @@ from .errors import ConsistencyError
 __all__ = [
     "block_hankel",
     "block_toeplitz",
-    "block_toeplitz_adjoint",
     "OperatorSpec",
     "toeplitz_estimates",
     "apply_operator",
@@ -58,15 +56,14 @@ __all__ = [
 ]
 
 
-def _window_view(seq: np.ndarray, rows: int, cols: int, step: int = 1) -> np.ndarray:
-    """View of shape (rows, cols) + seq.shape[1:], entry [r, c] being seq[r*step + c].
+def _window_view(seq: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """View of shape (rows, cols) + seq.shape[1:], entry [r, c] being seq[r + c].
 
-    Step 1 windows a C- or F-contiguous ``seq`` like a Hankel matrix; a step
-    one longer than the rows of a grid flattened into ``seq`` reads its
-    diagonals.  The rows overlap, so the view is only read.
+    It windows a C- or F-contiguous ``seq`` like a Hankel matrix.  The rows
+    overlap, so the view is only read.
     """
     shape, t = (rows, cols) + seq.shape[1:], seq.strides[0]
-    return np.ndarray(shape, seq.dtype, seq, strides=(step * t, t) + seq.strides[1:])
+    return np.ndarray(shape, seq.dtype, seq, strides=(t, t) + seq.strides[1:])
 
 
 def block_hankel(series: np.ndarray, s: int) -> np.ndarray:
@@ -97,18 +94,6 @@ def block_toeplitz(blocks: np.ndarray) -> np.ndarray:
     T = np.empty((p * s, q * s))
     T.reshape(s, p, s, q)[...] = _window_view(rev, s, s)[::-1].transpose(0, 2, 1, 3)
     return T
-
-
-def block_toeplitz_adjoint(T: np.ndarray, p: int) -> np.ndarray:
-    """Adjoint of block_toeplitz: the sum of each lower block diagonal of T, shape (s, p, q)."""
-    T = np.asarray(T, dtype=float)
-    s = T.shape[0] // p
-    q = T.shape[1] // s
-    # row r: s - 1 zero blocks, then block row r of T; a step one block longer than
-    # a row shifts view row r by r, so view column s - 1 - k holds block (r, r - k)
-    grid = np.zeros((s, 2 * s - 1, p, q))
-    grid[:, s - 1 :] = T.reshape(s, p, s, q).transpose(0, 2, 1, 3)
-    return _window_view(grid.reshape(s * (2 * s - 1), p, q), s, s, step=2 * s).sum(axis=0)[::-1]
 
 
 @dataclass(frozen=True)
@@ -216,6 +201,16 @@ def _operator_plan(m: int, p: int, s: int) -> np.ndarray:
     return index
 
 
+def _toeplitz_product(cols: np.ndarray, spec: OperatorSpec, out: np.ndarray) -> np.ndarray:
+    """T(X) data, T(X) gathered through the cached ``_operator_plan`` from X's (p, block_dim - N)
+    Toeplitz columns ``cols``, written into and returned as ``out``, C-contiguous (p*s, ncols)."""
+    # the columns, flattened, then the zero that T's structural zeros read
+    source = np.empty(cols.size + 1)
+    source[:-1].reshape(cols.shape)[...] = cols
+    source[-1] = 0.0
+    return np.matmul(source[_operator_plan(spec.m, spec.p, spec.s)], spec.data, out=out)
+
+
 def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the data equation Yhat_s + T(X) data; result is (p*s) x ncols.
 
@@ -225,24 +220,20 @@ def apply_operator(X: np.ndarray, spec: OperatorSpec, out: np.ndarray | None = N
     the result is written there and ``out`` is returned.  T(X) is one
     gather through the cached ``_operator_plan``, the matrix that
     ``block_toeplitz(toeplitz_estimates(X, spec))`` builds; T(X) data is
-    formed in place and the Hankel part is added through a window view
-    of X's yhat part, so no other array of the result's size is made.
+    formed in place by ``_toeplitz_product`` and the Hankel part is added
+    through a window view of X's yhat part, so no other array of the
+    result's size is made.
     """
     X = np.ascontiguousarray(X, dtype=float)
     p, N, d = spec.p, spec.N, spec.block_dim
     if X.shape != (p, d):
         raise ValueError(f"X has shape {X.shape}, expected {(p, d)}")
-    # X's Toeplitz columns, flattened, then the zero that T's structural zeros read
-    source = np.empty(p * (d - N) + 1)
-    source[:-1].reshape(p, -1)[...] = X[:, N:]
-    source[-1] = 0.0
-    T = source[_operator_plan(spec.m, p, spec.s)]
     shape = (p * spec.s, spec.ncols)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
-    np.matmul(T, spec.data, out=out)
+    _toeplitz_product(X[:, N:], spec, out)
     # entry [r, i, c] of the view is yhat_i at sample r + c
     blocks = out.reshape(spec.s, spec.p, spec.ncols)
     blocks += _window_view(X.T, spec.s, spec.ncols).transpose(0, 2, 1)

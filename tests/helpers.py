@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from n2sid.admm import RHO0, SolveResult, _penalty_step, _XSolver
+from n2sid.extraction import SubspaceSvd
 from n2sid.model import IoRecord, StateSpaceModel
 from n2sid.structured_ops import (
     OperatorSpec,
@@ -56,6 +57,13 @@ def svd_svt(Y: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value thresholding by a full LAPACK SVD of Y."""
     U, sv, Vt = np.linalg.svd(Y, full_matrices=False)
     return (U * np.maximum(sv - threshold, 0.0)) @ Vt
+
+
+def lapack_svd(Z: np.ndarray) -> SubspaceSvd:
+    """Z's thin SVD by LAPACK, Vt cut to the positive singular values, as the
+    extraction reads it: the reference for an exact Z that no solve factored."""
+    U, sigma, Vt = np.linalg.svd(Z, full_matrices=False)
+    return SubspaceSvd(U=U, sigma=sigma, Vt=Vt[: np.count_nonzero(sigma)])
 
 
 def reference_solve(spec, y, lam, params, fact, warm=None) -> SolveResult:

@@ -323,7 +323,8 @@ def test_identify_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_identify_fixed_order(tmp_path):
-    data = make_data_file(tmp_path / "d.csv", n=100)
+    # with noise Z's rank passes 3 at the larger lambdas only
+    data = make_data_file(tmp_path / "d.csv", n=100, noise=0.2)
     report_path = tmp_path / "r.json"
     code = run_cli(
         "identify", "--data", data, "--inputs", "1", "--outputs", "1",
@@ -335,6 +336,29 @@ def test_identify_fixed_order(tmp_path):
     finite = [o for o, j in zip(report["orders"], report["j_curve"]) if j is not None]
     assert finite and all(o == 3 for o in finite)
     assert report["order"] == 3
+    failures = report["failures"]
+    assert len(failures) == report["orders"].count(-1) > 0
+    assert all(f["stage"] == "extract" and "order 3 exceeds the rank" in f["message"] for f in failures)
+
+
+def test_a_fixed_order_above_every_points_rank_exits_1_naming_the_cause(tmp_path, capsys):
+    data = make_data_file(tmp_path / "d.csv", n=100)
+    code = run_cli(
+        "identify", "--data", data, "--inputs", "1", "--outputs", "1",
+        "--s", "8", "--grid", "6", "--order", "3", "--no-detrend",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: all lambda grid points failed; the first at lambda/N = ")
+    assert "(extract): order 3 exceeds the rank 1 of the low-rank matrix" in err
+
+
+def test_identically_zero_outputs_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    path = str(tmp_path / "zero.csv")
+    write_csv(path, rng.standard_normal((120, 1)), np.zeros((120, 1)))
+    assert run_cli("identify", "--data", path, "--inputs", "1", "--outputs", "1", "--s", "8") == 2
+    assert capsys.readouterr().err == "error: the outputs are identically zero once detrended\n"
 
 
 def test_identify_report_schema(tmp_path):

@@ -32,6 +32,7 @@ from n2sid.model import (
 from n2sid.structured_ops import OperatorSpec, block_toeplitz, toeplitz_estimates
 
 from helpers import (
+    lapack_svd,
     make_mimo_order4,
     make_record,
     make_siso_order2,
@@ -66,7 +67,7 @@ def exact_solution_inputs(N=60, s=8, seed=0):
     states = naive_states(model.A, model.B, rec.u, np.zeros(2))
     Z = observability(obs.Aobs, obs.C, s) @ states[: spec.ncols].T
     x = markov_stack(rec.y.T, markov_parameters(obs, s))
-    return model, obs, rec, spec, lowrank_svd(Z, spec), toeplitz_estimates(x, spec)
+    return model, obs, rec, spec, lapack_svd(Z), toeplitz_estimates(x, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +116,17 @@ def test_select_order_all_below_floor():
 
 def test_lowrank_svd_zero_matrix():
     spec = OperatorSpec.from_data(np.ones((8, 1)), np.ones((8, 1)) * 2, s=3)
-    out = lowrank_svd(np.zeros((3, 6)), spec)
-    assert np.all(out.sigma == 0.0)
+    out = lowrank_svd(np.zeros((3, 6)), spec, (np.eye(3), np.zeros(3)))
+    assert np.all(out.sigma == 0.0) and out.Vt.shape == (0, 6)
 
 
 def test_lowrank_svd_rank_and_orthogonality():
-    _, _, _, spec, svd, _ = exact_solution_inputs()
-    assert svd.sigma[2] <= 1e-8 * svd.sigma[0]
+    _, _, _, spec, exact, _ = exact_solution_inputs()
+    rank = exact.Vt.shape[0]
+    # Z to rounding, thresholded below its two singular values and above the rounding
+    Z = (exact.U[:, :rank] * exact.sigma[:rank]) @ exact.Vt
+    _, svd = thresholded(Z, 1e-8 * exact.sigma[0], spec)
+    assert svd.Vt.shape[0] == 2 and np.all(svd.sigma[2:] == 0.0)
     np.testing.assert_allclose(svd.U.T @ svd.U, np.eye(svd.U.shape[1]), atol=1e-10)
     np.testing.assert_allclose(svd.Vt @ svd.Vt.T, np.eye(svd.Vt.shape[0]), atol=1e-10)
 
@@ -129,7 +134,7 @@ def test_lowrank_svd_rank_and_orthogonality():
 def test_lowrank_svd_shape_check():
     spec = OperatorSpec.from_data(np.ones((8, 1)), np.ones((8, 1)) * 2, s=3)
     with pytest.raises(ValueError):
-        lowrank_svd(np.zeros((4, 6)), spec)
+        lowrank_svd(np.zeros((4, 6)), spec, (np.eye(4), np.zeros(4)))
 
 
 def assert_thin_svd(Z, svd):
@@ -154,7 +159,7 @@ def thresholded(Y, t, spec):
     """svt of Y, and the SVD lowrank_svd builds from the factors svt handed on."""
     factors = []
     Z = svt(Y, t, factors=factors)
-    return Z, lowrank_svd(Z, spec, tuple(factors) or None)
+    return Z, lowrank_svd(Z, spec, tuple(factors))
 
 
 def test_handed_factors_from_the_gram_branch_are_the_thin_svd(monkeypatch):
@@ -456,12 +461,18 @@ def test_compute_m2_too_few_state_samples():
         compute_m2(short, rec, 2)
 
 
-def test_compute_m2_rejects_an_order_above_the_rank():
-    _, _, rec, _, svd, _ = exact_solution_inputs()
+@pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
+def test_each_variant_rejects_an_order_above_the_rank(variant):
+    _, _, rec, _, svd, est = exact_solution_inputs()
     sigma = np.concatenate([svd.sigma[:1], np.zeros(svd.sigma.size - 1)])
     rank_one = SubspaceSvd(U=svd.U, sigma=sigma, Vt=svd.Vt[:1])
-    with pytest.raises(ValueError, match="exceeds the rank 1"):
-        compute_m2(rank_one, rec, 2)
+    compute = {
+        "m1": lambda: compute_m1(rank_one, est, rec, 2),
+        "m2": lambda: compute_m2(rank_one, rec, 2),
+        "m3": lambda: compute_m3(rank_one, est, rec, 2),
+    }[variant]
+    with pytest.raises(ValueError, match="order 2 exceeds the rank 1 of the low-rank matrix"):
+        compute()
 
 
 def test_compute_m3_exact_inputs_and_variant_agreement():

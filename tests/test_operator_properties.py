@@ -20,7 +20,6 @@ from n2sid.structured_ops import (
     apply_operator,
     block_hankel,
     block_toeplitz,
-    block_toeplitz_adjoint,
     build_M,
     toeplitz_estimates,
 )
@@ -94,17 +93,6 @@ def test_toeplitz_estimates_reproduce_the_data_equation(drawn):
     )
     np.testing.assert_allclose(apply_operator(x, spec), rebuilt, atol=1e-10)
     assert np.all(Ty[: spec.p] == 0.0)
-
-
-@PROPERTY
-@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), SEEDS)
-def test_block_toeplitz_adjoint_identity(s, p, q, seed):
-    rng = np.random.default_rng(seed)
-    blocks = rng.standard_normal((s, p, q))
-    T = rng.standard_normal((p * s, q * s))
-    lhs = float(np.sum(block_toeplitz(blocks) * T))
-    rhs = float(np.sum(blocks * block_toeplitz_adjoint(T, p)))
-    assert _close(lhs, rhs)
 
 
 @PROPERTY

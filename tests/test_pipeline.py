@@ -211,23 +211,49 @@ def test_identify_deterministic():
     assert r1.lambda_opt == r2.lambda_opt
 
 
+def assert_rank_failures(fixed, auto, order):
+    """The fixed-order run fails exactly at the automatic run's points of a rank below
+    the order, in extraction with the rank message, and reports their spectra."""
+    ranks = [np.count_nonzero(sigma) for sigma in auto.sigma_per_lambda]
+    below = [(float(lam), rank) for lam, rank in zip(auto.lambdas, ranks) if rank < order]
+    assert [(f["lambda"], f["stage"]) for f in fixed.failures] == [(lam, "extract") for lam, _ in below]
+    for failure, (_, rank) in zip(fixed.failures, below):
+        assert failure["message"] == f"order {order} exceeds the rank {rank} of the low-rank matrix"
+    for want, got, rank in zip(auto.sigma_per_lambda, fixed.sigma_per_lambda, ranks):
+        assert np.array_equal(got, want)
+        assert np.all(got[rank:] == 0.0)
+
+
 def test_identify_fixed_order():
-    _, rec = noise_free_record(N=80)
+    rec = make_record(make_siso_order2(), 80, seed=0, noise_std=0.2)
+    auto = identify(rec, PipelineConfig(s=8, detrend=False, n_lambda=5))
     rep = identify(rec, PipelineConfig(s=8, detrend=False, order=3, n_lambda=5))
+    assert 0 < len(rep.failures) < 5
+    assert_rank_failures(rep, auto, 3)
     assert np.all(rep.orders[np.isfinite(rep.j_values)] == 3)
     assert rep.best.order == 3
 
 
+def test_a_fixed_order_above_every_points_rank_fails_naming_the_first_failure():
+    # noise-free, order 2: every point's Z has rank 1 or 2
+    _, rec = noise_free_record(N=80)
+    with pytest.raises(
+        SolverError,
+        match=r"all lambda grid points failed; the first at lambda/N = 0\.0316228 \(extract\): "
+        "order 3 exceeds the rank 1 of the low-rank matrix",
+    ):
+        identify(rec, PipelineConfig(s=8, detrend=False, order=3, n_lambda=5))
+
+
 @pytest.mark.parametrize("variant", ["m1", "m2", "m3"])
-def test_a_fixed_order_above_a_points_rank_reports_the_spectrum_of_the_automatic_run(variant):
+def test_a_fixed_order_above_a_points_rank_fails_there_and_takes_no_lapack_svd(variant, monkeypatch):
     rec = make_record(make_siso_order2(), 80, seed=1, noise_std=0.2)
     auto = identify(rec, PipelineConfig(s=10, n_lambda=8))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("a LAPACK SVD was taken"))
     fixed = identify(rec, PipelineConfig(s=10, n_lambda=8, order=4, variant=variant))
-    ranks = [np.count_nonzero(sigma) for sigma in auto.sigma_per_lambda]
-    assert min(ranks) < 4 and not fixed.failures
-    for want, got, rank in zip(auto.sigma_per_lambda, fixed.sigma_per_lambda, ranks):
-        assert np.array_equal(got, want)
-        assert np.all(got[rank:] == 0.0)
+    monkeypatch.undo()
+    assert 0 < len(fixed.failures) < 8
+    assert_rank_failures(fixed, auto, 4)
 
 
 def test_fixed_order_beyond_the_window_is_rejected_before_the_sweep(monkeypatch):
@@ -390,6 +416,21 @@ def test_outputs_too_small_for_the_x_step_fail_every_point_without_a_warning(sca
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SolverError, match="all lambda grid points failed"):
             identify(tiny, PipelineConfig(s=6, n_lambda=4))
+
+
+@pytest.mark.parametrize(
+    "order, variant", [("auto", "m1"), (2, "m1"), (2, "m3")], ids=["auto", "order2-m1", "order2-m3"]
+)
+def test_identically_zero_outputs_are_rejected_before_the_sweep(order, variant, monkeypatch):
+    rng = np.random.default_rng(3)
+    rec = IoRecord(u=rng.standard_normal((120, 1)), y=np.zeros((120, 1)))
+    monkeypatch.setattr(pipeline_mod, "sweep", lambda *args, **kwargs: pytest.fail("sweep ran"))
+    with pytest.raises(ValueError, match="the outputs are identically zero$"):
+        identify(rec, PipelineConfig(s=8, order=order, variant=variant, detrend=False))
+    # a constant output detrends to zero
+    for y in (rec.y, rec.y + 0.7):
+        with pytest.raises(ValueError, match="the outputs are identically zero once detrended"):
+            identify(IoRecord(u=rec.u, y=y), PipelineConfig(s=8, order=order, variant=variant))
 
 
 def test_config_validation():

@@ -6,6 +6,7 @@ from n2sid.model import generate_innovation_data, markov_parameters, to_observer
 from n2sid.structured_ops import (
     OperatorSpec,
     _real_part,
+    _toeplitz_product,
     apply_adjoint,
     apply_operator,
     block_hankel,
@@ -170,6 +171,12 @@ def test_operator_plan_builds_the_block_toeplitz_matrix_bit_for_bit():
         T = block_toeplitz(toeplitz_estimates(X, spec))
         want = T @ spec.data + block_hankel(X[:, : spec.N].T, spec.s)
         assert np.array_equal(apply_operator(X, spec), want)
+        # the Toeplitz part alone is the operator on the stack with a zero yhat part
+        toeplitz_only = X.copy()
+        toeplitz_only[:, : spec.N] = 0.0
+        out = np.full((spec.p * spec.s, spec.ncols), np.nan)
+        assert _toeplitz_product(X[:, spec.N :], spec, out) is out
+        assert np.array_equal(out, apply_operator(toeplitz_only, spec))
 
 
 def test_adjoint_plan_matches_the_unplanned_formulation_bit_for_bit():
