@@ -3,10 +3,11 @@
 Given the low-rank matrix Z produced by the solver, extraction reads
 Z's thin SVD, picks the model order from the singular-value spectrum,
 and builds the quintuple (A, B, C, D, K) by one of three procedures.
-The solver's last singular value thresholding already factored Z, and
-``lowrank_svd`` builds the SVD from those factors with one product, so
-Z is not decomposed a second time.  Every variant takes an order from 1
-to Z's rank: past it Z fixes no singular vectors to read.
+The solver's last singular value thresholding already factored Z: its
+left vectors and its spectrum are Z's, and ``lowrank_svd`` takes both as
+they are and adds the right vectors with one product, so Z is not
+decomposed a second time and has one spectrum.  Every variant takes an
+order from 1 to Z's rank: past it Z fixes no singular vectors to read.
 
 * m3: shift-invariance of the left singular vectors gives (Aobs, C);
   one fit of C Aobs^(k-1) [Bobs, K] to the solved Markov blocks gives
@@ -83,9 +84,10 @@ def _lstsq(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 class SubspaceSvd:
     """Thin SVD of the solver's low-rank matrix (descending singular values).
 
-    U holds an orthonormal set of left singular vectors, one per entry of
-    sigma; Vt holds the right singular vectors of the positive entries
-    only, one row each.
+    U and sigma are the factors the thresholding handed on: an orthonormal
+    set of left singular vectors, one per entry of sigma, and the shrunk
+    spectrum, exactly 0 past Z's rank.  Vt holds the right singular
+    vectors of the positive entries only, one row each.
     """
 
     U: np.ndarray
@@ -95,11 +97,14 @@ class SubspaceSvd:
 
 @dataclass(frozen=True)
 class IdentifiedModel:
-    """An extracted model, its order and its initial state on the identification record."""
+    """An extracted model and its initial state on the identification record; order is model.n."""
 
     model: StateSpaceModel
-    order: int
     x0_ide: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.model.n
 
 
 def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple) -> SubspaceSvd:
@@ -107,24 +112,17 @@ def lowrank_svd(Z: np.ndarray, spec: OperatorSpec, factors: tuple) -> SubspaceSv
 
     ``factors`` are the (U, sigma) that the thresholding handed on with Z
     (``SolveResult.z_svd``): Z's min(rows, cols) left singular vectors,
-    and its spectrum, exactly 0 past Z's rank.  From them the SVD costs
-    one product P = U_r' Z with the r vectors of the positive entries:
-    the singular values are the row norms of P, sorted descending, and Vt
-    the rows of P divided by them, so U diag(sigma) Vt reproduces Z to
-    rounding and the spectrum past Z's rank stays exactly 0.
+    and its spectrum, descending and exactly 0 past Z's rank r, the count
+    of its nonzero entries.  Both are returned as they are, and Vt costs
+    one product: Vt = (U_r' Z) / sigma_r with the r vectors of the
+    positive entries, so U diag(sigma) Vt reproduces Z to rounding.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.shape != (spec.p * spec.s, spec.ncols):
         raise ValueError(f"Z has shape {Z.shape}, expected {(spec.p * spec.s, spec.ncols)}")
-    U, handed = factors
-    rank = int(np.count_nonzero(handed))
-    P = U[:, :rank].T @ Z
-    sigma = np.zeros(handed.shape)
-    sigma[:rank] = np.linalg.norm(P, axis=1)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
+    U, sigma = factors
     rank = int(np.count_nonzero(sigma))
-    return SubspaceSvd(U=U[:, order], sigma=sigma, Vt=P[order[:rank]] / sigma[:rank, None])
+    return SubspaceSvd(U=U, sigma=sigma, Vt=(U[:, :rank].T @ Z) / sigma[:rank, None])
 
 
 def select_order(sigma: np.ndarray, max_order: int = 10) -> int:
@@ -259,15 +257,13 @@ def compute_m1(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -
     """K from the Markov-block fit, then (Bobs, D, x0) refit to the data."""
     obs = _markov_fit(svd, blocks, nhat)
     Bobs, D, x0 = estimate_BDx0(obs.Aobs, obs.C, obs.K, rec)
-    return IdentifiedModel(replace(obs, Bobs=Bobs, D=D).to_state_space(), nhat, x0)
+    return IdentifiedModel(replace(obs, Bobs=Bobs, D=D).to_state_space(), x0)
 
 
 def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
     """State-sequence route: right singular vectors as states, then two regressions."""
     _check_order(svd, nhat)
     ncols = svd.Vt.shape[1]
-    if ncols < nhat:
-        raise ValueError(f"too few state samples: {ncols} < order {nhat}")
     X = svd.Vt[:nhat]
     U_d = rec.u[:ncols].T
     Y_d = rec.y[:ncols].T
@@ -284,7 +280,7 @@ def compute_m2(svd: SubspaceSvd, rec: IoRecord, nhat: int) -> IdentifiedModel:
     D = theta2[:, nhat:]
 
     model = ObserverModel(Aobs, Bobs, C, D, K).to_state_space()
-    return IdentifiedModel(model, nhat, X[:, 0].copy())
+    return IdentifiedModel(model, X[:, 0].copy())
 
 
 def compute_m3(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -> IdentifiedModel:
@@ -297,4 +293,4 @@ def compute_m3(svd: SubspaceSvd, blocks: np.ndarray, rec: IoRecord, nhat: int) -
     obs = _markov_fit(svd, blocks, nhat)
     response = predict_observer(obs, rec, np.eye(nhat, 1 + nhat, 1))
     x0, _ = fit_x0(response[:, :, 1:], rec.y - response[:, :, 0])
-    return IdentifiedModel(obs.to_state_space(), nhat, x0)
+    return IdentifiedModel(obs.to_state_space(), x0)

@@ -329,9 +329,17 @@ def test_report_carries_each_grid_points_gap_and_nan_where_the_solve_failed(monk
         return out
 
     monkeypatch.setattr(pipeline_mod, "sweep", sweep_with_a_failed_point)
-    rep = identify(rec, cfg)
-    assert np.isnan(rep.gaps[1])
-    assert rep.gaps[[0, 2, 3]].tolist() == [swept[i].gap for i in (0, 2, 3)]
+    for scale_outputs in (False, True):
+        swept.clear()
+        rep = identify(rec, replace(cfg, scale_outputs=scale_outputs))
+        assert np.isnan(rep.gaps[1])
+        assert rep.gaps[[0, 2, 3]].tolist() == [swept[i].gap for i in (0, 2, 3)]
+        # each solved point reports the spectrum its solve handed on, bit for bit
+        assert rep.sigma_per_lambda[1] is None
+        for i in (0, 2, 3):
+            assert np.array_equal(rep.sigma_per_lambda[i], swept[i].z_svd[1])
+        # the order is read from the model, also after the rebuild into record units
+        assert rep.best.order == rep.best.model.n
 
 
 def test_identify_names_the_stage_that_failed(monkeypatch):
