@@ -222,7 +222,8 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     window can hold, or above the identification part's N-s+1, more
     singular vectors than Z has, and outputs that are identically zero
     after preprocessing are rejected before the sweep.  The error of an
-    entirely failed grid names the first failure.
+    entirely failed grid names the first failure and the highest rank of
+    Z among the points that reached their SVD.
     ``timings`` holds factorization_s, sweep_s, extraction_s (Z's SVD from
     the factors the solve handed on, order and model), scoring_s
     (prediction and J) and total_s.
@@ -292,6 +293,8 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         if failures:
             first = failures[0]
             message += f"; the first at lambda/N = {first['lambda']:.6g} ({first['stage']}): " + first["message"]
+        ranks = [np.count_nonzero(sigma) for sigma in sigma_per_lambda if sigma is not None]
+        message += f"; the highest rank of a solved point's Z is {max(ranks)}" if ranks else ""
         raise SolverError(message)
     best_idx = int(np.nanargmin(j_values))
     best = models[best_idx]

@@ -351,6 +351,7 @@ def test_a_fixed_order_above_every_points_rank_exits_1_naming_the_cause(tmp_path
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: all lambda grid points failed; the first at lambda/N = ")
     assert "(extract): order 3 exceeds the rank 1 of the low-rank matrix" in err
+    assert err.endswith("; the highest rank of a solved point's Z is 2\n")
 
 
 def test_identically_zero_outputs_exit_2(tmp_path, capsys):

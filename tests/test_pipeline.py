@@ -240,7 +240,7 @@ def test_a_fixed_order_above_every_points_rank_fails_naming_the_first_failure():
     with pytest.raises(
         SolverError,
         match=r"all lambda grid points failed; the first at lambda/N = 0\.0316228 \(extract\): "
-        "order 3 exceeds the rank 1 of the low-rank matrix",
+        "order 3 exceeds the rank 1 of the low-rank matrix; the highest rank of a solved point's Z is 2$",
     ):
         identify(rec, PipelineConfig(s=8, detrend=False, order=3, n_lambda=5))
 
