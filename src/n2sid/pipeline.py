@@ -130,7 +130,8 @@ def preprocess(rec: IoRecord, cfg: PipelineConfig) -> tuple[IoRecord, np.ndarray
 
     Scaling (off by default) divides each detrended output channel by
     its max-abs value so that every output peaks at 1; the returned
-    per-output divisors are ones when scaling is off.
+    per-output divisors are ones when scaling is off.  The inputs keep
+    their units here; ``identify`` divides each by its RMS for the program.
     """
     if rec.N <= cfg.s:
         raise ValueError(f"record has {rec.N} samples, need more than s={cfg.s}")
@@ -216,6 +217,10 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     selected model and the J curve are in the record's output units, also
     when the program ran on scaled outputs; the singular values stay in
     the program's scaled units, and exactly 0 past the rank of a point's Z.
+    The program sees each input channel divided by its RMS over the
+    preprocessed record (1 for a channel of RMS 0): T_u is not penalised,
+    so its optimum does not depend on the input units, and B and D come
+    back in the record's units.
     A point that fails after its SVD keeps its singular values in
     ``sigma_per_lambda``; a point whose Z has a rank below a fixed order is
     such an extract failure.  A fixed order above (s-1)*p, more than the
@@ -234,6 +239,13 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
     pre, peaks = preprocess(rec, cfg)
     if not np.any(pre.y):
         raise ValueError(f"the outputs are identically zero{' once detrended' if cfg.detrend else ''}")
+    # T_u is not penalised, so the optimum does not depend on the input units, only the solver
+    # does; the RMS is taken of u / max|u|, whose squares neither overflow nor underflow
+    top = np.abs(pre.u).max(axis=0, initial=0.0)
+    top[top == 0.0] = 1.0
+    rms = top * np.sqrt(np.mean((pre.u / top) ** 2, axis=0))
+    rms[rms == 0.0] = 1.0
+    pre = IoRecord(u=pre.u / rms, y=pre.y)
     ide1, ide2 = _split_record(pre, cfg.split)
     if ide1.N <= cfg.s:
         raise ValueError(f"identification part has {ide1.N} samples, need more than s={cfg.s}")
@@ -298,11 +310,12 @@ def identify(rec: IoRecord, cfg: PipelineConfig = PipelineConfig()) -> PipelineR
         raise SolverError(message)
     best_idx = int(np.nanargmin(j_values))
     best = models[best_idx]
-    # the program saw y / peaks (peaks are ones unless scale_outputs)
+    # the program saw u / rms and y / peaks (peaks are ones unless scale_outputs)
     model = replace(
         best.model,
+        B=best.model.B / rms,
         C=peaks[:, None] * best.model.C,
-        D=peaks[:, None] * best.model.D,
+        D=peaks[:, None] * best.model.D / rms,
         K=best.model.K / peaks,
     )
     return PipelineReport(

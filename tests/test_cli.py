@@ -13,6 +13,8 @@ from n2sid.cli import _build_config, _model_to_json, build_parser, example_model
 from n2sid.model import IoRecord, simulate
 from n2sid.pipeline import PipelineConfig, evaluate, identify
 
+from helpers import make_record, make_siso_order2
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -352,6 +354,15 @@ def test_a_fixed_order_above_every_points_rank_exits_1_naming_the_cause(tmp_path
     assert err.startswith("numerical failure: all lambda grid points failed; the first at lambda/N = ")
     assert "(extract): order 3 exceeds the rank 1 of the low-rank matrix" in err
     assert err.endswith("; the highest rank of a solved point's Z is 2\n")
+
+
+def test_inputs_in_micro_units_exit_0(tmp_path):
+    # inputs x 1e6 once made every grid point's solve fail: exit 1
+    rec = make_record(make_siso_order2(), 200, seed=0, noise_std=0.1)
+    path = str(tmp_path / "micro.csv")
+    write_csv(path, 1e6 * rec.u, rec.y)
+    argv = ("identify", "--data", path, "--inputs", "1", "--outputs", "1", "--n-ide", "120", "--n-val", "80")
+    assert run_cli(*argv) == 0
 
 
 def test_identically_zero_outputs_exit_2(tmp_path, capsys):

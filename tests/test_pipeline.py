@@ -123,6 +123,36 @@ def test_scale_outputs_returns_model_in_record_units():
     assert np.array_equal(runs[1].K, runs[0].K / 8.0)
 
 
+@pytest.mark.parametrize(
+    "model, N", [(make_siso_order2(), 120), (make_mimo_order4(), 200)], ids=["siso2", "mimo4"]
+)
+def test_identify_is_blind_to_the_units_of_the_inputs(model, N):
+    """The program sees each input at unit RMS: a power-of-two scaling c of the inputs
+    changes nothing but B and D, which come back divided by c, bit for bit.  At 2^-600
+    and 2^520 the inputs' squares would underflow and overflow."""
+    rec = make_record(model, N, seed=3, noise_std=0.2)
+    cfg = PipelineConfig(s=8, n_lambda=5)
+    base = identify(rec, cfg)
+    for c in 2.0 ** np.array([-600, -20, -9, 5, 17, 30, 520]):
+        rep = identify(IoRecord(u=c * rec.u, y=rec.y), cfg)
+        assert rep.best_index == base.best_index and rep.lambda_opt == base.lambda_opt
+        assert np.array_equal(rep.orders, base.orders)
+        assert np.array_equal(rep.j_values, base.j_values, equal_nan=True)
+        assert np.array_equal(rep.iterations, base.iterations)
+        for name in ("A", "C", "K"):
+            assert np.array_equal(getattr(rep.best.model, name), getattr(base.best.model, name))
+        assert np.array_equal(rep.best.model.B, base.best.model.B / c)
+        assert np.array_equal(rep.best.model.D, base.best.model.D / c)
+
+
+def test_inputs_in_micro_units_identify():
+    # inputs x 1e6 once made every grid point's solve fail
+    rec = make_record(make_siso_order2(), 200, seed=0, noise_std=0.1)
+    rep = identify(IoRecord(u=1e6 * rec.u[:120], y=rec.y[:120]))
+    assert rep.failures == [] and np.all(rep.converged)
+    assert evaluate(rep.best, IoRecord(u=1e6 * rec.u[120:], y=rec.y[120:])) > 90.0
+
+
 def test_scale_outputs_reports_j_in_record_units(monkeypatch):
     model = make_siso_order2()
     rng = np.random.default_rng(11)
